@@ -85,14 +85,14 @@ def test_bench_parallel_speedup(benchmark, bench_corpus_spec):
 
 
 def test_bench_executor_ladder(benchmark, bench_corpus_spec):
-    """Serial vs thread vs process on identical input: the scheduled
-    executors must agree on solve counts (differential guarantee) and
-    stay within a sane factor of one another."""
+    """Serial vs process on identical input: the scheduled executors
+    must agree on solve counts (differential guarantee) and stay within
+    a sane factor of one another."""
 
     def run():
         return {
             executor: _run_engine(bench_corpus_spec, executor)
-            for executor in ("serial", "thread", "process")
+            for executor in ("serial", "process")
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

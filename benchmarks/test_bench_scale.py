@@ -5,14 +5,14 @@ modular analysis that can scale the inference to large programs."
 
 This is the canonical scaling benchmark (it folds in and supersedes the
 old ``test_bench_scaling`` subquadratic check).  It measures the
-sharded level-synchronous scheduler on two corpora from the *scale-out*
+serial level-synchronous scheduler on two corpora from the *scale-out*
 family (``CorpusSpec.scaled(factor)`` with factor > 1: frozen Table 2
 warning core, interleaved stream protocol family, seeded filler call
 chains) and asserts:
 
 * **near-linear wall-clock** — in full mode (``REPRO_FULL_SCALE=1``),
-  10x the methods may cost at most 13x the inference time at a fixed
-  shard count, measured on a >= 30k-method corpus; quick mode (the
+  10x the methods may cost at most 13x the inference time, measured on
+  a >= 30k-method corpus; quick mode (the
   default, and what the CI ``scale-smoke`` job runs) checks the growth
   between a 1x and 2x corpus stays far below quadratic;
 * **bounded residency under ``--max-rss-mb``** — a budgeted run of the
@@ -60,7 +60,6 @@ def _child(conn, factor, budget_mb, run_dir):
     parse_seconds = time.perf_counter() - parse_start
     settings = InferenceSettings(
         executor="serial",
-        shards=2,
         run_dir=run_dir,
         max_rss_mb=budget_mb,
         checkpoint_every=10 ** 6,  # shed snapshots only; no periodic I/O
@@ -91,7 +90,6 @@ def _child(conn, factor, budget_mb, run_dir):
             "parse_seconds": parse_seconds,
             "infer_seconds": infer_seconds,
             "solves": stats.solves,
-            "shards": stats.shards,
             "sheds": stats.sheds,
             "pfg_sheds": stats.pfg_sheds,
             "pfg_rehydrations": stats.pfg_rehydrations,
@@ -134,14 +132,12 @@ def test_bench_scale_out(benchmark):
     print()
     for point in (small, big):
         print(
-            "  %6d methods  parse %6.2f s  infer %7.2f s  (%.2f ms/method,"
-            " %d shards)"
+            "  %6d methods  parse %6.2f s  infer %7.2f s  (%.2f ms/method)"
             % (
                 point["methods"],
                 point["parse_seconds"],
                 point["infer_seconds"],
                 1000.0 * point["infer_seconds"] / point["methods"],
-                point["shards"],
             )
         )
     print(
@@ -157,7 +153,7 @@ def test_bench_scale_out(benchmark):
         )
     )
 
-    # Near-linear scaling of the sharded scheduler.
+    # Near-linear scaling of the scheduler.
     if FULL:
         assert big["methods"] >= 30000
         assert time_ratio <= MAX_LINEAR_SLOWDOWN * size_ratio
@@ -178,7 +174,6 @@ def test_bench_scale_out(benchmark):
         "mode": "full" if FULL else "quick",
         "executor": "serial",
         "engine": "compiled",
-        "fixed_shards": 2,
         "points": [small, big],
         "size_ratio": round(size_ratio, 3),
         "time_ratio": round(time_ratio, 3),

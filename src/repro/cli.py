@@ -45,6 +45,7 @@ EXIT_CRASHLOOP = 6
 
 from repro.cache import DEFAULT_CACHE_DIR
 from repro.core import AnekPipeline, InferenceSettings
+from repro.core.parallel import EXECUTORS
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import MethodRef, resolve_program
@@ -146,7 +147,6 @@ def cmd_infer(args, out):
         max_worklist_iters=args.max_iters,
         executor=executor,
         jobs=jobs,
-        shards=args.shards,
         engine=args.engine,
         policy=_build_policy(args),
         run_dir=run_dir,
@@ -861,18 +861,12 @@ def build_parser():
     infer.add_argument("--max-iters", type=_max_iters, default=0,
                        help="worklist iteration cap (default: 3 passes)")
     infer.add_argument("--jobs", type=_job_count, default=0,
-                       help="parallel workers (implies --executor process; "
-                            "0 = CPU count when an executor is selected)")
-    infer.add_argument("--executor", default=None,
-                       choices=("worklist", "serial", "thread", "process"),
+                       help="parallel workers, one pinned lane each "
+                            "(implies --executor process; 0 = CPU count "
+                            "when an executor is selected)")
+    infer.add_argument("--executor", default=None, choices=EXECUTORS,
                        help="inference engine: the sequential worklist "
                             "(default) or the level-synchronous scheduler")
-    infer.add_argument("--shards", metavar="K",
-                       type=_nonnegative_count("--shards"), default=0,
-                       help="partition each scheduler level into K shards "
-                            "solved by independent worker groups "
-                            "(0 = auto from --jobs; results are "
-                            "bit-identical for every K)")
     infer.add_argument("--engine", default="compiled",
                        choices=("loopy", "compiled"),
                        help="BP engine: the compiled flat-array kernel "
@@ -1029,8 +1023,7 @@ def build_parser():
     client.add_argument("--max-iters", type=_max_iters, default=0)
     client.add_argument("--engine", default="compiled",
                         choices=("loopy", "compiled"))
-    client.add_argument("--executor", default=None,
-                        choices=("worklist", "serial", "thread", "process"))
+    client.add_argument("--executor", default=None, choices=EXECUTORS)
     client.add_argument("--jobs", type=_job_count, default=0)
     client.add_argument("--no-cache", dest="use_cache", action="store_false",
                         help="ask the daemon to bypass the persistent cache")

@@ -13,9 +13,9 @@ inference algorithm for a fixed number of iterations without reaching a
 fixpoint"), trading accuracy against scalability.
 
 Besides the sequential worklist, ``InferenceSettings.executor`` selects
-the level-synchronous scheduled engine (``serial``/``thread``/
-``process``, see :mod:`repro.core.parallel`), which solves whole
-call-graph levels concurrently and merges summaries deterministically.
+the level-synchronous scheduled engine (``serial``/``process``, see
+:mod:`repro.core.parallel`), which solves whole call-graph levels
+concurrently and merges summaries deterministically.
 """
 
 import time
@@ -39,7 +39,6 @@ from repro.core.summaries import (
     satisfaction_evidence,
 )
 from repro.resilience.faults import maybe_fault
-from repro.resilience.limits import ResourceLimitError
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import FailureRecord, FailureReport
 
@@ -79,17 +78,13 @@ class InferenceSettings:
     bp_tolerance: float = 1e-4
     threshold: float = 0.5  # the paper's t in [0.5, 1)
     summary_change_threshold: float = 0.02
-    #: "worklist" = the sequential Figure 9 engine; "serial"/"thread"/
-    #: "process" = the level-synchronous scheduler of repro.core.parallel.
+    #: "worklist" = the sequential Figure 9 engine; "serial"/"process"
+    #: = the level-synchronous scheduler of repro.core.parallel.
     executor: str = "worklist"
-    #: Worker count for the thread/process executors (0 = CPU count).
+    #: Lane (worker process) count of the process executor (0 = CPU
+    #: count).  Excluded from cache config digests: it never changes
+    #: results.
     jobs: int = 0
-    #: Shard count for the scheduled executors: each condensation level
-    #: is partitioned into this many groups solved independently, with
-    #: summaries/evidence exchanged only at the level barrier.  0 = auto
-    #: (derived from the effective job count).  Like ``jobs``, excluded
-    #: from cache config digests — shard count never changes results.
-    shards: int = 0
     #: BP engine: "compiled" = flat-array kernel (fast path, default);
     #: "loopy" = the per-message reference engine.
     engine: str = "compiled"
@@ -137,8 +132,6 @@ class InferenceSettings:
             )
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0, got %d" % self.jobs)
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0, got %d" % self.shards)
         if self.engine not in ENGINES:
             raise ValueError(
                 "unknown engine %r (expected one of %s)"
@@ -163,7 +156,29 @@ class InferenceSettings:
 
 @dataclass
 class InferenceStats:
-    """Bookkeeping for the evaluation tables."""
+    """Bookkeeping for the evaluation tables.
+
+    Two kinds of field matter to tests.  **Work counters**
+    (:data:`WORK_COUNTERS`) are a pure function of the program, config,
+    cache contents and schedule kind: they repeat exactly across
+    reruns, and the serial and process executors agree on them (a
+    fault that rebuilds a worker is the one exception).  **Timings** —
+    ``elapsed_seconds``, ``build_seconds``, ``solve_seconds``, the
+    ``check_*_seconds`` fields and the per-level ``schedule`` seconds —
+    are reported, never asserted.
+    """
+
+    WORK_COUNTERS = (
+        "solves",
+        "builds",
+        "reuses",
+        "skips",
+        "replays",
+        "factors",
+        "constraint_counts",
+        "levels",
+        "rounds",
+    )
 
     methods: int = 0
     solves: int = 0
@@ -189,17 +204,16 @@ class InferenceStats:
     build_seconds: float = 0.0
     solve_seconds: float = 0.0
     #: Which engine actually ran (the process executor falls back to
-    #: threads when the program or config cannot be pickled).
+    #: serial when the program or config cannot be pickled).
     executor: str = "worklist"
     jobs: int = 1
-    #: Scheduled-engine shape: SCC-condensation levels and rounds run,
-    #: and the shard count each level was partitioned into (1 = no
-    #: sharding; the worklist executor never shards).
+    #: Scheduled-engine shape: SCC-condensation levels and rounds run.
     levels: int = 0
     sccs: int = 0
     rounds: int = 0
-    shards: int = 1
-    #: Per-level trace entries: {round, level, methods, seconds}.
+    #: Per-level trace entries: {round, level, methods, seconds}, plus
+    #: ``lanes`` [{lane, methods, seconds}] of worker busy time under
+    #: the process executor.
     schedule: list = field(default_factory=list)
     #: Methods quarantined by the resilience layer (frontend or
     #: constraint-generation failures): excluded from inference, given a
@@ -238,6 +252,10 @@ class InferenceStats:
     check_tier2_methods: int = 0
     check_tier1_sites: int = 0
     check_tier2_sites: int = 0
+
+    def work_counters(self):
+        """``{name: value}`` of the :data:`WORK_COUNTERS`."""
+        return {name: getattr(self, name) for name in self.WORK_COUNTERS}
 
     def to_payload(self):
         """The stats as plain JSON-serializable data (the serving layer
@@ -306,8 +324,6 @@ class AnekInference:
     def _build_pfg_guarded(self, method_ref, policy):
         """PFG build under isolation: a crash quarantines only this
         method.  Returns (pfg, callees-or-None) or (None, None)."""
-        from repro.resilience.report import record_from_exception
-
         site_key = self.models.site_key(method_ref)
         try:
             if policy.enabled:
@@ -315,17 +331,10 @@ class AnekInference:
             pfg = build_pfg(self.program, method_ref, limits=policy.limits)
             callees = method_call_targets(self.program, method_ref)
         except Exception as exc:
-            if not policy.enabled and not isinstance(exc, ResourceLimitError):
-                raise
             self.quarantine_method(
                 method_ref,
-                record_from_exception(
-                    "pfg",
-                    site_key,
-                    exc,
-                    "resource-limit"
-                    if isinstance(exc, ResourceLimitError)
-                    else "method-quarantined",
+                policy.quarantine_record(
+                    "pfg", site_key, exc, "method-quarantined"
                 ),
             )
             return None, None
@@ -334,19 +343,13 @@ class AnekInference:
     def _quarantine_caller(self, method_ref, exc, policy):
         """Call-graph lowering failed for one caller: quarantine it, same
         contract as :meth:`_build_pfg_guarded`."""
-        from repro.resilience.report import record_from_exception
-
-        if not policy.enabled and not isinstance(exc, ResourceLimitError):
-            raise exc
         self.quarantine_method(
             method_ref,
-            record_from_exception(
+            policy.quarantine_record(
                 "resolve",
                 self.models.site_key(method_ref),
                 exc,
-                "resource-limit"
-                if isinstance(exc, ResourceLimitError)
-                else "method-quarantined",
+                "method-quarantined",
             ),
         )
 
@@ -628,23 +631,17 @@ class AnekInference:
                 method_ref, pfg, self.summaries, self.settings
             )
         except Exception as exc:
-            if not policy.enabled and not isinstance(exc, ResourceLimitError):
-                raise
             # Constraint generation (or the model machinery around it)
             # crashed — or the built factor graph breached its size
             # budget: quarantine just this method.  The solve stage
             # itself never raises here — guarded_solve degrades instead.
-            from repro.resilience.report import record_from_exception
-
             self.quarantine_method(
                 method_ref,
-                record_from_exception(
+                policy.quarantine_record(
                     "constraints",
                     self.models.site_key(method_ref),
                     exc,
-                    "resource-limit"
-                    if isinstance(exc, ResourceLimitError)
-                    else "method-quarantined",
+                    "method-quarantined",
                 ),
             )
             results[method_ref] = {}

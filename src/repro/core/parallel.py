@@ -14,14 +14,16 @@ be solved concurrently.  This module makes that operational:
   the final summaries (and therefore every downstream marginal) are
   independent of task completion order.
 
-Three interchangeable executors drive the level solves — ``serial``
-(inline), ``thread`` (:class:`~concurrent.futures.ThreadPoolExecutor`)
-and ``process`` (:class:`~concurrent.futures.ProcessPoolExecutor`, true
-parallelism).  All three run the *same* schedule, exchange the *same*
-picklable payloads, and merge in the *same* order, which is the
-determinism guarantee the differential test suite
-(``tests/test_parallel_differential.py``) locks in: marginals agree
-bit-for-bit across executors.
+Two interchangeable executors drive the level solves — ``serial``
+(inline, the reference) and ``process`` (one *lane* per job: a
+one-worker process pool that always solves the same methods, chosen by
+the deterministic :func:`repro.core.shardplan.plan_shards` partition).
+Both run the *same* schedule, exchange the *same* picklable payloads,
+and merge in the *same* order, which is the determinism guarantee the
+differential test suites (``tests/test_parallel_differential.py``,
+``tests/test_shard_differential.py``) lock in: marginals agree
+bit-for-bit across executors, and because a lane reuses its methods'
+models exactly as ``serial`` does, so do the work counters.
 
 Rounds repeat until either the round budget derived from
 ``InferenceSettings.max_worklist_iters`` is exhausted or a round leaves
@@ -36,19 +38,16 @@ import math
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import condensation_levels
 from repro.core.model import ModelCache
-from repro.core.shardplan import plan_shards, resolve_shard_count
 from repro.core.pfg_builder import build_pfg
 from repro.core.priors import SpecEnvironment
+from repro.core.shardplan import plan_shards
 from repro.core.summaries import (
     SummaryStore,
     TargetMarginal,
@@ -56,15 +55,12 @@ from repro.core.summaries import (
     satisfaction_evidence,
 )
 from repro.resilience.faults import maybe_fault
-from repro.resilience.report import FailureRecord, record_from_exception
+from repro.resilience.report import FailureRecord
 
 #: Executors accepted by ``InferenceSettings.executor``.  ``worklist`` is
-#: the sequential reference engine (paper Figure 9); the other three run
+#: the sequential reference engine (paper Figure 9); the other two run
 #: the level-synchronous schedule above.
-EXECUTORS = ("worklist", "serial", "thread", "process")
-
-#: The subset of :data:`EXECUTORS` that runs the scheduled engine.
-SCHEDULED_EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("worklist", "serial", "process")
 
 
 def resolve_jobs(jobs):
@@ -121,12 +117,10 @@ def solve_method_to_outcome(
     try:
         visit = models.solve(method_ref, pfg, store, settings)
     except Exception as exc:
-        if not policy.enabled:
-            raise
         # Constraint generation (or the model machinery around it)
-        # crashed.  Report a quarantined outcome instead of letting the
-        # exception take down the level (thread executor) or the whole
-        # chunk (process executor).
+        # crashed, or the factor graph breached its budget.  Report a
+        # quarantined outcome instead of letting the exception take down
+        # the level or the whole lane.
         return MethodSolveOutcome(
             key=key,
             boundary=[],
@@ -136,7 +130,7 @@ def solve_method_to_outcome(
             built=False,
             quarantined=True,
             failures=[
-                record_from_exception(
+                policy.quarantine_record(
                     "constraints", key, exc, "method-quarantined"
                 )
             ],
@@ -210,10 +204,10 @@ def _process_worker_init(blob):
         "table": table,
         "key_of": {ref: key for key, ref in table.items()},
         "pfgs": pfgs_by_key,
-        # Worker-local model cache: a method re-solved by this worker in a
-        # later round reuses its built model.  Refreshes depend only on
-        # store *content*, so worker-local caches cannot change results —
-        # only how much build work each worker repeats.
+        # Worker-local model cache: the lane re-solves the same methods
+        # every round, so each reuses its built model exactly as under
+        # the serial executor.  Refreshes depend only on store *content*,
+        # so worker-local caches cannot change results.
         "models": ModelCache(
             program,
             config,
@@ -226,7 +220,9 @@ def _process_worker_init(blob):
 
 
 def _process_solve_chunk(keys, store_payload):
-    """Solve a chunk of one level's methods inside a worker process."""
+    """Solve one lane's share of a level inside its worker process;
+    returns the outcomes and the worker's busy seconds."""
+    start = time.perf_counter()
     state = _WORKER
     store = SummaryStore.from_payload(store_payload, state["table"])
     policy = state["settings"].effective_policy()
@@ -236,7 +232,7 @@ def _process_solve_chunk(keys, store_payload):
             # The worker-crash site: ``kill`` faults simulate a
             # segfaulting worker, ``delay`` a hung one, ``raise`` an
             # in-worker crash — each surfaces in the parent as a failed
-            # chunk and exercises the pool-recovery path.
+            # lane and exercises the lane-recovery path.
             maybe_fault("worker", key)
         ref = state["table"][key]
         pfg = state["pfgs"].get(key)
@@ -256,7 +252,7 @@ def _process_solve_chunk(keys, store_payload):
                 models=state["models"],
             )
         )
-    return outcomes
+    return outcomes, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +266,8 @@ class _SerialBackend:
     Solving only *reads* the summary store and merging happens strictly
     after the level completes, so the live store is passed straight
     through — the payload round-trip is pure copying and the process
-    backend's reconstruction yields value-identical dicts, keeping the
-    three executors' floats equal.
+    backend's reconstruction yields value-identical dicts, keeping both
+    executors' floats equal.
     """
 
     name = "serial"
@@ -280,80 +276,63 @@ class _SerialBackend:
         self.scheduler = scheduler
 
     def solve_level(self, keys, store):
-        return [self.scheduler.solve_local(key, store) for key in keys]
+        """The level's outcomes in ``keys`` order, and no lane trace."""
+        return [self.scheduler.solve_local(key, store) for key in keys], None
 
     def close(self):
         pass
 
 
-class _ThreadBackend:
-    """Thread-pool execution (shared ASTs, GIL-bound but overlap-capable)."""
-
-    name = "thread"
-
-    def __init__(self, scheduler, jobs):
-        self.scheduler = scheduler
-        self.pool = ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="anek-infer"
-        )
-
-    def solve_level(self, keys, store):
-        futures = [
-            self.pool.submit(self.scheduler.solve_local, key, store)
-            for key in keys
-        ]
-        # Collect in submission order: completion order never leaks out.
-        return [future.result() for future in futures]
-
-    def close(self):
-        self.pool.shutdown()
-
-
 class _ProcessBackend:
-    """Process-pool execution: true parallelism across CPU cores.
+    """Process execution: one *lane* per job.
 
-    The backend survives worker death: a chunk whose future raises
+    A lane is a one-worker process pool, and every level hands it
+    exactly the methods the lane plan assigns it.  A method is therefore
+    built once and reused by the same worker in later rounds, as under
+    ``serial``, so the work counters (builds, reuses, skips, constraint
+    counts) repeat too.
+
+    The backend survives worker death: a lane whose future raises
     (``BrokenProcessPool`` after a killed worker, ``TimeoutError`` after
     a hang past ``policy.worker_timeout``, or an in-worker crash) is
-    requeued onto a freshly rebuilt pool, up to ``policy.worker_retries``
-    rebuilds per level.  If the pool keeps collapsing, the backend
-    degrades *permanently* to solving in-parent on the serial path —
-    same single solve code path, so the recovered marginals are
-    bit-identical to what a healthy pool would have produced.
+    rebuilt and its methods requeued, up to ``policy.worker_retries``
+    rebuilds per level.  If lanes keep collapsing, the backend degrades
+    *permanently* to solving in-parent on the serial path — same single
+    solve code path, so the recovered marginals are bit-identical to
+    what healthy lanes would have produced.  (A rebuilt lane starts with
+    an empty model cache, so a recovered run repeats some builds.)
     """
 
     name = "process"
 
-    def __init__(self, scheduler, jobs, blob):
+    def __init__(self, scheduler, blob, lane_of, lanes):
         self.scheduler = scheduler
-        self.jobs = jobs
         self.blob = blob
+        #: ``{method key: lane}``, fixed for the whole run.
+        self.lane_of = lane_of
         self.policy = scheduler.settings.effective_policy()
         self.failures = scheduler.inference.failures
-        #: Permanent in-parent fallback after repeated pool collapse.
+        #: Permanent in-parent fallback after repeated lane collapse.
         self.serial_fallback = False
         if "fork" in multiprocessing.get_all_start_methods():
             self.context = multiprocessing.get_context("fork")
         else:  # pragma: no cover - non-POSIX fallback
             self.context = multiprocessing.get_context()
-        self.pool = self._make_pool()
+        self.pools = [self._make_pool() for _ in range(lanes)]
 
     def _make_pool(self):
         return ProcessPoolExecutor(
-            max_workers=self.jobs,
+            max_workers=1,
             mp_context=self.context,
             initializer=_process_worker_init,
             initargs=(self.blob,),
         )
 
-    def _kill_pool(self):
-        """Tear the pool down hard — hung workers never finish, so a
+    def _kill_pool(self, lane):
+        """Tear one lane down hard — a hung worker never finishes, so a
         graceful shutdown would block forever."""
-        pool, self.pool = self.pool, None
-        if pool is None:
-            return
-        processes = list(getattr(pool, "_processes", {}).values())
-        for process in processes:
+        pool, self.pools[lane] = self.pools[lane], None
+        for process in list(getattr(pool, "_processes", {}).values()):
             try:
                 process.terminate()
             except Exception:  # pragma: no cover - already-dead races
@@ -363,58 +342,63 @@ class _ProcessBackend:
         except Exception:  # pragma: no cover - broken-pool races
             pass
 
-    def _solve_in_parent(self, chunks, store, by_key):
-        """The last-resort path: solve a chunk's methods inline via the
+    def _solve_in_parent(self, lanes, chunks, store, by_key, busy):
+        """The last-resort path: solve the lanes' methods inline via the
         scheduler's local entry — identical maths, zero processes."""
-        for chunk in chunks:
-            for key in chunk:
+        for lane in lanes:
+            start = time.perf_counter()
+            for key in chunks[lane]:
                 outcome = self.scheduler.solve_local(key, store)
                 by_key[outcome.key] = outcome
+            busy[lane] = time.perf_counter() - start
 
     def solve_level(self, keys, store):
+        """The level's outcomes in ``keys`` order, and the per-lane trace
+        ``[{lane, methods, seconds}]`` of worker busy time."""
+        chunks = [[] for _ in self.pools]
+        for key in keys:
+            chunks[self.lane_of[key]].append(key)
+        # Serialized once per level; every lane gets the same payload.
         store_payload = store.to_payload(self.scheduler.key_of)
-        # One chunk per worker bounds the per-level IPC round-trips.
-        chunks = [c for c in (keys[i :: self.jobs] for i in range(self.jobs)) if c]
-        by_key = {}
         timeout = self.policy.worker_timeout or None
-        if not self.policy.enabled:
-            futures = [
-                self.pool.submit(_process_solve_chunk, chunk, store_payload)
-                for chunk in chunks
-            ]
-            for future in futures:
-                for outcome in future.result():
-                    by_key[outcome.key] = outcome
-            return [by_key[key] for key in keys]
-        pending = chunks
+        by_key = {}
+        busy = {}
+        pending = [lane for lane, chunk in enumerate(chunks) if chunk]
         rebuilds = 0
         while pending:
-            if self.serial_fallback or self.pool is None:
-                self._solve_in_parent(pending, store, by_key)
+            if self.serial_fallback:
+                self._solve_in_parent(pending, chunks, store, by_key, busy)
                 break
             submitted = [
-                (chunk, self.pool.submit(_process_solve_chunk, chunk,
-                                         store_payload))
-                for chunk in pending
+                (lane, self.pools[lane].submit(
+                    _process_solve_chunk, chunks[lane], store_payload
+                ))
+                for lane in pending
             ]
             failed = []
             first_error = None
-            for chunk, future in submitted:
+            for lane, future in submitted:
                 try:
-                    for outcome in future.result(timeout=timeout):
-                        by_key[outcome.key] = outcome
+                    outcomes, busy[lane] = future.result(timeout=timeout)
                 except Exception as exc:
-                    failed.append(chunk)
+                    if not self.policy.enabled:
+                        raise
+                    failed.append(lane)
                     if first_error is None:
                         first_error = exc
+                    continue
+                for outcome in outcomes:
+                    by_key[outcome.key] = outcome
             if not failed:
                 break
-            # Some chunk died or hung: the pool's workers are suspect
-            # either way (a BrokenProcessPool poisons every future; a
-            # hung worker never frees its slot), so rebuild from scratch.
-            self._kill_pool()
+            # A dead or hung worker: its lane is suspect either way (a
+            # BrokenProcessPool poisons every future; a hung worker never
+            # frees its slot), so rebuild the lane from scratch.
+            for lane in failed:
+                self._kill_pool(lane)
             rebuilds += 1
-            requeued_keys = ",".join(k for chunk in failed for k in chunk)
+            requeued = [key for lane in failed for key in chunks[lane]]
+            requeued_keys = ",".join(requeued)
             if rebuilds > self.policy.worker_retries:
                 self.serial_fallback = True
                 self.failures.add(
@@ -429,32 +413,38 @@ class _ProcessBackend:
                         retries=self.policy.worker_retries,
                     )
                 )
-                self._solve_in_parent(failed, store, by_key)
+                self._solve_in_parent(failed, chunks, store, by_key, busy)
                 break
             self.failures.add(
                 FailureRecord(
                     stage="worker",
                     key=requeued_keys,
                     error=type(first_error).__name__,
-                    message="worker failure (%s); pool rebuilt, %d method(s) "
-                    "requeued" % (first_error,
-                                  sum(len(c) for c in failed)),
+                    message="worker failure (%s); %d lane(s) rebuilt, %d "
+                    "method(s) requeued"
+                    % (first_error, len(failed), len(requeued)),
                     disposition="worker-restarted",
                     retries=rebuilds,
                 )
             )
             # The orchestrator-kill site of the chaos harness: a
             # ``killproc`` here SIGKILLs the parent mid-recovery, after
-            # the old pool is torn down but before its replacement
-            # exists — the worst moment for a preemption to land.
+            # the old lanes are torn down but before their replacements
+            # exist — the worst moment for a preemption to land.
             maybe_fault("worker-recover", requeued_keys)
-            self.pool = self._make_pool()
+            for lane in failed:
+                self.pools[lane] = self._make_pool()
             pending = failed
-        return [by_key[key] for key in keys]
+        trace = [
+            {"lane": lane, "methods": len(chunks[lane]), "seconds": busy[lane]}
+            for lane in sorted(busy)
+        ]
+        return [by_key[key] for key in keys], trace
 
     def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
+        for pool in self.pools:
+            if pool is not None:
+                pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +462,8 @@ class LevelScheduler:
         self.settings = inference.settings
         self.table = self.program.method_key_table()
         self.key_of = {ref: key for key, ref in self.table.items()}
-        #: The global shard plan ({method_ref: shard index}), installed
-        #: by :meth:`run` before any backend is built.
-        self.shard_of = {}
 
-    # -- worker entry for serial/thread backends ------------------------------
+    # -- worker entry for the serial backend ----------------------------------
 
     def solve_local(self, key, store):
         ref = self.table[key]
@@ -495,65 +482,42 @@ class LevelScheduler:
 
     # -- backend construction --------------------------------------------------
 
-    def make_backend(self, jobs):
-        """A single (unsharded) backend; kept as the one-group case."""
-        return self.make_backend_groups(jobs, 1)[0]
+    def make_backend(self, jobs, levels):
+        """The backend of the configured executor.
 
-    def make_backend_groups(self, jobs, shard_count):
-        """One backend per shard.
-
-        Serial and thread executors share a single backend object across
-        every shard (a thread pool is safely driven from several parent
-        threads at once); the process executor builds one *independent
-        process group* per shard, each initialized with only its own
-        shard's PFGs, so a group's resident footprint shrinks with the
-        shard count.
+        ``process`` gets one lane per job, each pinned to the methods
+        :func:`plan_shards` assigns it.  Every lane is initialized from
+        one blob: the program is pickled once, not once per lane.  A
+        program or config that cannot be pickled falls back to
+        ``serial``, which computes the same results.
         """
-        executor = self.settings.executor
-        if executor == "serial":
-            return [_SerialBackend(self)] * shard_count
-        if executor == "thread":
-            return [_ThreadBackend(self, jobs)] * shard_count
+        if self.settings.executor == "serial":
+            return _SerialBackend(self)
+        plan = plan_shards(levels, jobs, self.key_of)
         bound_cache = self.inference.cache
         cache_spec = (
             bound_cache.cache.spec() if bound_cache is not None else None
         )
-        shard_pfgs = [{} for _ in range(shard_count)]
-        for ref in sorted(self.inference.pfgs, key=lambda r: self.key_of[r]):
-            shard = self.shard_of.get(ref, 0) if shard_count > 1 else 0
-            shard_pfgs[shard][self.key_of[ref]] = self.inference.pfgs[ref]
-        blobs = []
+        pfgs_by_key = {
+            self.key_of[ref]: self.inference.pfgs[ref]
+            for ref in sorted(plan, key=lambda r: self.key_of[r])
+        }
         try:
-            for pfgs_by_key in shard_pfgs:
-                blobs.append(
-                    pickle.dumps(
-                        (
-                            self.program,
-                            self.config,
-                            self.settings,
-                            pfgs_by_key,
-                            cache_spec,
-                        ),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                )
+            blob = pickle.dumps(
+                (self.program, self.config, self.settings, pfgs_by_key,
+                 cache_spec),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
         except Exception as exc:
             warnings.warn(
                 "process executor unavailable (%s: %s); falling back to "
-                "threads" % (type(exc).__name__, exc),
+                "serial" % (type(exc).__name__, exc),
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return [_ThreadBackend(self, jobs)] * shard_count
-        # Workers are split across the groups as evenly as possible;
-        # every group gets at least one.
-        base, extra = divmod(max(jobs, shard_count), shard_count)
-        return [
-            _ProcessBackend(
-                self, base + (1 if index < extra else 0), blobs[index]
-            )
-            for index in range(shard_count)
-        ]
+            return _SerialBackend(self)
+        lane_of = {self.key_of[ref]: lane for ref, lane in plan.items()}
+        return _ProcessBackend(self, blob, lane_of, jobs)
 
     # -- the schedule ----------------------------------------------------------
 
@@ -574,6 +538,8 @@ class LevelScheduler:
                 resume_state
             )
             methods = [ref for ref in methods if ref in inference.pfgs]
+        stats.executor = settings.executor
+        stats.jobs = resolve_jobs(settings.jobs)
         results = {}
         if methods:
             levels, scc_count = condensation_levels(
@@ -583,104 +549,17 @@ class LevelScheduler:
             )
             stats.levels = len(levels)
             stats.sccs = scc_count
-            jobs = resolve_jobs(settings.jobs)
-            shard_count = resolve_shard_count(settings.shards, jobs)
-            stats.shards = shard_count
-            self.shard_of = plan_shards(levels, shard_count, self.key_of)
-            groups = self.make_backend_groups(jobs, shard_count)
+            backend = self.make_backend(stats.jobs, levels)
+            stats.executor = backend.name
             try:
-                self._run_rounds(levels, groups, manager, resume_extra)
+                self._run_rounds(levels, backend, manager, resume_extra)
             finally:
-                for backend in {id(b): b for b in groups}.values():
-                    backend.close()
-            stats.executor = groups[0].name
-            stats.jobs = jobs
+                backend.close()
             results = self._results
-        else:
-            stats.executor = settings.executor
-            stats.jobs = resolve_jobs(settings.jobs)
-            stats.shards = resolve_shard_count(
-                settings.shards, stats.jobs
-            )
         stats.elapsed_seconds = time.perf_counter() - start
         return results
 
-    def _solve_level(self, groups, targets, keys, store):
-        """Solve one level across the shard groups; returns the outcomes
-        in canonical (sorted method-key) order plus a per-shard trace.
-
-        Every shard solves against the same level-start store — merges
-        happen strictly after all shards return, in canonical order — so
-        the outcome set is independent of the shard count.  Shard groups
-        run concurrently on parent threads (each process group drives
-        its own pool, retries included); the serial executor drives its
-        shards sequentially, preserving its inline semantics.
-        """
-        if len(groups) == 1:
-            level_start = time.perf_counter()
-            outcomes = groups[0].solve_level(keys, store)
-            trace = [
-                {
-                    "shard": 0,
-                    "methods": len(keys),
-                    "seconds": time.perf_counter() - level_start,
-                }
-            ]
-            return outcomes, trace
-        shard_keys = [[] for _ in groups]
-        for ref, key in zip(targets, keys):
-            shard_keys[self.shard_of.get(ref, 0)].append(key)
-        populated = [
-            (index, chunk)
-            for index, chunk in enumerate(shard_keys)
-            if chunk
-        ]
-        by_key = {}
-        trace = []
-        errors = []
-        lock = threading.Lock()
-
-        def drive(shard_index, chunk):
-            shard_start = time.perf_counter()
-            try:
-                outcomes = groups[shard_index].solve_level(chunk, store)
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
-            with lock:
-                for outcome in outcomes:
-                    by_key[outcome.key] = outcome
-                trace.append(
-                    {
-                        "shard": shard_index,
-                        "methods": len(chunk),
-                        "seconds": time.perf_counter() - shard_start,
-                    }
-                )
-
-        if self.settings.executor == "serial":
-            for shard_index, chunk in populated:
-                drive(shard_index, chunk)
-        else:
-            threads = [
-                threading.Thread(
-                    target=drive,
-                    args=(shard_index, chunk),
-                    name="anek-shard-%d" % shard_index,
-                )
-                for shard_index, chunk in populated
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        trace.sort(key=lambda entry: entry["shard"])
-        return [by_key[key] for key in keys], trace
-
-    def _run_rounds(self, levels, groups, manager=None, resume=None):
+    def _run_rounds(self, levels, backend, manager=None, resume=None):
         inference = self.inference
         stats = inference.stats
         store = inference.summaries
@@ -728,9 +607,7 @@ class LevelScheduler:
                     continue
                 keys = [self.key_of[ref] for ref in targets]
                 level_start = time.perf_counter()
-                outcomes, shard_trace = self._solve_level(
-                    groups, targets, keys, store
-                )
+                outcomes, lanes = backend.solve_level(keys, store)
                 for outcome in outcomes:
                     self._merge_outcome(outcome, round_changed)
                 stats.solves += len(targets)
@@ -740,8 +617,8 @@ class LevelScheduler:
                     "methods": len(targets),
                     "seconds": time.perf_counter() - level_start,
                 }
-                if len(groups) > 1:
-                    entry["shards"] = shard_trace
+                if lanes is not None:
+                    entry["lanes"] = lanes
                 stats.schedule.append(entry)
                 if manager is not None:
                     extra = {

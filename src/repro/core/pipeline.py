@@ -17,7 +17,6 @@ from repro.core.extract import count_clauses, count_nonempty
 from repro.core.heuristics import HeuristicConfig
 from repro.core.infer import AnekInference, InferenceSettings
 from repro.java.parser import parse_compilation_unit
-from repro.resilience.limits import ResourceLimitError
 from repro.java.symbols import resolve_program
 from repro.plural.checker import run_check
 from repro.resilience.faults import maybe_fault
@@ -178,19 +177,10 @@ class AnekPipeline:
                 else:
                     unit = parse_compilation_unit(source, limits=policy.limits)
             except Exception as exc:
-                # Resource-budget breaches quarantine even with the
-                # resilience ladder off: limits protect the process.
-                if not policy.enabled and not isinstance(
-                    exc, ResourceLimitError
-                ):
-                    raise
-                result.failures.record(
-                    "parse",
-                    unit_key,
-                    exc,
-                    "resource-limit"
-                    if isinstance(exc, ResourceLimitError)
-                    else "unit-quarantined",
+                result.failures.add(
+                    policy.quarantine_record(
+                        "parse", unit_key, exc, "unit-quarantined"
+                    )
                 )
                 continue
             if self.cache is not None:
@@ -322,8 +312,6 @@ class AnekPipeline:
                 stats.levels,
                 stats.rounds,
             )
-            if stats.shards > 1:
-                detail += ", shards=%d" % stats.shards
         if stats.resumed:
             detail += ", resumed"
         if stats.checkpoints:
@@ -341,12 +329,12 @@ class AnekPipeline:
         # Per-level trace of the scheduled engine (empty for the worklist).
         for entry in stats.schedule:
             level_detail = "%d methods" % entry["methods"]
-            shard_trace = entry.get("shards")
-            if shard_trace:
-                level_detail += ", shards[%s]" % ", ".join(
+            lanes = entry.get("lanes")
+            if lanes:
+                level_detail += ", lanes[%s]" % ", ".join(
                     "%d: %d in %.3fs"
-                    % (shard["shard"], shard["methods"], shard["seconds"])
-                    for shard in shard_trace
+                    % (lane["lane"], lane["methods"], lane["seconds"])
+                    for lane in lanes
                 )
             result.stages.append(
                 StageTrace(
@@ -380,17 +368,10 @@ class AnekPipeline:
                     result.annotated_sources
                 )
             except Exception as exc:
-                if not policy.enabled and not isinstance(
-                    exc, ResourceLimitError
-                ):
-                    raise
-                result.failures.record(
-                    "applier",
-                    "program",
-                    exc,
-                    "resource-limit"
-                    if isinstance(exc, ResourceLimitError)
-                    else "stage-skipped",
+                result.failures.add(
+                    policy.quarantine_record(
+                        "applier", "program", exc, "stage-skipped"
+                    )
                 )
                 detail = "skipped (%s)" % type(exc).__name__
             result.stages.append(
@@ -429,17 +410,10 @@ class AnekPipeline:
                     stats.check_tier1_sites = check.tier1_sites
                     stats.check_tier2_sites = check.tier2_sites
             except Exception as exc:
-                if not policy.enabled and not isinstance(
-                    exc, ResourceLimitError
-                ):
-                    raise
-                result.failures.record(
-                    "plural-check",
-                    "program",
-                    exc,
-                    "resource-limit"
-                    if isinstance(exc, ResourceLimitError)
-                    else "stage-skipped",
+                result.failures.add(
+                    policy.quarantine_record(
+                        "plural-check", "program", exc, "stage-skipped"
+                    )
                 )
                 detail = "skipped (%s)" % type(exc).__name__
             result.stages.append(

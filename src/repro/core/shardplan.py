@@ -1,32 +1,20 @@
-"""Deterministic shard planning over the SCC condensation.
+"""Deterministic lane planning over the SCC condensation.
 
-Sharding splits each condensation level's methods into K partitions that
-independent worker groups solve concurrently; summaries and evidence are
-exchanged only at the level barrier, exactly where the unsharded
-scheduler already merges.  Because every solve within a level reads the
-*level-start* summary snapshot and merged outcomes are reassembled in
-sorted method-key order before any store mutation, the partition choice
-can never change results — it only changes which worker group computed
-each outcome.  The planner below is nevertheless fully deterministic so
-that per-shard artifacts (timings, blobs, logs) are reproducible too.
+The process executor runs one *lane* (a one-worker process pool) per
+job and splits each condensation level's methods across the lanes;
+summaries and evidence are exchanged only at the level barrier.
+Because every solve within a level reads the *level-start* summary
+snapshot and merged outcomes are reassembled in sorted method-key order
+before any store mutation, the partition can never change results — it
+only changes which worker computed each outcome.
 
 The plan is *global*: one assignment covering every method of the
 condensation, computed level-major with greedy least-loaded placement
-and a stable tie-break.  A global plan lets the process executor build
-one long-lived worker group per shard, each shipping only its own
-shard's PFGs — the per-group memory footprint shrinks by ~1/K, which is
-what makes 100k-method corpora fit.
+and a stable tie-break.  A global plan pins each method to one lane for
+the whole run, so the lane's worker builds the method's model once and
+reuses it in later rounds — the same build/reuse/skip sequence as the
+serial executor.
 """
-
-
-def resolve_shard_count(shards, jobs):
-    """The effective shard count: an explicit ``shards`` wins; the auto
-    default derives from the worker count — one shard per two workers,
-    capped so small runs keep a single group (no overhead) and large
-    runs don't fragment the pool."""
-    if shards and shards > 0:
-        return int(shards)
-    return max(1, min(4, int(jobs) // 2))
 
 
 def plan_shards(levels, shard_count, key_of):

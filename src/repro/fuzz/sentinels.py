@@ -13,8 +13,9 @@ properties the rest of the repo treats as contracts:
   same check plus :class:`FractionalPermission`'s own (0, 1] guard,
   which would otherwise surface as a crash or quarantine;
 * **engine-differential** — loopy ≡ compiled, bit-identically;
-* **executor-differential** — serial ≡ thread (the two deterministic
-  scheduled executors), bit-identically;
+* **executor-differential** — serial ≡ process with two lanes (the two
+  scheduled executors), bit-identically in output and marginals and
+  equal in every work counter;
 * **tier-differential** — full ≡ auto checker tiers, bit-identically.
 
 Differentials run only on *survivors* (cases whose baseline run is
@@ -56,10 +57,11 @@ class CaseReport:
 
 
 def _run_pipeline(sources, engine="compiled", executor="worklist",
-                  check_tier="auto"):
+                  check_tier="auto", jobs=0):
     settings = InferenceSettings(
         engine=engine,
         executor=executor,
+        jobs=jobs,
         policy=ResiliencePolicy(),
     )
     pipeline = AnekPipeline(
@@ -148,12 +150,19 @@ def run_case(case, deadline=30.0, differential=True):
                 "engine-differential: loopy != compiled"
             )
         serial = _run_pipeline(sources, executor="serial")
-        threaded = _run_pipeline(sources, executor="thread")
+        process = _run_pipeline(sources, executor="process", jobs=2)
         if serial.canonical_json(include_marginals=True) != (
-            threaded.canonical_json(include_marginals=True)
+            process.canonical_json(include_marginals=True)
         ):
             report.violations.append(
-                "executor-differential: serial != thread"
+                "executor-differential: serial != process"
+            )
+        elif serial.inference_stats.work_counters() != (
+            process.inference_stats.work_counters()
+        ):
+            report.violations.append(
+                "executor-differential: serial and process work counters "
+                "differ"
             )
         full = _run_pipeline(sources, check_tier="full")
         if full.canonical_json(include_marginals=True) != baseline:

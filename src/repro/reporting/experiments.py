@@ -15,7 +15,7 @@ Figures: 1 (iterator protocol), 4 (permission kinds), 6 (the PFG of the
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from repro.core import AnekPipeline, InferenceSettings
@@ -435,11 +435,10 @@ class Table5Row:
     #: True when this row's run was resumed from a checkpoint directory
     #: (crash/SIGTERM recovery) rather than executed start-to-finish.
     resumed: bool = False
-    #: Shard count the scheduled run partitioned its levels into, and
-    #: the per-shard busy seconds summed across levels — attributes
-    #: wall-clock to worker groups, not just levels.
-    shards: int = 1
-    shard_seconds: List[float] = field(default_factory=list)
+    #: Per-lane worker busy seconds summed across levels (process
+    #: executor only) — attributes wall-clock to workers, not just
+    #: levels.
+    lane_seconds: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -455,14 +454,14 @@ class Table5Result:
         )
 
 
-def _shard_busy_seconds(stats):
-    """Per-shard busy seconds summed over the schedule's level entries
-    (empty for unsharded or worklist runs)."""
+def _lane_busy_seconds(stats):
+    """Per-lane busy seconds summed over the schedule's level entries
+    (empty unless the process executor ran)."""
     totals = {}
-    for entry in getattr(stats, "schedule", ()):
-        for shard in entry.get("shards", ()):
-            totals[shard["shard"]] = (
-                totals.get(shard["shard"], 0.0) + shard["seconds"]
+    for entry in stats.schedule:
+        for lane in entry.get("lanes", ()):
+            totals[lane["lane"]] = (
+                totals.get(lane["lane"], 0.0) + lane["seconds"]
             )
     return [seconds for _, seconds in sorted(totals.items())]
 
@@ -472,9 +471,11 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
     """Sequential vs scheduled-executor wall clock on the PMD corpus.
 
     Every executor runs the same pipeline over a fresh copy of the same
-    corpus; the speedup column is relative to the sequential worklist
-    engine.  ``identical`` reports whether the executor's thresholded
-    specs match the serial scheduler's (the determinism guarantee — the
+    corpus, with ``settings`` changed only in ``executor`` and ``jobs``;
+    the speedup column is relative to the sequential worklist engine,
+    and the Lanes column gives each process lane's summed busy time.
+    ``identical`` reports whether the executor's thresholded specs
+    match the serial scheduler's (the determinism guarantee — the
     worklist row legitimately reads False when its different schedule
     changed a borderline marginal).  Passing an
     :class:`repro.cache.AnalysisCache` runs every executor against it
@@ -496,20 +497,8 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
     result = Table5Result()
     specs_by_executor = {}
     baseline_seconds = None
-    for executor in ("worklist", "serial", "thread", "process"):
-        run_settings = InferenceSettings(
-            max_worklist_iters=base.max_worklist_iters,
-            bp_iters=base.bp_iters,
-            bp_damping=base.bp_damping,
-            bp_tolerance=base.bp_tolerance,
-            threshold=base.threshold,
-            summary_change_threshold=base.summary_change_threshold,
-            executor=executor,
-            jobs=jobs,
-            shards=base.shards,
-            engine=base.engine,
-            reuse_models=base.reuse_models,
-        )
+    for executor in ("worklist", "serial", "process"):
+        run_settings = replace(base, executor=executor, jobs=jobs)
         best = None
         pipeline_result = None
         for _ in range(max(repeats, 1)):
@@ -554,8 +543,7 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
                     getattr(stats, "resumed", False)
                     or pipeline_result.failures.resumed_from
                 ),
-                shards=getattr(stats, "shards", 1),
-                shard_seconds=_shard_busy_seconds(stats),
+                lane_seconds=_lane_busy_seconds(stats),
             )
         )
     reference_specs = specs_by_executor["serial"]
@@ -564,16 +552,15 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
     table = Table(
         "Table 5. ANEK-INFER executors on the synthetic PMD corpus.",
         ["Executor", "Time", "Build", "Kernel", "Speedup", "Solves",
-         "Annotations", "Shards", "Cache", "Failures", "Same Specs"],
+         "Annotations", "Lanes", "Cache", "Failures", "Same Specs"],
     )
     for row in result.rows:
-        if row.executor == "worklist" or not row.shard_seconds:
-            shard_cell = "-" if row.executor == "worklist" else str(row.shards)
-        else:
-            shard_cell = "%d (%s)" % (
-                row.shards,
+        lane_cell = "-"
+        if row.lane_seconds:
+            lane_cell = "%d (%s)" % (
+                len(row.lane_seconds),
                 "/".join(
-                    format_seconds(seconds) for seconds in row.shard_seconds
+                    format_seconds(seconds) for seconds in row.lane_seconds
                 ),
             )
         table.add_row(
@@ -584,7 +571,7 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
             "%.2fx" % row.speedup,
             row.solves,
             row.annotations,
-            shard_cell,
+            lane_cell,
             "off"
             if row.cache_ratio is None
             else "%.0f%%" % (100.0 * row.cache_ratio),

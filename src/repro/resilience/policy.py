@@ -10,7 +10,8 @@ policy settings.
 
 from dataclasses import dataclass, field
 
-from repro.resilience.limits import ResourceLimits
+from repro.resilience.limits import ResourceLimitError, ResourceLimits
+from repro.resilience.report import record_from_exception
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,23 @@ class ResiliencePolicy:
     def disabled(cls):
         """The legacy all-or-nothing behaviour."""
         return cls(enabled=False)
+
+    def quarantine_record(self, stage, key, exc, disposition):
+        """The one quarantine rule of every isolating stage.
+
+        Called from inside an ``except`` block: re-raises ``exc`` unless
+        the policy is enabled or ``exc`` is a resource-budget breach
+        (limits protect the process, so they quarantine even with the
+        policy off).  Otherwise returns the :class:`FailureRecord` to
+        log, with the ``resource-limit`` disposition for a breach and
+        the stage's own ``disposition`` for anything else.
+        """
+        breach = isinstance(exc, ResourceLimitError)
+        if not (self.enabled or breach):
+            raise exc
+        return record_from_exception(
+            stage, key, exc, "resource-limit" if breach else disposition
+        )
 
     def retry_damping_for(self, attempt, base_damping):
         """Damping of retry ``attempt`` (1-based): escalates from the

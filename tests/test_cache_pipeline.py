@@ -59,7 +59,7 @@ def run_pipeline(sources, cache=None, executor="worklist", engine="compiled"):
     return pipeline.run_on_sources(sources)
 
 
-@pytest.mark.parametrize("executor", ["worklist", "serial", "thread"])
+@pytest.mark.parametrize("executor", ["worklist", "serial"])
 def test_cold_warm_disabled_specs_identical(tmp_path, executor):
     sources = [ITERATOR_API_SOURCE, CLIENT]
     disabled = run_pipeline(sources, cache=None, executor=executor)
@@ -144,7 +144,7 @@ def test_warm_after_edit_reuses_untouched_units(tmp_path):
 
 def test_warm_after_edit_matches_cold_across_executors(tmp_path):
     reference = run_pipeline([ITERATOR_API_SOURCE, CLIENT_EDITED], cache=None)
-    for executor in ("worklist", "serial", "thread"):
+    for executor in ("worklist", "serial", "process"):
         cache_dir = tmp_path / executor
         run_pipeline(
             [ITERATOR_API_SOURCE, CLIENT],

@@ -98,22 +98,22 @@ class TestCorpusDifferential:
         assert auto.site_coverage > 0.5
 
     @pytest.mark.parametrize(
-        "executor,engine,shards",
+        "executor,engine,jobs",
         [
             ("worklist", "compiled", 1),
             ("serial", "loopy", 1),
-            ("thread", "compiled", 2),
+            ("process", "compiled", 2),
         ],
     )
-    def test_inferred_specs_differential(self, executor, engine, shards):
-        """Specs applied by inference (any executor/engine/shard combo)
+    def test_inferred_specs_differential(self, executor, engine, jobs):
+        """Specs applied by inference (any executor/engine/lane count)
         feed both tiers identically."""
         bundle = generate_pmd_corpus(CorpusSpec().scaled(0.05))
         program = resolve_program(
             [parse_compilation_unit(s) for s in bundle.all_sources()]
         )
         settings = InferenceSettings(
-            executor=executor, engine=engine, shards=shards
+            executor=executor, engine=engine, jobs=jobs
         )
         pipeline = AnekPipeline(settings=settings, run_checker=False)
         pipeline.run_on_program(program)

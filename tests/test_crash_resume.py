@@ -252,9 +252,7 @@ class TestCrashResumeMatrix:
     every executor x engine combination."""
 
     @pytest.mark.parametrize("engine", ["compiled", "loopy"])
-    @pytest.mark.parametrize(
-        "executor", ["worklist", "serial", "thread", "process"]
-    )
+    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
     def test_bit_identity(self, tmp_path, executor, engine):
         jobs = 2 if executor == "process" else 0
         skip = 7 if executor == "worklist" else 3

@@ -58,10 +58,11 @@ def test_repeated_runs_are_byte_identical(executor):
     first = run_pipeline(executor)
     second = run_pipeline(executor)
     assert first.annotated_sources == second.annotated_sources
-    assert first.inference_stats.solves == second.inference_stats.solves
+    # Every work counter repeats, not only the output: the process
+    # executor pins each method to one lane, so no model is rebuilt.
     assert (
-        first.inference_stats.constraint_counts
-        == second.inference_stats.constraint_counts
+        first.inference_stats.work_counters()
+        == second.inference_stats.work_counters()
     )
 
 

@@ -85,10 +85,12 @@ def some_method_key():
 
 
 class TestZeroFaultIdentity:
-    @pytest.mark.parametrize("executor", ["worklist", "serial", "thread"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
     def test_resilient_equals_disabled(self, executor):
-        _, guarded = run_inference(executor)
-        _, legacy = run_inference(executor, ResiliencePolicy.disabled())
+        _, guarded = run_inference(executor, jobs=2)
+        _, legacy = run_inference(
+            executor, ResiliencePolicy.disabled(), jobs=2
+        )
         assert snap(guarded) == snap(legacy)
 
     def test_resilient_loopy_equals_disabled(self):
@@ -168,15 +170,15 @@ class TestDegradationFloor:
         key = some_method_key()
         snaps = {}
         reports = {}
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "process"):
             install_fault_plan(
                 [FaultSpec(stage="solve", key=key, kind="raise", count=-1)]
             )
-            inference, results = run_inference(executor)
+            inference, results = run_inference(executor, jobs=2)
             snaps[executor] = snap(results)
             reports[executor] = inference.failures
             clear_fault_plan()
-        assert snaps["serial"] == snaps["thread"]
+        assert snaps["serial"] == snaps["process"]
         for report in reports.values():
             assert report.has_degradation
             assert {r.key for r in report.degraded()} == {key}
@@ -202,15 +204,15 @@ class TestQuarantine:
     def test_method_quarantine_identical_across_executors(self):
         key = some_method_key()
         snaps = {}
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "process"):
             install_fault_plan(
                 [FaultSpec(stage="pfg", key=key, kind="raise", count=-1)]
             )
-            inference, results = run_inference(executor)
+            inference, results = run_inference(executor, jobs=2)
             inference.extract_specs(results)
             snaps[executor] = snap(results)
             clear_fault_plan()
-        assert snaps["serial"] == snaps["thread"]
+        assert snaps["serial"] == snaps["process"]
 
     def test_constraints_fault_quarantines_one_method(self):
         key = some_method_key()

@@ -22,7 +22,7 @@ from repro.java.symbols import method_key, resolve_program
 
 SOURCES = [ITERATOR_API_SOURCE, FIGURE3_CLIENT]
 
-EXECUTORS = ["worklist", "serial", "thread", "process"]
+EXECUTORS = ["worklist", "serial", "process"]
 ENGINES = ["compiled", "loopy"]
 
 

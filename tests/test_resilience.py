@@ -315,6 +315,8 @@ class Demo {
             ["infer", demo_file, "--max-iters", "0"],
             ["infer", demo_file, "--solve-retries", "-1"],
             ["infer", demo_file, "--worker-timeout", "-5"],
+            ["infer", demo_file, "--executor", "thread"],
+            ["infer", demo_file, "--shards", "2"],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli_main(argv, io.StringIO())

@@ -216,11 +216,21 @@ class TestPipelineQuarantine:
             for record in result.failures
         )
 
-    def test_graph_factor_budget_quarantines_method(self):
-        result = _run(
-            [ITERATOR_API_SOURCE, FIGURE3_CLIENT],
-            limits=ResourceLimits(max_graph_factors=5),
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
+    def test_graph_factor_budget_quarantines_method(self, executor, enabled):
+        # One quarantine rule for every executor: a budget breach is a
+        # ``resource-limit`` quarantine whether or not the resilience
+        # policy is on.
+        policy = ResiliencePolicy(
+            enabled=enabled, limits=ResourceLimits(max_graph_factors=5)
         )
+        result = AnekPipeline(
+            settings=InferenceSettings(
+                policy=policy, executor=executor, jobs=2
+            ),
+            cache=None,
+        ).run_on_sources([ITERATOR_API_SOURCE, FIGURE3_CLIENT])
         records = [
             record
             for record in result.failures
@@ -228,6 +238,11 @@ class TestPipelineQuarantine:
         ]
         assert records
         assert {record.stage for record in records} <= {"constraints", "solve"}
+        assert not [
+            record
+            for record in result.failures
+            if record.disposition == "method-quarantined"
+        ]
 
     def test_worklist_visit_ceiling(self):
         result = _run(
@@ -266,11 +281,14 @@ class TestGovernanceBitIdentity:
             include_marginals=True
         ) == ungoverned.canonical_json(include_marginals=True)
 
-    @pytest.mark.parametrize("executor", ["worklist", "serial", "thread"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
     def test_executors(self, executor):
-        governed = _run(self.SOURCES, executor=executor)
+        governed = _run(self.SOURCES, executor=executor, jobs=2)
         ungoverned = _run(
-            self.SOURCES, limits=ResourceLimits.disabled(), executor=executor
+            self.SOURCES,
+            limits=ResourceLimits.disabled(),
+            executor=executor,
+            jobs=2,
         )
         assert governed.canonical_json(
             include_marginals=True

@@ -99,6 +99,7 @@ class TestProtocol:
             {"op": "infer", "sources": ["x"], "deadline": -1},
             {"op": "infer", "sources": ["x"], "bogus": True},
             [],
+            {"op": "infer", "sources": ["x"], "executor": "thread"},
         ],
     )
     def test_normalize_rejects(self, payload):
@@ -195,14 +196,30 @@ class TestBatchPlanner:
         two = {"op": "infer", "sources": ["class B {}"]}
         knob = {"op": "infer", "sources": ["class A {}"], "engine": "loopy"}
         late = {"op": "infer", "sources": ["class A {}"], "deadline": 1.0}
-        plan = plan_batch([self._pending(p) for p in (one, two, knob, late)])
-        assert len(plan.groups) == 4
+        # Worklist and the scheduler run different trajectories.
+        sched = {"op": "infer", "sources": ["class A {}"],
+                 "executor": "serial"}
+        plan = plan_batch(
+            [self._pending(p) for p in (one, two, knob, late, sched)]
+        )
+        assert len(plan.groups) == 5
         assert plan.coalesced == 0
 
     def test_marginals_flag_does_not_split_a_group(self):
         base = {"op": "infer", "sources": ["class A {}"]}
         wide = dict(base, include_marginals=True)
         plan = plan_batch([self._pending(base), self._pending(wide)])
+        assert len(plan.groups) == 1
+        assert plan.coalesced == 1
+
+    def test_jobs_does_not_split_a_group(self):
+        # The lane count never changes a result, so it is not work.
+        one = {"op": "infer", "sources": ["class A {}"],
+               "executor": "process", "jobs": 1}
+        four = dict(one, jobs=4)
+        pending = [self._pending(one), self._pending(four)]
+        assert pending[0].fingerprint == pending[1].fingerprint
+        plan = plan_batch(pending)
         assert len(plan.groups) == 1
         assert plan.coalesced == 1
 
@@ -309,6 +326,19 @@ def test_handler_crash_costs_one_response(tmp_path):
     ledger = stats["failures"]
     assert ledger["by_stage"] == {"serve": 1}
     assert [f["disposition"] for f in ledger["failures"]] == ["request-failed"]
+
+
+def test_removed_executor_is_answered_invalid(tmp_path):
+    with running_server(tmp_path) as server:
+        with ServeClient(server.address) as client:
+            refused = client.call(
+                {"op": "infer", "sources": [LEDGER_CLIENT],
+                 "executor": "thread"}
+            )
+            healthy = client.infer([LEDGER_CLIENT])
+    assert refused["status"] == "invalid"
+    assert "unknown executor" in refused["error"]
+    assert healthy["status"] == "ok"
 
 
 def test_solve_divergence_degrades_request_not_daemon(tmp_path):

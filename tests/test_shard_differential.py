@@ -1,14 +1,17 @@
-"""Differential harness for sharded SCC inference.
+"""Differential harness for the process executor's lanes.
 
-The scale-out tentpole partitions each level of the SCC condensation
-into K shards (``--shards``) solved by independent executor groups.
-Because every solve within a level reads only the level-start store
-snapshot, and outcomes are reassembled in canonical sorted-key order
-before any summary merge, the shard plan can only change *which group*
-computes an outcome — never the outcome itself.  This suite locks that
-in: every executor × shard-count × engine combination must be
-bit-identical to the unsharded serial run, including across a SIGKILL
-mid-shard followed by ``--resume`` under a *different* shard count.
+The process executor runs one lane (a one-worker process pool) per job
+and pins every method to one lane with the deterministic
+:func:`repro.core.shardplan.plan_shards` partition.  Because every solve
+within a level reads only the level-start store snapshot, and outcomes
+are reassembled in canonical sorted-key order before any summary merge,
+the lane plan can only change *which worker* computes an outcome —
+never the outcome itself.  And because a lane re-solves the same
+methods every round, it builds, reuses and skips exactly what the
+serial executor does.  This suite locks both in: every executor × job
+count × engine combination must reproduce the serial run's marginals
+bit for bit and its work counters exactly, including across a SIGKILL
+mid-level followed by ``--resume`` under a *different* job count.
 """
 
 import os
@@ -19,7 +22,7 @@ import sys
 import pytest
 
 from repro.core.infer import AnekInference, InferenceSettings
-from repro.core.shardplan import plan_shards, resolve_shard_count
+from repro.core.shardplan import plan_shards
 from repro.corpus import CorpusSpec, generate_pmd_corpus
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import method_key, resolve_program
@@ -27,8 +30,8 @@ from repro.resilience.faults import ENV_VAR, FaultPlan, FaultSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-SHARD_COUNTS = [1, 2, 4]
-EXECUTORS = ["serial", "thread", "process"]
+JOB_COUNTS = [1, 2, 4]
+EXECUTORS = ["serial", "process"]
 
 
 def corpus_sources():
@@ -53,11 +56,11 @@ def snap(results):
     }
 
 
-def run_sharded(sources, executor, shards, engine="compiled", jobs=2):
+def run_lanes(sources, executor, jobs, engine="compiled"):
     inference = AnekInference(
         fresh_program(sources),
         settings=InferenceSettings(
-            executor=executor, engine=engine, jobs=jobs, shards=shards
+            executor=executor, engine=engine, jobs=jobs
         ),
     )
     return {"marginals": snap(inference.run()), "stats": inference.stats}
@@ -70,62 +73,51 @@ def sources():
 
 @pytest.fixture(scope="module")
 def reference(sources):
-    """The unsharded serial run every combination must reproduce."""
-    return run_sharded(sources, "serial", 1)
+    """The serial run every combination must reproduce."""
+    return run_lanes(sources, "serial", 1)
 
 
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
+@pytest.mark.parametrize("jobs", JOB_COUNTS)
 @pytest.mark.parametrize("executor", EXECUTORS)
 class TestShardEquivalence:
     def test_bit_identical_marginals(
-        self, sources, reference, executor, shards
+        self, sources, reference, executor, jobs
     ):
-        run = run_sharded(sources, executor, shards)
+        run = run_lanes(sources, executor, jobs)
         assert run["marginals"] == reference["marginals"]
-        assert run["stats"].shards == shards
-        assert run["stats"].solves == reference["stats"].solves
-        assert run["stats"].levels == reference["stats"].levels
+        assert run["stats"].executor == executor
+        # Work counters, not only outputs: a lane builds each of its
+        # methods once and reuses it in later rounds, as serial does.
+        assert (
+            run["stats"].work_counters()
+            == reference["stats"].work_counters()
+        )
 
     def test_schedule_carries_per_shard_trace(
-        self, sources, reference, executor, shards
+        self, sources, reference, executor, jobs
     ):
-        run = run_sharded(sources, executor, shards)
+        run = run_lanes(sources, executor, jobs)
         for entry, ref_entry in zip(
             run["stats"].schedule, reference["stats"].schedule
         ):
             assert entry["methods"] == ref_entry["methods"]
-            if shards == 1:
-                assert "shards" not in entry
+            if executor == "serial":
+                assert "lanes" not in entry
             else:
-                trace = entry.get("shards", [])
+                trace = entry["lanes"]
                 # Every populated level splits its methods exactly
-                # across the shard groups that worked it.
+                # across the lanes that worked it.
                 assert sum(t["methods"] for t in trace) == entry["methods"]
-                assert all(0 <= t["shard"] < shards for t in trace)
+                assert all(0 <= t["lane"] < jobs for t in trace)
 
 
 class TestLoopyEngineSharded:
     def test_loopy_matches_compiled_under_shards(self, sources, reference):
-        run = run_sharded(sources, "serial", 2, engine="loopy")
-        assert run["marginals"] == reference["marginals"]
-
-    def test_loopy_thread_sharded(self, sources, reference):
-        run = run_sharded(sources, "thread", 4, engine="loopy")
+        run = run_lanes(sources, "process", 2, engine="loopy")
         assert run["marginals"] == reference["marginals"]
 
 
 class TestShardPlanning:
-    def test_resolve_explicit_wins(self):
-        assert resolve_shard_count(3, 8) == 3
-        assert resolve_shard_count(1, 8) == 1
-
-    def test_resolve_auto_from_jobs(self):
-        assert resolve_shard_count(0, 1) == 1
-        assert resolve_shard_count(0, 2) == 1
-        assert resolve_shard_count(0, 4) == 2
-        assert resolve_shard_count(0, 8) == 4
-        assert resolve_shard_count(0, 64) == 4
-
     def test_plan_is_deterministic_and_balanced(self):
         levels = [["m%02d" % i for i in range(start, start + size)]
                   for start, size in ((0, 7), (7, 5), (12, 1))]
@@ -145,13 +137,14 @@ class TestShardPlanning:
         plan = plan_shards(levels, 1, key_of)
         assert plan == {"a": 0, "b": 0, "c": 0}
 
-    def test_shards_setting_validated(self):
-        with pytest.raises(ValueError):
-            InferenceSettings(shards=-1)
+    def test_shards_setting_is_gone(self):
+        # The job count is the lane count; there is no separate knob.
+        with pytest.raises(TypeError):
+            InferenceSettings(shards=2)
 
 
 # ---------------------------------------------------------------------------
-# CLI chaos: SIGKILL mid-shard, then --resume under a different shard count
+# CLI chaos: SIGKILL mid-level, then --resume under a different job count
 # ---------------------------------------------------------------------------
 
 
@@ -215,24 +208,24 @@ class TestCliShardedSigkill:
     def test_sigkill_mid_shard_resumes_under_other_shard_count(
         self, tmp_path, sources
     ):
-        """Kill a 2-shard process run between level barriers, resume with
-        4 shards: the level checkpoints are shard-count-agnostic, so the
-        resumed run completes and prints the same specs as an unsharded
-        serial run."""
+        """Kill a 2-lane process run between level barriers, resume with
+        4 lanes: the level checkpoints are lane-count-agnostic, so the
+        resumed run completes and prints the same specs as a serial
+        run."""
         files = _write_corpus(tmp_path, sources)
         run_dir = str(tmp_path / "run")
-        sharded = ["--executor", "process", "--jobs", "2", "--shards", "2"]
+        two_lanes = ["--executor", "process", "--jobs", "2"]
         plan = FaultPlan(
             [FaultSpec(stage="checkpoint", key="round", kind="killproc",
                        skip=2)]
         )
         returncode = _run_cli_expecting_kill(
-            sharded + ["--run-dir", run_dir] + files,
+            two_lanes + ["--run-dir", run_dir] + files,
             env=_cli_env(plan.env()),
         )
         assert returncode == -signal.SIGKILL
         resumed = _run_cli(
-            ["--executor", "process", "--jobs", "2", "--shards", "4",
+            ["--executor", "process", "--jobs", "4",
              "--resume", run_dir] + files,
             env=_cli_env(),
         )

@@ -84,11 +84,12 @@ def _bench_kernel(program):
     compiled = [kernel.run(**bp) for kernel in kernels]
     sweep_seconds = time.perf_counter() - start
 
-    # The two engines must agree before their times are comparable.
+    # The two engines must agree, bit for bit, before their times are
+    # comparable.
     for left, right in zip(loopy, compiled):
         assert left.iterations == right.iterations
         for name in left.marginals:
-            assert abs(left.marginals[name] - right.marginals[name]).max() < 1e-9
+            assert abs(left.marginals[name] - right.marginals[name]).max() == 0
 
     return {
         "graphs": len(graphs),

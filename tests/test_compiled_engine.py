@@ -3,9 +3,12 @@
 The compiled engine (``repro.factorgraph.compiled``) promises marginals
 *identical* to the loopy reference engine — same association order, same
 normalization fallbacks, same damping blend — so these tests assert
-agreement within 1e-9 (and in practice bit-for-bit) over seeded random
-factor graphs spanning mixed arities, both semirings, and damping on and
-off.  The incremental layer (``set_prior``/``set_table``, ``ModelCache``
+bit-identity (equal sweep counts, convergence flags and deltas, and
+``np.array_equal`` marginals) over seeded random factor graphs spanning
+arities up to ``MAX_DIRECT_ARITY``, domains on both sides of numpy's
+8-element pairwise-summation switch, degenerate tables that reach the
+uniform fallback, both semirings, and damping on and off.  The
+incremental layer (``set_prior``/``set_table``, ``ModelCache``
 fingerprint skipping) is checked against from-scratch recompilation and
 against the worklist's own stats.
 """
@@ -21,6 +24,7 @@ from repro.core.priors import SpecEnvironment
 from repro.core.summaries import SummaryStore, method_input_fingerprint
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.factorgraph import FactorGraph, run_sum_product
+from repro.factorgraph.compile import MAX_DIRECT_ARITY
 from repro.factorgraph.compiled import CompiledGraph, run_compiled
 from repro.factorgraph.exact import run_exact
 from repro.factorgraph.factors import Factor
@@ -29,15 +33,45 @@ from repro.java.symbols import resolve_program
 
 TOLERANCE = 1e-9
 
-DOMAINS = (("a", "b"), ("x", "y", "z"), ("p", "q", "r", "s"))
+#: The 9-state domain puts a graph past numpy's 8-element switch from
+#: sequential to pairwise summation (DESIGN §16).
+DOMAINS = (
+    ("a", "b"),
+    ("x", "y", "z"),
+    ("p", "q", "r", "s"),
+    tuple("s%d" % index for index in range(9)),
+)
+
+#: Table kinds a random factor draws: mostly well-conditioned, plus
+#: degenerate ones whose messages hit the uniform fallback (zero or
+#: overflowing totals) or sit near the top of the float range.
+TABLE_KINDS = ("plain",) * 6 + ("zeros", "sparse", "huge", "overflow")
 
 
-def random_graph(rng, variable_count=8, factor_count=10, max_arity=3):
+def random_table(rng, shape, degenerate):
+    table = rng.random(shape) + 1e-3
+    if not degenerate:
+        return table
+    kind = TABLE_KINDS[rng.integers(0, len(TABLE_KINDS))]
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "sparse":
+        return np.where(rng.random(shape) < 0.8, 0.0, table)
+    if kind == "huge":
+        return table * 1e300
+    if kind == "overflow":
+        return table * 1e308
+    return table
+
+
+def random_graph(rng, variable_count=8, factor_count=10,
+                 max_arity=MAX_DIRECT_ARITY, degenerate=False):
     """A random factor graph with mixed domain sizes and arities.
 
     Leaves some variables factor-free (their marginal must equal their
     prior) and occasionally attaches unary factors, covering every
-    structural case the compiled lowering distinguishes.
+    structural case the compiled lowering distinguishes; ``degenerate``
+    mixes in the degenerate :data:`TABLE_KINDS`.
     """
     graph = FactorGraph(name="random")
     variables = []
@@ -52,19 +86,19 @@ def random_graph(rng, variable_count=8, factor_count=10, max_arity=3):
         chosen = rng.choice(len(variables), size=arity, replace=False)
         members = [variables[int(position)] for position in chosen]
         shape = tuple(var.cardinality for var in members)
-        table = rng.random(shape) + 1e-3
+        table = random_table(rng, shape, degenerate)
         graph.add_factor(Factor("f%d" % index, members, table))
     return graph
 
 
-def assert_results_match(compiled, loopy, tolerance=TOLERANCE):
+def assert_results_match(compiled, loopy):
+    """Bit-identity: same sweeps, convergence, delta and marginals."""
     assert compiled.iterations == loopy.iterations
     assert compiled.converged == loopy.converged
-    assert abs(compiled.max_delta - loopy.max_delta) <= tolerance
+    assert compiled.max_delta == loopy.max_delta
     assert set(compiled.marginals) == set(loopy.marginals)
     for name, reference in loopy.marginals.items():
-        worst = float(np.abs(compiled.marginals[name] - reference).max())
-        assert worst <= tolerance, (name, worst)
+        assert np.array_equal(compiled.marginals[name], reference), name
 
 
 class TestEngineEquivalence:
@@ -72,19 +106,26 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_random_graphs_match_loopy(self, semiring, damping):
         rng = np.random.default_rng(20260805)
+        widths = set()
         for trial in range(12):
             graph = random_graph(
                 rng,
                 variable_count=int(rng.integers(4, 12)),
                 factor_count=int(rng.integers(3, 14)),
+                degenerate=True,
             )
-            loopy = run_sum_product(
-                graph, max_iters=40, damping=damping, semiring=semiring
-            )
-            compiled = run_compiled(
-                graph, max_iters=40, damping=damping, semiring=semiring
-            )
+            # The overflow tables overflow sums by design.
+            with np.errstate(over="ignore"):
+                loopy = run_sum_product(
+                    graph, max_iters=40, damping=damping, semiring=semiring
+                )
+                compiled = run_compiled(
+                    graph, max_iters=40, damping=damping, semiring=semiring
+                )
             assert_results_match(compiled, loopy)
+            widths.add(CompiledGraph(graph).width >= 8)
+        # Both row-total paths ran: padded (D < 8) and exact (D >= 8).
+        assert widths == {False, True}
 
     def test_both_engines_match_exact_on_trees(self):
         rng = np.random.default_rng(7)
@@ -142,7 +183,7 @@ class TestIncrementalUpdates:
         kernel.set_prior(name, new_prior)
         incremental = kernel.run()
         fresh = CompiledGraph(graph).run()
-        assert_results_match(incremental, fresh, tolerance=0.0)
+        assert_results_match(incremental, fresh)
 
     def test_set_table_matches_fresh_compile(self):
         rng = np.random.default_rng(123)
@@ -156,7 +197,7 @@ class TestIncrementalUpdates:
         kernel.set_table(index, table)
         incremental = kernel.run()
         fresh = CompiledGraph(graph).run()
-        assert_results_match(incremental, fresh, tolerance=0.0)
+        assert_results_match(incremental, fresh)
 
     def test_errstate_is_restored(self):
         before = np.geterr()

@@ -182,14 +182,15 @@ class TestEngineDifferential:
 
     The executor fixtures above already run everything through the
     compiled engine (the default); here the loopy engine solves the same
-    corpus and both the marginals and the thresholded specs must agree.
+    corpus and both the marginals (bit for bit) and the thresholded specs
+    must agree.
     """
 
     def test_loopy_matches_compiled_marginals(self, executor_runs, name):
         compiled = executor_runs[name]["serial"]
         loopy = run_inference(CORPUS[name], "serial", engine="loopy")
         delta = max_marginal_delta(compiled["marginals"], loopy["marginals"])
-        assert delta <= TOLERANCE, (
+        assert delta == 0, (
             "engines diverged on %s by %.3g" % (name, delta)
         )
         assert compiled["specs"] == loopy["specs"]
@@ -198,7 +199,7 @@ class TestEngineDifferential:
         compiled = run_inference(CORPUS[name], "worklist")
         loopy = run_inference(CORPUS[name], "worklist", engine="loopy")
         delta = max_marginal_delta(compiled["marginals"], loopy["marginals"])
-        assert delta <= TOLERANCE
+        assert delta == 0
         assert compiled["specs"] == loopy["specs"]
         assert compiled["stats"].engine == "compiled"
         assert loopy["stats"].engine == "loopy"

@@ -8,7 +8,7 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite tests/golden/*.txt from the current pipeline output",
+        help="rewrite the files under tests/golden/ from the current output",
     )
 
 

@@ -12,7 +12,6 @@ from repro.cache.manager import (
     DEFAULT_CACHE_DIR,
     AnalysisCache,
     BoundCache,
-    CacheSpec,
     CacheStats,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "AnalysisCache",
     "BoundCache",
-    "CacheSpec",
     "CacheStats",
 ]

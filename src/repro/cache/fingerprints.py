@@ -206,8 +206,8 @@ def config_digest(config, settings):
         if f.name == "custom":
             continue
         config_items.append((f.name, getattr(config, f.name)))
-    # Executor and jobs are deliberately excluded: every executor funnels
-    # each solve through the same code path on the same inputs, so a
+    # The executor is deliberately excluded: both schedules funnel each
+    # solve through the same visit step on the same inputs, so a
     # per-visit artifact is schedule-independent.  (The schedule *kind*
     # distinguishes final-result entries separately.)
     settings_items = (
@@ -244,9 +244,10 @@ def _canonical_marginal_token(token):
 def canonical_site_key(site_key, key_of):
     """A site key with its MethodRef (if any) replaced by its stable key.
 
-    The worklist engine keys evidence by ``(MethodRef, index)``, the
-    scheduled engines by ``(method key, index)``; canonicalized they
-    coincide, so both engines address the same persistent artifacts.
+    A live store keys evidence by ``(MethodRef, index)``, a store
+    restored from a snapshot or the cache by ``(method key, index)``;
+    canonicalized they coincide, so both address the same persistent
+    artifacts.
     """
     owner, index = site_key
     if not isinstance(owner, str):

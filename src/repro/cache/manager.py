@@ -152,14 +152,6 @@ class CacheStats:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CacheSpec:
-    """A picklable description of a cache, for process-pool workers."""
-
-    cache_dir: str
-    schema_tag: str = SCHEMA_TAG
-
-
 class AnalysisCache:
     """Entry point: owns the store, the stats, and layer 1 (parsing)."""
 
@@ -168,13 +160,6 @@ class AnalysisCache:
         self.schema_tag = schema_tag
         self.store = ArtifactStore(cache_dir)
         self.stats = CacheStats()
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(cache_dir=spec.cache_dir, schema_tag=spec.schema_tag)
-
-    def spec(self):
-        return CacheSpec(cache_dir=self.cache_dir, schema_tag=self.schema_tag)
 
     def key(self, layer, content):
         """A full store key: schema tag + repro version + layer + content."""

@@ -6,7 +6,7 @@ by key prefix); the advisory manifest is human-readable JSON at
 
 * **writes are atomic** — payloads are pickled into a temp file in the
   destination directory and ``os.replace``\\ d into place, so a reader
-  (including a concurrent process-pool worker) never observes a torn
+  (including another run sharing the directory) never observes a torn
   artifact;
 * **reads never crash the analysis** — a corrupted, truncated, or
   unreadable entry is logged with a warning, deleted when possible, and

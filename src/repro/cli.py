@@ -45,7 +45,7 @@ EXIT_CRASHLOOP = 6
 
 from repro.cache import DEFAULT_CACHE_DIR
 from repro.core import AnekPipeline, InferenceSettings
-from repro.core.parallel import EXECUTORS
+from repro.core.infer import EXECUTORS
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import MethodRef, resolve_program
@@ -59,14 +59,6 @@ def _read_sources(paths, include_api):
         with open(path) as handle:
             sources.append(handle.read())
     return sources
-
-
-def resolve_executor_args(executor, jobs):
-    """CLI executor selection: ``--jobs N`` (N != 1) implies the process
-    executor unless ``--executor`` picked one explicitly."""
-    if executor is None:
-        executor = "process" if jobs not in (None, 0, 1) else "worklist"
-    return executor, jobs or 0
 
 
 def _build_limits(args):
@@ -102,8 +94,6 @@ def _build_policy(args):
     return ResiliencePolicy(
         solve_deadline=getattr(args, "solve_deadline", 0.0),
         solve_retries=getattr(args, "solve_retries", 2),
-        worker_retries=getattr(args, "worker_retries", 2),
-        worker_timeout=getattr(args, "worker_timeout", 0.0),
         limits=limits,
     )
 
@@ -140,13 +130,11 @@ def cmd_infer(args, out):
         graceful_shutdown,
     )
 
-    executor, jobs = resolve_executor_args(args.executor, args.jobs)
     run_dir = args.resume or args.run_dir
     settings = InferenceSettings(
         threshold=args.threshold,
         max_worklist_iters=args.max_iters,
-        executor=executor,
-        jobs=jobs,
+        executor=args.executor,
         engine=args.engine,
         policy=_build_policy(args),
         run_dir=run_dir,
@@ -360,13 +348,11 @@ def cmd_client(args, out):
         if args.deadline:
             request["deadline"] = args.deadline
         if args.op == "infer":
-            executor, jobs = resolve_executor_args(args.executor, args.jobs)
             request.update(
                 threshold=args.threshold,
                 max_iters=args.max_iters,
                 engine=args.engine,
-                executor=executor,
-                jobs=jobs,
+                executor=args.executor,
                 include_marginals=args.marginals,
             )
     try:
@@ -626,7 +612,7 @@ def cmd_table(args, out):
         return 0
     if args.number == 5:
         spec = CorpusSpec() if args.full else CorpusSpec().scaled(args.scale)
-        result = table5_parallel(corpus_spec=spec, jobs=args.jobs)
+        result = table5_parallel(corpus_spec=spec)
         print(result.table.render(), file=out)
         return 0
     spec = CorpusSpec() if args.full else CorpusSpec().scaled(args.scale)
@@ -708,21 +694,6 @@ def cmd_fuzz(args, out):
     for path in result.regressions_written:
         print("wrote %s" % path, file=out)
     return EXIT_OK if result.ok else EXIT_FINDINGS
-
-
-def _job_count(text):
-    """Explicit ``--jobs`` values must be >= 1; the unset default stays
-    the sentinel 0 (= CPU count), which argparse never routes through
-    this type function."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "--jobs must be >= 1 (omit the flag for the CPU count)"
-        )
-    return value
 
 
 def _threshold(text):
@@ -823,7 +794,7 @@ def _add_governance_flags(command):
         ("--max-graph-factors", "max_graph_factors",
          "factor-graph nodes (factors + variables) per method"),
         ("--max-worklist-visits", "max_worklist_visits",
-         "total worklist method visits"),
+         "total method visits of either schedule"),
     ):
         command.add_argument(flag, metavar="N", dest=name,
                              type=_nonnegative_count(flag), default=None,
@@ -860,13 +831,10 @@ def build_parser():
                        help="extraction threshold t in [0.5, 1)")
     infer.add_argument("--max-iters", type=_max_iters, default=0,
                        help="worklist iteration cap (default: 3 passes)")
-    infer.add_argument("--jobs", type=_job_count, default=0,
-                       help="parallel workers, one pinned lane each "
-                            "(implies --executor process; 0 = CPU count "
-                            "when an executor is selected)")
-    infer.add_argument("--executor", default=None, choices=EXECUTORS,
-                       help="inference engine: the sequential worklist "
-                            "(default) or the level-synchronous scheduler")
+    infer.add_argument("--executor", default="worklist", choices=EXECUTORS,
+                       help="inference schedule: the paper's sequential "
+                            "worklist (default) or the level-synchronous "
+                            "serial schedule")
     infer.add_argument("--engine", default="compiled",
                        choices=("loopy", "compiled"),
                        help="BP engine: the compiled flat-array kernel "
@@ -901,15 +869,6 @@ def build_parser():
                        type=_nonnegative_count("--solve-retries"), default=2,
                        help="solve retries before the engine fallback "
                             "(default: %(default)s)")
-    infer.add_argument("--worker-timeout", metavar="SECONDS",
-                       type=_nonnegative_seconds("--worker-timeout"),
-                       default=0.0,
-                       help="per-chunk worker deadline for the process "
-                            "executor (0 = none)")
-    infer.add_argument("--worker-retries", metavar="N",
-                       type=_nonnegative_count("--worker-retries"), default=2,
-                       help="pool rebuilds before degrading to in-parent "
-                            "execution (default: %(default)s)")
     infer.add_argument("--run-dir", metavar="DIR", default=None,
                        help="durable run directory (journal + checkpoints); "
                             "SIGTERM/SIGINT then stop at a checkpoint with "
@@ -1023,8 +982,7 @@ def build_parser():
     client.add_argument("--max-iters", type=_max_iters, default=0)
     client.add_argument("--engine", default="compiled",
                         choices=("loopy", "compiled"))
-    client.add_argument("--executor", default=None, choices=EXECUTORS)
-    client.add_argument("--jobs", type=_job_count, default=0)
+    client.add_argument("--executor", default="worklist", choices=EXECUTORS)
     client.add_argument("--no-cache", dest="use_cache", action="store_false",
                         help="ask the daemon to bypass the persistent cache")
     client.add_argument("--deadline", metavar="SECONDS",
@@ -1119,14 +1077,12 @@ def build_parser():
 
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", type=int, choices=(1, 2, 3, 4, 5),
-                       help="1-4 = paper tables; 5 = executor speedups")
+                       help="1-4 = paper tables; 5 = schedule comparison")
     table.add_argument("--full", action="store_true",
                        help="paper-scale corpus (tables 1/2/4)")
     table.add_argument("--scale", type=float, default=0.1)
     table.add_argument("--methods", type=int, default=24,
                        help="branchy-program size (table 3)")
-    table.add_argument("--jobs", type=_job_count, default=0,
-                       help="parallel workers for table 5 (0 = CPU count)")
     table.set_defaults(run=cmd_table)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")

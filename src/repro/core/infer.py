@@ -12,12 +12,17 @@ outright when the input fingerprint is identical.  The loop runs for at most
 inference algorithm for a fixed number of iterations without reaching a
 fixpoint"), trading accuracy against scalability.
 
-Besides the sequential worklist, ``InferenceSettings.executor`` selects
-the level-synchronous scheduled engine (``serial``/``process``, see
-:mod:`repro.core.parallel`), which solves whole call-graph levels
-concurrently and merges summaries deterministically.
+``InferenceSettings.executor`` picks one of two schedules over the same
+visit and merge steps.  ``worklist`` is the paper's sequential loop.
+``serial`` condenses the call graph into SCC levels and runs rounds over
+them, callee-first: every dirty method of a level is visited against the
+summaries as they stood when the level began, and the visits are then
+merged in sorted method-key order.  Intra-SCC (recursive) summary edges
+resolve across rounds, Jacobi style.  ``serial`` usually needs fewer
+solves than the worklist, but its marginals differ from it.
 """
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,11 +30,11 @@ from dataclasses import dataclass, field
 from repro.analysis.callgraph import (
     build_call_graph,
     call_graph_from_targets,
+    condensation_levels,
     method_call_targets,
 )
 from repro.core.heuristics import HeuristicConfig
 from repro.core.model import ENGINES, ModelCache
-from repro.core.parallel import EXECUTORS
 from repro.core.pfg_builder import build_pfg
 from repro.core.pfgstore import PFGStore
 from repro.core.priors import SpecEnvironment
@@ -43,11 +48,16 @@ from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import FailureRecord, FailureReport
 
 
+#: Schedules accepted by ``InferenceSettings.executor``: ``worklist`` is
+#: the paper's sequential loop, ``serial`` the level-synchronous one.
+EXECUTORS = ("worklist", "serial")
+
+
 def _rekey_evidence_to_refs(store, table):
     """Rebind a restored store's evidence site keys to live MethodRefs.
 
-    Snapshots canonicalize site keys to ``(method key, index)``, but the
-    worklist engine deposits evidence keyed by ``(MethodRef, index)`` —
+    Snapshots canonicalize site keys to ``(method key, index)``, but both
+    schedules deposit evidence keyed by ``(MethodRef, index)`` —
     left as strings, a resumed run's later deposits would create *new*
     bucket entries beside the restored ones instead of overwriting them,
     silently double-counting votes.  Bucket insertion order (the vote
@@ -78,13 +88,9 @@ class InferenceSettings:
     bp_tolerance: float = 1e-4
     threshold: float = 0.5  # the paper's t in [0.5, 1)
     summary_change_threshold: float = 0.02
-    #: "worklist" = the sequential Figure 9 engine; "serial"/"process"
-    #: = the level-synchronous scheduler of repro.core.parallel.
+    #: "worklist" = the sequential Figure 9 loop; "serial" = the
+    #: level-synchronous schedule over call-graph SCC levels.
     executor: str = "worklist"
-    #: Lane (worker process) count of the process executor (0 = CPU
-    #: count).  Excluded from cache config digests: it never changes
-    #: results.
-    jobs: int = 0
     #: BP engine: "compiled" = flat-array kernel (fast path, default);
     #: "loopy" = the per-message reference engine.
     engine: str = "compiled"
@@ -130,8 +136,6 @@ class InferenceSettings:
                 "unknown executor %r (expected one of %s)"
                 % (self.executor, ", ".join(EXECUTORS))
             )
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0, got %d" % self.jobs)
         if self.engine not in ENGINES:
             raise ValueError(
                 "unknown engine %r (expected one of %s)"
@@ -160,12 +164,10 @@ class InferenceStats:
 
     Two kinds of field matter to tests.  **Work counters**
     (:data:`WORK_COUNTERS`) are a pure function of the program, config,
-    cache contents and schedule kind: they repeat exactly across
-    reruns, and the serial and process executors agree on them (a
-    fault that rebuilds a worker is the one exception).  **Timings** —
-    ``elapsed_seconds``, ``build_seconds``, ``solve_seconds``, the
-    ``check_*_seconds`` fields and the per-level ``schedule`` seconds —
-    are reported, never asserted.
+    cache contents and schedule: they repeat exactly across reruns.
+    **Timings** — ``elapsed_seconds``, ``build_seconds``,
+    ``solve_seconds``, the ``check_*_seconds`` fields and the per-level
+    ``schedule`` seconds — are reported, never asserted.
     """
 
     WORK_COUNTERS = (
@@ -203,17 +205,14 @@ class InferenceStats:
     #: Time split: model construction + slot refresh vs BP kernel time.
     build_seconds: float = 0.0
     solve_seconds: float = 0.0
-    #: Which engine actually ran (the process executor falls back to
-    #: serial when the program or config cannot be pickled).
+    #: Which schedule ran ("worklist" or "serial").
     executor: str = "worklist"
-    jobs: int = 1
-    #: Scheduled-engine shape: SCC-condensation levels and rounds run.
+    #: ``serial`` schedule shape: SCC-condensation levels and rounds run.
     levels: int = 0
     sccs: int = 0
     rounds: int = 0
-    #: Per-level trace entries: {round, level, methods, seconds}, plus
-    #: ``lanes`` [{lane, methods, seconds}] of worker busy time under
-    #: the process executor.
+    #: Per-level trace entries of ``serial``: {round, level, methods,
+    #: seconds}.
     schedule: list = field(default_factory=list)
     #: Methods quarantined by the resilience layer (frontend or
     #: constraint-generation failures): excluded from inference, given a
@@ -407,7 +406,7 @@ class AnekInference:
             ]
         return methods
 
-    # -- the worklist loop (Figure 9 lines 8-21) ----------------------------------
+    # -- the schedules (Figure 9 lines 8-21) --------------------------------------
 
     def run(self):
         """Run inference; returns {method_ref: boundary marginals dict}."""
@@ -435,51 +434,71 @@ class AnekInference:
             if manager is not None:
                 manager.close()
             return results
-        if self.settings.executor != "worklist":
-            from repro.core.parallel import run_scheduled
-
-            results = run_scheduled(
-                self, manager=manager, resume_state=resume_state
-            )
-            self._persist_final(results)
-            if manager is not None:
-                manager.finalize(lambda: manager.encode(results, complete=True))
-            return results
         methods = self._initialize()
-        worklist = deque(methods)
-        queued = set(methods)
-        results = {}
-        count = 0
+        results, resume = {}, None
         if resume_state is not None:
-            results, extra = self._apply_resume_state(resume_state)
-            self.stats.resumed = True
+            results, resume = self._apply_resume_state(resume_state)
+        self.stats.executor = self.settings.executor
+        if self.settings.executor == "worklist":
+            self._run_worklist(methods, results, manager, resume)
+        else:
+            self._run_levels(methods, results, manager, resume)
+        self.stats.elapsed_seconds = time.perf_counter() - start
+        self._persist_final(results)
+        if manager is not None:
+            manager.finalize(lambda: manager.encode(results, complete=True))
+        return results
+
+    def _visit_ceiling(self):
+        """The worklist-visit budget: a backstop against a degenerate call
+        graph (or a hostile --max-iters) driving either schedule far past
+        any plausible fixpoint (0 = none)."""
+        return self.settings.effective_policy().limits.cap(
+            "max_worklist_visits"
+        )
+
+    def _record_visit_ceiling(self, pending, visits):
+        """Ledger the visit budget cutting a run short with work left.
+        Only an actual breach is recorded, so a run that drains
+        naturally is bit-identical with governance off."""
+        self.failures.add(
+            FailureRecord(
+                stage="resource",
+                key="worklist",
+                error="ResourceLimitError",
+                message="worklist-visits limit exceeded: %d methods "
+                "still queued after %d visits" % (pending, visits),
+                disposition="resource-limit",
+            )
+        )
+
+    def _run_worklist(self, methods, results, manager, resume):
+        """The paper's loop: visit methods first-in first-out, re-enqueueing
+        the dependents of every changed summary; a barrier follows each
+        visit."""
+        worklist = deque(methods)
+        count = 0
+        if resume is not None:
             table = self.program.method_key_table()
             worklist = deque(
                 table[key]
-                for key in extra.get("worklist", ())
+                for key in resume.get("worklist", ())
                 if key in table and table[key] in self.pfgs
             )
-            queued = set(worklist)
-            count = extra.get("count", 0)
+            count = resume.get("count", 0)
+        queued = set(worklist)
         # Quarantines shrink ``pfgs``, so its size is the surviving
         # method count on both the fresh and the resumed path.
         max_iters = self.settings.resolved_max_iters(len(self.pfgs))
-        # Worklist visit ceiling: a backstop against a degenerate call
-        # graph (or a hostile --max-iters) driving the loop far past any
-        # plausible fixpoint.  Only an *actual* breach — the ceiling cut
-        # the loop short with work still queued — is recorded, so a run
-        # that drains naturally is bit-identical with governance off.
-        visit_ceiling = self.settings.effective_policy().limits.cap(
-            "max_worklist_visits"
-        )
+        visit_ceiling = self._visit_ceiling()
         if visit_ceiling and max_iters > visit_ceiling:
             max_iters = visit_ceiling
         while worklist and count < max_iters:
             count += 1
             method_ref = worklist.popleft()  # CHOOSE(W)
             queued.discard(method_ref)
-            changed_methods = self._solve_one(method_ref, results)
-            for dependent in changed_methods:
+            changed = self._merge(method_ref, self._visit(method_ref), results)
+            for dependent in changed:
                 if dependent not in queued and dependent in self.pfgs:
                     queued.add(dependent)
                     worklist.append(dependent)
@@ -496,22 +515,101 @@ class AnekInference:
                     lambda extra=extra: manager.encode(results, extra=extra),
                 )
         if worklist and visit_ceiling and count >= visit_ceiling:
-            self.failures.add(
-                FailureRecord(
-                    stage="resource",
-                    key="worklist",
-                    error="ResourceLimitError",
-                    message="worklist-visits limit exceeded: %d methods "
-                    "still queued after %d visits" % (len(worklist), count),
-                    disposition="resource-limit",
-                )
-            )
+            self._record_visit_ceiling(len(worklist), count)
         self.stats.solves = count
-        self.stats.elapsed_seconds = time.perf_counter() - start
-        self._persist_final(results)
-        if manager is not None:
-            manager.finalize(lambda: manager.encode(results, complete=True))
-        return results
+
+    def _run_levels(self, methods, results, manager, resume):
+        """The ``serial`` schedule: rounds over the SCC levels, callee-first.
+
+        Each level visits its dirty methods, then merges them in sorted
+        method-key order; a barrier follows each level's merge.  Later
+        rounds visit only methods whose own summary, callee summaries or
+        incoming evidence changed.  Rounds stop when the round budget
+        derived from ``max_worklist_iters`` runs out, or when a round
+        leaves every summary and every piece of evidence unchanged.
+        """
+        stats = self.stats
+        if resume is not None:
+            # A method the earlier run quarantined is absent from the
+            # condensation, as it was then, keeping the round budget and
+            # the schedule identical across the resume boundary.
+            methods = [ref for ref in methods if ref in self.pfgs]
+        if not methods:
+            return
+        key_of = self.models.site_key
+        levels, stats.sccs = condensation_levels(
+            self.call_graph, methods, sort_key=key_of
+        )
+        stats.levels = len(levels)
+        method_count = sum(len(level) for level in levels)
+        max_iters = self.settings.resolved_max_iters(method_count)
+        rounds = max(1, math.ceil(max_iters / max(method_count, 1)))
+        visit_ceiling = self._visit_ceiling()
+        dirty = set(methods)
+        round_changed = set()
+        start_round, resume_level = 1, None
+        if resume:
+            # Snapshots record the position *after* level (round, level)
+            # merged, plus both dirty sets; re-entering there re-executes
+            # the remaining levels exactly as the uninterrupted run would.
+            table = self.program.method_key_table()
+            start_round = resume["round"]
+            resume_level = resume["level"]
+            dirty = {table[key] for key in resume["dirty"] if key in table}
+            round_changed = {
+                table[key] for key in resume["round_changed"] if key in table
+            }
+        for round_index in range(start_round, rounds + 1):
+            for level_index, level in enumerate(levels):
+                if (
+                    resume_level is not None
+                    and round_index == start_round
+                    and level_index <= resume_level
+                ):
+                    continue
+                targets = [
+                    ref for ref in level if ref in dirty and ref in self.pfgs
+                ]
+                pending = 0
+                if visit_ceiling:
+                    budget = max(0, visit_ceiling - stats.solves)
+                    pending = max(0, len(targets) - budget)
+                    targets = targets[:budget]
+                if targets:
+                    level_start = time.perf_counter()
+                    round_changed |= self._solve_level(targets, results)
+                    stats.solves += len(targets)
+                    stats.schedule.append(
+                        {
+                            "round": round_index,
+                            "level": level_index,
+                            "methods": len(targets),
+                            "seconds": time.perf_counter() - level_start,
+                        }
+                    )
+                if pending:
+                    stats.rounds = round_index
+                    self._record_visit_ceiling(pending, stats.solves)
+                    return
+                if targets and manager is not None:
+                    extra = {
+                        "round": round_index,
+                        "level": level_index,
+                        "dirty": sorted(key_of(ref) for ref in dirty),
+                        "round_changed": sorted(
+                            key_of(ref) for ref in round_changed
+                        ),
+                    }
+                    manager.barrier(
+                        "round:%d:level:%d" % (round_index, level_index),
+                        lambda extra=extra: manager.encode(
+                            results, extra=extra
+                        ),
+                    )
+            stats.rounds = round_index
+            dirty, round_changed = round_changed, set()
+            if not dirty:
+                break
 
     def _checkpoint_manager(self):
         """The durable run layer, or None when ``run_dir`` is unset."""
@@ -566,8 +664,7 @@ class AnekInference:
         self.stats.resumed = True
         self.stats.interrupted = False
         store = SummaryStore.from_payload(state["store"], table)
-        if state["engine"] == "worklist":
-            _rekey_evidence_to_refs(store, table)
+        _rekey_evidence_to_refs(store, table)
         self.summaries = store
         results = {}
         for key, boundary in state["results"]:
@@ -621,9 +718,21 @@ class AnekInference:
         self.cache.store_final(self._schedule_kind(), results, self.summaries)
         self.cache.save_manifest(list(self.method_set))
 
-    def _solve_one(self, method_ref, results):
-        """SOLVE one method (building or reusing its cached model);
-        returns methods to re-enqueue."""
+    def _solve_level(self, targets, results):
+        """Visit every target against the summaries as they stood when the
+        level began, then merge the visits in order; returns the methods
+        to revisit.  The visits (and the models they hold) die on return,
+        before the level's barrier can shed the model cache."""
+        visits = [(ref, self._visit(ref)) for ref in targets]
+        revisit = set()
+        for ref, visit in visits:
+            revisit.update(self._merge(ref, visit, results))
+        return revisit
+
+    def _visit(self, method_ref):
+        """SOLVE one method, building or reusing its cached model, and
+        count the visit; returns the :class:`ModelVisit`, or None when
+        the method was quarantined."""
         pfg = self.pfgs[method_ref]
         policy = self.settings.effective_policy()
         try:
@@ -644,8 +753,7 @@ class AnekInference:
                     "method-quarantined",
                 ),
             )
-            results[method_ref] = {}
-            return []
+            return None
         if visit.failures:
             self.failures.extend(visit.failures)
         if visit.degraded:
@@ -666,6 +774,16 @@ class AnekInference:
             self.stats.reuses += 1
         self.stats.build_seconds += visit.build_seconds
         self.stats.solve_seconds += visit.solve_seconds
+        return visit
+
+    def _merge(self, method_ref, visit, results):
+        """Fold one visit into the results and the summary store; returns
+        the methods to revisit.  A quarantined method (``visit`` None)
+        gets a conservative empty boundary and touches nothing else, so
+        its neighbours solve as if it had no body."""
+        if visit is None:
+            results[method_ref] = {}
+            return []
         boundary = visit.boundary
         results[method_ref] = boundary
         to_enqueue = []

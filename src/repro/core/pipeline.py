@@ -306,9 +306,8 @@ class AnekPipeline:
                 )
             )
         if stats.executor != "worklist" and not stats.warm_start:
-            detail += ", executor=%s jobs=%d (%d levels, %d rounds)" % (
+            detail += ", executor=%s (%d levels, %d rounds)" % (
                 stats.executor,
-                stats.jobs,
                 stats.levels,
                 stats.rounds,
             )
@@ -326,21 +325,13 @@ class AnekPipeline:
         result.stages.append(
             StageTrace("anek-infer", time.perf_counter() - start, detail)
         )
-        # Per-level trace of the scheduled engine (empty for the worklist).
+        # Per-level trace of the serial schedule (empty for the worklist).
         for entry in stats.schedule:
-            level_detail = "%d methods" % entry["methods"]
-            lanes = entry.get("lanes")
-            if lanes:
-                level_detail += ", lanes[%s]" % ", ".join(
-                    "%d: %d in %.3fs"
-                    % (lane["lane"], lane["methods"], lane["seconds"])
-                    for lane in lanes
-                )
             result.stages.append(
                 StageTrace(
                     "  level %d.%d" % (entry["round"], entry["level"]),
                     entry["seconds"],
-                    level_detail,
+                    "%d methods" % entry["methods"],
                     nested=True,
                 )
             )

@@ -164,16 +164,17 @@ class SummaryStore:
     def evidence_count(self):
         return sum(len(bucket) for bucket in self._evidence.values())
 
-    # -- picklable exchange (parallel ANEK-INFER) -------------------------------
+    # -- picklable exchange (checkpoints, cache) --------------------------------
 
     def to_payload(self, key_of):
         """Serialize the store into plain picklable data.
 
         ``key_of`` maps MethodRefs to stable string keys (see
         :func:`repro.java.symbols.method_key`); site keys are passed
-        through unchanged, so the scheduled engine must use key-based
-        site keys.  Entries are emitted in insertion order, keeping the
-        payload — and everything rebuilt from it — deterministic.
+        through unchanged (callers canonicalize them with
+        :func:`repro.cache.fingerprints.canonical_site_key`).  Entries
+        are emitted in insertion order, keeping the payload — and
+        everything rebuilt from it — deterministic.
         """
         summaries = []
         for method_ref, summary in self._summaries.items():

@@ -13,15 +13,13 @@ properties the rest of the repo treats as contracts:
   same check plus :class:`FractionalPermission`'s own (0, 1] guard,
   which would otherwise surface as a crash or quarantine;
 * **engine-differential** — loopy ≡ compiled, bit-identically;
-* **executor-differential** — serial ≡ process with two lanes (the two
-  scheduled executors), bit-identically in output and marginals and
-  equal in every work counter;
 * **tier-differential** — full ≡ auto checker tiers, bit-identically.
 
 Differentials run only on *survivors* (cases whose baseline run is
-failure-free): a quarantined case has no meaningful cross-run contract,
-and the worklist-vs-scheduled pair is excluded by design (their visit
-trajectories legitimately differ).
+failure-free): a quarantined case has no meaningful cross-run contract.
+Each survivor also runs once under the ``serial`` schedule, held to the
+no-crash and marginals sentinels; it is not compared with the worklist,
+because the two schedules' visit trajectories legitimately differ.
 """
 
 import math
@@ -57,11 +55,10 @@ class CaseReport:
 
 
 def _run_pipeline(sources, engine="compiled", executor="worklist",
-                  check_tier="auto", jobs=0):
+                  check_tier="auto"):
     settings = InferenceSettings(
         engine=engine,
         executor=executor,
-        jobs=jobs,
         policy=ResiliencePolicy(),
     )
     pipeline = AnekPipeline(
@@ -149,21 +146,9 @@ def run_case(case, deadline=30.0, differential=True):
             report.violations.append(
                 "engine-differential: loopy != compiled"
             )
-        serial = _run_pipeline(sources, executor="serial")
-        process = _run_pipeline(sources, executor="process", jobs=2)
-        if serial.canonical_json(include_marginals=True) != (
-            process.canonical_json(include_marginals=True)
-        ):
-            report.violations.append(
-                "executor-differential: serial != process"
-            )
-        elif serial.inference_stats.work_counters() != (
-            process.inference_stats.work_counters()
-        ):
-            report.violations.append(
-                "executor-differential: serial and process work counters "
-                "differ"
-            )
+        _check_marginals(
+            _run_pipeline(sources, executor="serial"), report.violations
+        )
         full = _run_pipeline(sources, check_tier="full")
         if full.canonical_json(include_marginals=True) != baseline:
             report.violations.append(

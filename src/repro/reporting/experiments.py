@@ -410,7 +410,7 @@ def table3_experiment(methods=24, settings=None):
 
 
 # ---------------------------------------------------------------------------
-# Table 5: executor speedups (beyond the paper — the scalability claim)
+# Table 5: the two schedules (beyond the paper — the scalability claim)
 # ---------------------------------------------------------------------------
 
 
@@ -435,10 +435,6 @@ class Table5Row:
     #: True when this row's run was resumed from a checkpoint directory
     #: (crash/SIGTERM recovery) rather than executed start-to-finish.
     resumed: bool = False
-    #: Per-lane worker busy seconds summed across levels (process
-    #: executor only) — attributes wall-clock to workers, not just
-    #: levels.
-    lane_seconds: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -446,39 +442,17 @@ class Table5Result:
     rows: List[Table5Row] = field(default_factory=list)
     table: object = None
 
-    @property
-    def best_parallel_speedup(self):
-        return max(
-            (row.speedup for row in self.rows if row.executor != "worklist"),
-            default=0.0,
-        )
 
+def table5_parallel(corpus_spec=None, settings=None, repeats=1, cache=None):
+    """Worklist vs ``serial`` schedule wall clock on the PMD corpus.
 
-def _lane_busy_seconds(stats):
-    """Per-lane busy seconds summed over the schedule's level entries
-    (empty unless the process executor ran)."""
-    totals = {}
-    for entry in stats.schedule:
-        for lane in entry.get("lanes", ()):
-            totals[lane["lane"]] = (
-                totals.get(lane["lane"], 0.0) + lane["seconds"]
-            )
-    return [seconds for _, seconds in sorted(totals.items())]
-
-
-def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
-                    cache=None):
-    """Sequential vs scheduled-executor wall clock on the PMD corpus.
-
-    Every executor runs the same pipeline over a fresh copy of the same
-    corpus, with ``settings`` changed only in ``executor`` and ``jobs``;
-    the speedup column is relative to the sequential worklist engine,
-    and the Lanes column gives each process lane's summed busy time.
-    ``identical`` reports whether the executor's thresholded specs
-    match the serial scheduler's (the determinism guarantee — the
-    worklist row legitimately reads False when its different schedule
-    changed a borderline marginal).  Passing an
-    :class:`repro.cache.AnalysisCache` runs every executor against it
+    Both schedules run the same pipeline over a fresh copy of the same
+    corpus, with ``settings`` changed only in ``executor``; the speedup
+    column is relative to the sequential worklist.  ``identical``
+    reports whether a schedule's thresholded specs match ``serial``'s
+    (the worklist row legitimately reads False when its different
+    schedule changed a borderline marginal).  Passing an
+    :class:`repro.cache.AnalysisCache` runs both schedules against it
     and adds its hit ratio to the report.  A run that was resumed from a
     checkpoint directory is flagged in the Failures column — resumed
     runs are bit-identical to uninterrupted ones, so the note is
@@ -497,8 +471,8 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
     result = Table5Result()
     specs_by_executor = {}
     baseline_seconds = None
-    for executor in ("worklist", "serial", "process"):
-        run_settings = replace(base, executor=executor, jobs=jobs)
+    for executor in ("worklist", "serial"):
+        run_settings = replace(base, executor=executor)
         best = None
         pipeline_result = None
         for _ in range(max(repeats, 1)):
@@ -543,26 +517,17 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
                     getattr(stats, "resumed", False)
                     or pipeline_result.failures.resumed_from
                 ),
-                lane_seconds=_lane_busy_seconds(stats),
             )
         )
     reference_specs = specs_by_executor["serial"]
     for row in result.rows:
         row.identical = specs_by_executor[row.executor] == reference_specs
     table = Table(
-        "Table 5. ANEK-INFER executors on the synthetic PMD corpus.",
+        "Table 5. ANEK-INFER schedules on the synthetic PMD corpus.",
         ["Executor", "Time", "Build", "Kernel", "Speedup", "Solves",
-         "Annotations", "Lanes", "Cache", "Failures", "Same Specs"],
+         "Annotations", "Cache", "Failures", "Same Specs"],
     )
     for row in result.rows:
-        lane_cell = "-"
-        if row.lane_seconds:
-            lane_cell = "%d (%s)" % (
-                len(row.lane_seconds),
-                "/".join(
-                    format_seconds(seconds) for seconds in row.lane_seconds
-                ),
-            )
         table.add_row(
             row.executor,
             format_seconds(row.seconds),
@@ -571,7 +536,6 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
             "%.2fx" % row.speedup,
             row.solves,
             row.annotations,
-            lane_cell,
             "off"
             if row.cache_ratio is None
             else "%.0f%%" % (100.0 * row.cache_ratio),

@@ -3,15 +3,14 @@
 The paper's pitch (§3.4) is that inference is probabilistic and
 *forgiving*: partial or imperfect evidence still yields usable specs.
 This package makes the runtime match that story — one malformed
-compilation unit, one diverging BP solve, or one dead process-pool
-worker degrades only its own corner of the corpus instead of aborting
-the run:
+compilation unit or one diverging BP solve degrades only its own
+corner of the corpus instead of aborting the run:
 
 * :mod:`repro.resilience.report` — the structured failure ledger
   (:class:`FailureRecord` / :class:`FailureReport`) surfaced on
   ``PipelineResult.failure_report`` and ``--fail-report``;
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy`, the knobs
-  of the degradation ladder (deadlines, retry counts, worker recovery);
+  of the degradation ladder (deadlines, retry counts, resource budgets);
 * :mod:`repro.resilience.guard` — the per-solve guard: deadline and
   NaN/inf detection, retry with escalating damping, engine fallback
   ``compiled → loopy → prior-only``;

@@ -451,10 +451,10 @@ class CheckpointManager:
         """The run's durable state as plain picklable data.
 
         MethodRefs become stable string keys and marginals plain dict
-        payloads (the process-executor exchange format), so a snapshot
-        written by one process re-attaches to another's ASTs.  Evidence
-        site keys are canonicalized (:func:`canonical_site_key`); the
-        decode side converts them back to refs for the worklist engine.
+        payloads, so a snapshot written by one process re-attaches to
+        another's ASTs.  Evidence site keys are canonicalized
+        (:func:`canonical_site_key`); the decode side converts them back
+        to refs.
         """
         from repro.cache.fingerprints import canonical_site_key
 

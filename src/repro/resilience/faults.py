@@ -3,7 +3,8 @@
 A :class:`FaultPlan` is a list of :class:`FaultSpec` triggers.  Each
 instrumented pipeline site calls :func:`maybe_fault` with its stage name
 and the stable key of its unit of work; a matching spec then *acts* —
-raising, corrupting, delaying, or killing — exactly ``count`` times.
+raising, corrupting, delaying, or killing the process — exactly
+``count`` times.
 Matching is purely declarative (stage equality + key substring), so a
 plan is deterministic: the same plan over the same corpus fires at the
 same sites in the same order on every run.
@@ -13,15 +14,14 @@ Plans install two ways:
 * in-process: ``install_fault_plan(plan)`` (tests, benchmarks);
 * across processes: the ``REPRO_FAULTS`` environment variable carries
   the JSON encoding (``plan.to_json()``), parsed lazily by any process
-  — in particular process-pool workers under the ``spawn`` start method,
-  and CLI subprocess tests — that has no in-process plan installed.
+  — CLI subprocess tests, a supervised serve daemon — that has no
+  in-process plan installed.
 
-Fork-started workers inherit the parent's installed plan *by value*, so
-a worker-side spec with ``count=1`` would re-arm in every freshly forked
-pool.  For once-only semantics across process generations (the worker
-kill/recovery tests) give the spec a ``marker`` path: the first firing
-atomically claims the marker file and later processes see it and stand
-down.
+Every process parses its own copy of the plan, so a spec with
+``count=1`` re-arms in every process generation (each daemon a
+supervisor restarts).  For once-only semantics across generations give
+the spec a ``marker`` path: the first firing atomically claims the
+marker file and later processes see it and stand down.
 
 Fault kinds:
 
@@ -31,13 +31,10 @@ Fault kinds:
     Return the token ``"nan"`` — the solve guard responds by poisoning
     the attempt's marginals with NaN, exercising divergence detection.
 ``delay``
-    Sleep ``seconds`` then continue (deadline / hung-worker paths).
-``kill``
-    ``os._exit(17)`` — only honoured inside process-pool workers, where
-    it simulates a segfaulting/OOM-killed worker.
+    Sleep ``seconds`` then continue (deadline paths).
 ``killproc``
     ``SIGKILL`` the **whole current process** — fired from orchestrator
-    sites (``checkpoint``, ``journal``, ``worker-recover``) it simulates
+    sites (``checkpoint``, ``journal``, ``serve-admit``) it simulates
     an OOM-kill or node preemption of the entire run, the scenario the
     crash-consistent checkpoint/resume layer exists for.
 """
@@ -52,13 +49,12 @@ from dataclasses import asdict, dataclass
 ENV_VAR = "REPRO_FAULTS"
 
 #: Recognized fault kinds.
-KINDS = ("raise", "nan", "delay", "kill", "killproc")
+KINDS = ("raise", "nan", "delay", "killproc")
 
 #: Instrumented stages (matching :data:`repro.resilience.report.STAGES`
 #: where injection makes sense).  ``checkpoint`` fires at run-layer
 #: barriers/finalization, ``journal`` *between* the two writes of one
 #: journal record (so a kill there leaves a torn tail record),
-#: ``worker-recover`` in the parent while it rebuilds a collapsed pool,
 #: and ``serve`` inside the daemon's request handler (the key is
 #: ``req:<id>:<work fingerprint prefix>``) — a fault there must cost
 #: exactly one response, never the daemon.
@@ -76,10 +72,8 @@ STAGES = (
     "pfg",
     "constraints",
     "solve",
-    "worker",
     "checkpoint",
     "journal",
-    "worker-recover",
     "serve",
     "serve-admit",
     "serve-respond",
@@ -143,7 +137,7 @@ class FaultPlan:
             for spec in specs
         ]
         #: (stage, key, kind) tuples, in firing order — the view of the
-        #: process that fired them (workers log into their own copies).
+        #: process that fired them.
         self.fired = []
 
     # -- (de)serialization -----------------------------------------------------
@@ -166,7 +160,7 @@ class FaultPlan:
 
         Returns ``None`` (no match / ``delay`` completed) or the token
         ``"nan"``; raises :class:`InjectedFault` for ``raise`` faults;
-        never returns for ``kill``.
+        never returns for ``killproc``.
         """
         for spec in self.specs:
             if spec.stage != stage or spec.count == 0:
@@ -186,8 +180,6 @@ class FaultPlan:
             if spec.kind == "delay":
                 time.sleep(spec.seconds)
                 return None
-            if spec.kind == "kill":
-                os._exit(17)
             if spec.kind == "killproc":
                 os.kill(os.getpid(), signal.SIGKILL)
             return "nan"

@@ -68,9 +68,8 @@ class ResourceLimits:
     """Budgets for every untrusted-input stage (0 = unlimited).
 
     A frozen dataclass of ints, nested inside
-    :class:`repro.resilience.policy.ResiliencePolicy` — it pickles
-    across process-pool boundaries and, like the rest of the policy,
-    stays out of cache config digests (governance never changes clean
+    :class:`repro.resilience.policy.ResiliencePolicy` — like the rest
+    of the policy, it stays out of cache config digests (governance never changes clean
     results, so artifacts are shared across limit settings).
     """
 
@@ -92,7 +91,7 @@ class ResourceLimits:
     max_pfg_nodes: int = DEFAULT_MAX_PFG_NODES
     #: Factor + variable nodes in one method's BP factor graph.
     max_graph_factors: int = DEFAULT_MAX_GRAPH_FACTORS
-    #: Total method visits of the interprocedural worklist.
+    #: Total method visits of either inference schedule.
     max_worklist_visits: int = DEFAULT_MAX_WORKLIST_VISITS
 
     def __post_init__(self):

@@ -1,8 +1,8 @@
 """The resilience policy: every knob of the degradation ladder.
 
-A frozen dataclass of primitives so it pickles across process-pool
-boundaries inside :class:`repro.core.infer.InferenceSettings` and
-fingerprints deterministically.  The policy deliberately does **not**
+A frozen dataclass of primitives, so it pickles inside
+:class:`repro.core.infer.InferenceSettings` and fingerprints
+deterministically.  The policy deliberately does **not**
 participate in cache config digests: with zero faults a resilient run is
 bit-identical to a non-resilient one, so artifacts are shared across
 policy settings.
@@ -24,10 +24,6 @@ class ResiliencePolicy:
         retry 1..N  same engine, damping escalated toward 0.9
         fallback    loopy reference engine (when compiled was configured)
         floor       prior-only marginals (never fails, fully conservative)
-
-    Worker recovery: a dead/hung process pool is rebuilt and its methods
-    requeued up to ``worker_retries`` times; after that the remaining
-    methods of the run execute in-parent on the serial path.
     """
 
     #: Master switch.  Disabled = legacy behaviour: any exception aborts
@@ -44,13 +40,6 @@ class ResiliencePolicy:
     #: Damping floor for retry attempts; each retry moves a third of the
     #: remaining distance from this floor toward 0.9.
     retry_damping: float = 0.5
-    #: Process-pool rebuilds tolerated before degrading the remaining
-    #: methods to the in-parent serial path.
-    worker_retries: int = 2
-    #: Per-chunk result timeout for process-pool workers, in seconds
-    #: (0 = wait forever).  A timeout is treated as a hung worker: the
-    #: pool is terminated, rebuilt, and the chunk requeued.
-    worker_timeout: float = 0.0
     #: Resource budgets for every untrusted-input stage (lexer, parser,
     #: PFG builder, factor graph, worklist).  Checks are pure threshold
     #: comparisons; a breach quarantines the unit of work with the
@@ -67,10 +56,6 @@ class ResiliencePolicy:
             raise ValueError("solve_retries must be >= 0")
         if not 0.0 <= self.retry_damping < 1.0:
             raise ValueError("retry_damping must be in [0, 1)")
-        if self.worker_retries < 0:
-            raise ValueError("worker_retries must be >= 0")
-        if self.worker_timeout < 0:
-            raise ValueError("worker_timeout must be >= 0")
 
     @classmethod
     def disabled(cls):

@@ -2,8 +2,8 @@
 
 Every isolation, retry, and degradation event is appended to a
 :class:`FailureReport` as one :class:`FailureRecord` — plain, picklable
-data, so records cross process-pool boundaries inside solve outcomes and
-serialize to the ``--fail-report`` JSON unchanged.
+data, so records survive checkpoints and serialize to the
+``--fail-report`` JSON unchanged.
 """
 
 import json
@@ -16,7 +16,6 @@ STAGES = (
     "pfg",
     "constraints",
     "solve",
-    "worker",
     "cache",
     "checkpoint",
     "resource",
@@ -32,16 +31,11 @@ DISPOSITIONS = (
     "unit-quarantined",
     #: A method was dropped from inference; it gets a conservative spec.
     "method-quarantined",
-    #: A retry (escalated damping / engine fallback / fresh worker)
-    #: produced a clean result — no observable degradation.
+    #: A retry (escalated damping / engine fallback) produced a clean
+    #: result — no observable degradation.
     "recovered",
     #: The solve fell all the way back to prior-only marginals.
     "degraded-prior-only",
-    #: A dead/hung worker pool was rebuilt and its methods requeued.
-    "worker-restarted",
-    #: The process pool collapsed repeatedly; remaining methods ran
-    #: in-parent on the serial path.
-    "executor-degraded",
     #: A cache entry was discarded (corrupt or schema-invalid).
     "entry-quarantined",
     #: A downstream stage (applier/checker) was skipped for this run.
@@ -80,8 +74,8 @@ class FailureRecord:
 
     #: Pipeline stage (one of :data:`STAGES`).
     stage: str
-    #: Stable identity of the failing unit of work — a method key, a
-    #: ``unit:<index>`` tag, or a worker/pool description.
+    #: Stable identity of the failing unit of work — a method key or a
+    #: ``unit:<index>`` tag.
     key: str
     #: Exception class name (or a symbolic reason like ``deadline``).
     error: str
@@ -124,7 +118,6 @@ _DEGRADED = frozenset(
         "unit-quarantined",
         "method-quarantined",
         "degraded-prior-only",
-        "executor-degraded",
         "stage-skipped",
         "resource-limit",
     )
@@ -190,8 +183,7 @@ class FailureReport:
     def has_degradation(self):
         """True when any output-changing disposition occurred.
 
-        A report with only ``recovered``/``worker-restarted`` records
-        describes a run whose results are bit-identical to a failure-free
+        A report with only ``recovered`` records describes a run whose results are bit-identical to a failure-free
         one — safe to persist and to trust downstream.
         """
         return bool(self.degraded())

@@ -30,9 +30,7 @@ from repro.cache.fingerprints import digest
 #: Request fields that define the *work*, i.e. participate in the
 #: coalescing fingerprint.  ``include_marginals`` is excluded — it only
 #: widens the response payload, so a marginal-requesting member can
-#: share a group with one that is not.  ``jobs`` is excluded too: the
-#: lane count never changes a result (the cache's ``config_digest``
-#: leaves it out for the same reason).  ``deadline`` *is* included even
+#: share a group with one that is not.  ``deadline`` *is* included even
 #: though it does not change the program under analysis: a deadline'd
 #: request maps its remaining budget into the solve deadline of the
 #: resilience policy, and letting it share a solve with a deadline-free

@@ -19,7 +19,7 @@ import json
 import struct
 
 from repro.core.model import ENGINES
-from repro.core.parallel import EXECUTORS
+from repro.core.infer import EXECUTORS
 
 #: Per-frame magic: catches non-protocol bytes before a length is trusted.
 MAGIC = b"ANK1"
@@ -210,7 +210,6 @@ REQUEST_DEFAULTS = {
     "max_iters": 0,
     "engine": "compiled",
     "executor": "worklist",
-    "jobs": 0,
     "no_cache": False,
     "deadline": 0.0,
     "include_marginals": False,
@@ -278,8 +277,6 @@ def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
             "unknown executor %r (expected one of %s)"
             % (request["executor"], ", ".join(EXECUTORS))
         )
-    if not isinstance(request["jobs"], int) or request["jobs"] < 0:
-        raise ProtocolError("jobs must be an integer >= 0")
     if (
         not isinstance(request["deadline"], (int, float))
         or request["deadline"] < 0

@@ -693,7 +693,6 @@ class AnekServer:
             threshold=request["threshold"],
             max_worklist_iters=request["max_iters"],
             executor=request["executor"],
-            jobs=request["jobs"],
             engine=request["engine"],
             policy=self._policy_for(live),
         )

@@ -86,7 +86,6 @@ def cold_result(
     max_iters=0,
     engine="compiled",
     executor="worklist",
-    jobs=0,
     cache_dir=None,
 ):
     """One cold in-process pipeline run with the CLI's settings."""
@@ -94,7 +93,6 @@ def cold_result(
         threshold=threshold,
         max_worklist_iters=max_iters,
         executor=executor,
-        jobs=jobs,
         engine=engine,
     )
     cache = AnalysisCache(cache_dir=cache_dir) if cache_dir else None

@@ -84,12 +84,12 @@ def test_digest_is_hex_sha256():
 
 
 def test_config_digest_ignores_schedule_settings():
-    """Executor/jobs change *how* methods are scheduled, never the solve
-    funnel, so they must not invalidate cached artifacts."""
+    """The executor changes *how* methods are scheduled, never the visit
+    step, so it must not invalidate cached artifacts."""
     config = HeuristicConfig()
     base = config_digest(config, InferenceSettings())
     assert base == config_digest(
-        config, InferenceSettings(executor="process", jobs=8)
+        config, InferenceSettings(executor="serial")
     )
     assert base != config_digest(
         config, InferenceSettings(threshold=0.75)

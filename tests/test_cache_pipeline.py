@@ -54,7 +54,7 @@ def spec_map(result):
 
 
 def run_pipeline(sources, cache=None, executor="worklist", engine="compiled"):
-    settings = InferenceSettings(executor=executor, jobs=2, engine=engine)
+    settings = InferenceSettings(executor=executor, engine=engine)
     pipeline = AnekPipeline(settings=settings, cache=cache, run_checker=False)
     return pipeline.run_on_sources(sources)
 
@@ -73,18 +73,6 @@ def test_cold_warm_disabled_specs_identical(tmp_path, executor):
     assert disabled.cache_stats is None
     assert cold.cache_stats.hits() == 0
     assert warm.cache_stats.misses() == 0
-
-
-def test_process_executor_cold_warm(tmp_path):
-    sources = [ITERATOR_API_SOURCE, CLIENT]
-    disabled = run_pipeline(sources, cache=None, executor="process")
-    cold = run_pipeline(
-        sources, cache=AnalysisCache(tmp_path / "c"), executor="process"
-    )
-    warm = run_pipeline(
-        sources, cache=AnalysisCache(tmp_path / "c"), executor="process"
-    )
-    assert spec_map(disabled) == spec_map(cold) == spec_map(warm)
     assert warm.inference_stats.warm_start
 
 
@@ -144,7 +132,7 @@ def test_warm_after_edit_reuses_untouched_units(tmp_path):
 
 def test_warm_after_edit_matches_cold_across_executors(tmp_path):
     reference = run_pipeline([ITERATOR_API_SOURCE, CLIENT_EDITED], cache=None)
-    for executor in ("worklist", "serial", "process"):
+    for executor in ("worklist", "serial"):
         cache_dir = tmp_path / executor
         run_pipeline(
             [ITERATOR_API_SOURCE, CLIENT],

@@ -98,23 +98,16 @@ class TestCorpusDifferential:
         assert auto.site_coverage > 0.5
 
     @pytest.mark.parametrize(
-        "executor,engine,jobs",
-        [
-            ("worklist", "compiled", 1),
-            ("serial", "loopy", 1),
-            ("process", "compiled", 2),
-        ],
+        "executor,engine", [("worklist", "compiled"), ("serial", "loopy")]
     )
-    def test_inferred_specs_differential(self, executor, engine, jobs):
-        """Specs applied by inference (any executor/engine/lane count)
+    def test_inferred_specs_differential(self, executor, engine):
+        """Specs applied by inference (either schedule, either engine)
         feed both tiers identically."""
         bundle = generate_pmd_corpus(CorpusSpec().scaled(0.05))
         program = resolve_program(
             [parse_compilation_unit(s) for s in bundle.all_sources()]
         )
-        settings = InferenceSettings(
-            executor=executor, engine=engine, jobs=jobs
-        )
+        settings = InferenceSettings(executor=executor, engine=engine)
         pipeline = AnekPipeline(settings=settings, run_checker=False)
         pipeline.run_on_program(program)
         assert_tiers_identical(program)

@@ -25,6 +25,17 @@ class TestCliTables:
         assert code == 0
         assert "Plural Local Inference" in output
 
+    def test_table_5_compares_the_two_schedules(self):
+        from repro.corpus import CorpusSpec
+        from repro.reporting.experiments import table5_parallel
+
+        result = table5_parallel(corpus_spec=CorpusSpec().scaled(0.03))
+        worklist, serial = result.rows
+        assert (worklist.executor, serial.executor) == ("worklist", "serial")
+        assert "Lanes" not in result.table.headers
+        assert serial.solves <= worklist.solves
+        assert serial.annotations == worklist.annotations
+
     def test_figure_1(self):
         code, output = run_cli(["figure", "1"])
         assert code == 0

@@ -4,16 +4,16 @@ The durable-run tentpole's contract, locked in end to end:
 
 * a ``SIGKILL`` at *any* point of a run with a run directory — during
   pass 1 of the worklist, between two SCC level barriers, halfway
-  through a journal record, while the parent is rebuilding a collapsed
-  worker pool, or during the final persist — leaves a directory from
-  which ``--resume`` reproduces the uninterrupted run **bit-identically**;
+  through a journal record, or during the final persist — leaves a
+  directory from which ``--resume`` reproduces the uninterrupted run
+  **bit-identically**;
 * the journal is a valid-prefix format: truncating or corrupting its
   tail at any byte never breaks recovery (the snapshot drives resume,
   the journal only narrates);
 * a corrupt newest snapshot falls back to its predecessor and the
   resume still converges to the same marginals;
 * SIGTERM/SIGINT drain the in-flight unit of work, write a final
-  checkpoint, reap every worker, and exit with the resumable code 5;
+  checkpoint, and exit with the resumable code 5;
 * ``ENOSPC`` on the run directory degrades to a no-persist run (counted,
   reported, not fatal), and a soft RSS budget sheds the model cache
   without perturbing results.
@@ -90,34 +90,32 @@ def snap(results):
     }
 
 
-def make_settings(executor="worklist", engine="compiled", jobs=0, **kwargs):
-    return InferenceSettings(
-        executor=executor, engine=engine, jobs=jobs, **kwargs
-    )
+def make_settings(executor="worklist", engine="compiled", **kwargs):
+    return InferenceSettings(executor=executor, engine=engine, **kwargs)
 
 
 _REFS = {}
 
 
-def clean_snap(executor="worklist", engine="compiled", jobs=0):
+def clean_snap(executor="worklist", engine="compiled"):
     """Memoized fault-free reference marginals per configuration."""
-    key = (executor, engine, jobs)
+    key = (executor, engine)
     if key not in _REFS:
         inference = AnekInference(
-            fresh_program(), settings=make_settings(executor, engine, jobs)
+            fresh_program(), settings=make_settings(executor, engine)
         )
         _REFS[key] = snap(inference.run())
     return _REFS[key]
 
 
 def crash_run(run_dir, faults, executor="worklist", engine="compiled",
-              jobs=0, **kwargs):
+              **kwargs):
     """Run with an installed fault plan until it raises InjectedFault."""
     install_fault_plan(faults)
     inference = AnekInference(
         fresh_program(),
         settings=make_settings(
-            executor, engine, jobs, run_dir=str(run_dir), **kwargs
+            executor, engine, run_dir=str(run_dir), **kwargs
         ),
     )
     with pytest.raises(InjectedFault):
@@ -126,13 +124,12 @@ def crash_run(run_dir, faults, executor="worklist", engine="compiled",
     return inference
 
 
-def resume_run(run_dir, executor="worklist", engine="compiled", jobs=0,
+def resume_run(run_dir, executor="worklist", engine="compiled",
                sources=None, **kwargs):
     inference = AnekInference(
         fresh_program(sources),
         settings=make_settings(
-            executor, engine, jobs, run_dir=str(run_dir), resume=True,
-            **kwargs
+            executor, engine, run_dir=str(run_dir), resume=True, **kwargs
         ),
     )
     return inference, snap(inference.run())
@@ -242,31 +239,29 @@ class TestSnapshots:
 
 
 # ---------------------------------------------------------------------------
-# In-process crash/resume: bit-identity across executors and engines
+# In-process crash/resume: bit-identity across schedules and engines
 # ---------------------------------------------------------------------------
 
 
 class TestCrashResumeMatrix:
     """A crash at a checkpoint barrier (the moment a SIGKILL would land)
     followed by ``--resume`` must be bit-identical to a clean run, for
-    every executor x engine combination."""
+    every schedule x engine combination."""
 
     @pytest.mark.parametrize("engine", ["compiled", "loopy"])
-    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
     def test_bit_identity(self, tmp_path, executor, engine):
-        jobs = 2 if executor == "process" else 0
         skip = 7 if executor == "worklist" else 3
         crash_run(
             tmp_path,
             [FaultSpec(stage="checkpoint", key="", kind="raise", skip=skip)],
             executor=executor,
             engine=engine,
-            jobs=jobs,
         )
         resumed, results = resume_run(
-            tmp_path, executor=executor, engine=engine, jobs=jobs
+            tmp_path, executor=executor, engine=engine
         )
-        assert results == clean_snap(executor, engine, jobs)
+        assert results == clean_snap(executor, engine)
         assert resumed.stats.resumed
         assert not resumed.stats.interrupted
         assert resumed.failures.resumed_from == str(tmp_path)
@@ -664,11 +659,9 @@ def _run_cli(args, env=None, timeout=300):
 def _run_cli_expecting_kill(args, env, timeout=300):
     """Launch the CLI and wait for it to die by SIGKILL.
 
-    Output goes to DEVNULL: a SIGKILLed parent can leave process-pool
-    workers holding the stdout pipe open (nothing reaps after SIGKILL —
-    that is the point of the chaos), which would stall a pipe-draining
-    ``subprocess.run`` forever.  The process group is killed afterwards
-    so orphaned workers don't outlive the test.
+    Output goes to DEVNULL and the process group is killed afterwards,
+    so nothing the killed run left behind can hold a pipe open or
+    outlive the test.
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "infer", "--no-cache",
@@ -708,7 +701,7 @@ def _cli_reference(files, *flags):
     return _CLI_REFS[key]
 
 
-# The five ISSUE-mandated kill points, as (id, extra CLI flags, fault specs).
+# The kill points, as (id, extra CLI flags, fault specs).
 KILL_POINTS = [
     (
         "pass1-worklist",
@@ -728,16 +721,6 @@ KILL_POINTS = [
         [{"stage": "journal", "key": "", "kind": "killproc", "skip": 6}],
     ),
     (
-        "during-worker-recovery",
-        ["--executor", "process", "--jobs", "2"],
-        # testParseCSV solves in SCC level 1, so the worker kill (and the
-        # orchestrator kill during the ensuing pool rebuild) land after
-        # the level-0 barrier has written a resumable snapshot.
-        [{"stage": "worker", "key": "testParseCSV", "kind": "kill",
-          "marker": None},
-         {"stage": "worker-recover", "key": "", "kind": "killproc"}],
-    ),
-    (
         "during-final-persist",
         [],
         [{"stage": "checkpoint", "key": "final", "kind": "killproc"}],
@@ -754,10 +737,6 @@ class TestCliSigkillChaos:
     def test_sigkill_then_resume(self, tmp_path, flags, specs):
         files = _write_corpus(tmp_path)
         run_dir = str(tmp_path / "run")
-        specs = [dict(spec) for spec in specs]
-        for spec in specs:
-            if "marker" in spec and spec["marker"] is None:
-                spec["marker"] = str(tmp_path / "fault.marker")
         plan = FaultPlan([FaultSpec(**spec) for spec in specs])
         returncode = _run_cli_expecting_kill(
             flags + ["--run-dir", run_dir] + files,
@@ -786,11 +765,11 @@ class TestCliSigkillChaos:
 class TestCliSigterm:
     def test_sigterm_drains_checkpoints_and_reaps_workers(self, tmp_path):
         """SIGTERM mid-run: the process finishes its in-flight unit,
-        writes a resumable checkpoint, reaps its pool workers (no
-        orphans), and exits 5; --resume then completes bit-identically."""
+        writes a resumable checkpoint, leaves nothing running in its
+        session, and exits 5; --resume then completes bit-identically."""
         files = _write_corpus(tmp_path)
         run_dir = str(tmp_path / "run")
-        flags = ["--executor", "process", "--jobs", "2"]
+        flags = ["--executor", "serial"]
         # Slow every barrier down so the signal reliably lands mid-run.
         plan = FaultPlan(
             [FaultSpec(stage="checkpoint", key="", kind="delay", count=-1,
@@ -828,7 +807,7 @@ class TestCliSigterm:
             if name.startswith("snapshot-")
         ]
         assert snapshots, "no checkpoint written on SIGTERM"
-        # Orphan reap: the whole session (parent + pool workers) is gone.
+        # Orphan reap: the whole session is gone.
         deadline = time.monotonic() + 30
         while True:
             try:

@@ -53,13 +53,12 @@ def run_pipeline(executor="worklist"):
     return pipeline.run_on_sources([ITERATOR_API_SOURCE, CLIENT])
 
 
-@pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
+@pytest.mark.parametrize("executor", ["worklist", "serial"])
 def test_repeated_runs_are_byte_identical(executor):
     first = run_pipeline(executor)
     second = run_pipeline(executor)
     assert first.annotated_sources == second.annotated_sources
-    # Every work counter repeats, not only the output: the process
-    # executor pins each method to one lane, so no model is rebuilt.
+    # Every work counter repeats, not only the output.
     assert (
         first.inference_stats.work_counters()
         == second.inference_stats.work_counters()
@@ -117,7 +116,6 @@ def test_output_is_hash_seed_independent(executor):
 
 TIMING_CRITICAL_SOURCES = [
     "src/repro/core/infer.py",
-    "src/repro/core/parallel.py",
     "src/repro/core/pipeline.py",
     "src/repro/reporting/experiments.py",
     "benchmarks/conftest.py",

@@ -2,17 +2,13 @@
 
 The resilience tentpole's contract, locked in end to end:
 
-* a run *completes* under every fault class (raise / nan / delay /
-  kill), with the :class:`FailureReport` listing exactly the injected
+* a run *completes* under every fault class (raise / nan / delay),
+  with the :class:`FailureReport` listing exactly the injected
   failures;
 * recovered-class faults (a transient failure with retries left) leave
   the results **bit-identical** to a fault-free run;
-* quarantine-class faults leave the *non-faulted* methods bit-identical
-  across executors under the same fault plan, and a quarantined unit
-  behaves exactly like a removed one;
-* the process executor survives killed and hung workers (fresh-pool
-  requeue) and repeated pool collapse (permanent in-parent fallback) —
-  both with bit-identical marginals;
+* quarantine-class faults hit exactly the faulted method under both
+  schedules, and a quarantined unit behaves exactly like a removed one;
 * a zero-fault resilient run is bit-identical to a run with resilience
   disabled;
 * degraded results are never persisted to the analysis cache.
@@ -52,9 +48,9 @@ def fresh_program(sources=None):
     )
 
 
-def run_inference(executor="worklist", policy=None, jobs=0, sources=None,
+def run_inference(executor="worklist", policy=None, sources=None,
                   cache=None):
-    settings = InferenceSettings(executor=executor, jobs=jobs, policy=policy)
+    settings = InferenceSettings(executor=executor, policy=policy)
     inference = AnekInference(
         fresh_program(sources), settings=settings, cache=cache
     )
@@ -85,12 +81,10 @@ def some_method_key():
 
 
 class TestZeroFaultIdentity:
-    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
     def test_resilient_equals_disabled(self, executor):
-        _, guarded = run_inference(executor, jobs=2)
-        _, legacy = run_inference(
-            executor, ResiliencePolicy.disabled(), jobs=2
-        )
+        _, guarded = run_inference(executor)
+        _, legacy = run_inference(executor, ResiliencePolicy.disabled())
         assert snap(guarded) == snap(legacy)
 
     def test_resilient_loopy_equals_disabled(self):
@@ -170,15 +164,16 @@ class TestDegradationFloor:
         key = some_method_key()
         snaps = {}
         reports = {}
-        for executor in ("serial", "process"):
+        for executor in ("worklist", "serial"):
             install_fault_plan(
                 [FaultSpec(stage="solve", key=key, kind="raise", count=-1)]
             )
-            inference, results = run_inference(executor, jobs=2)
+            inference, results = run_inference(executor)
             snaps[executor] = snap(results)
             reports[executor] = inference.failures
             clear_fault_plan()
-        assert snaps["serial"] == snaps["process"]
+        assert set(snaps["worklist"]) == set(snaps["serial"])
+        assert snaps["worklist"][key] == snaps["serial"][key]
         for report in reports.values():
             assert report.has_degradation
             assert {r.key for r in report.degraded()} == {key}
@@ -204,15 +199,17 @@ class TestQuarantine:
     def test_method_quarantine_identical_across_executors(self):
         key = some_method_key()
         snaps = {}
-        for executor in ("serial", "process"):
+        for executor in ("worklist", "serial"):
             install_fault_plan(
                 [FaultSpec(stage="pfg", key=key, kind="raise", count=-1)]
             )
-            inference, results = run_inference(executor, jobs=2)
+            inference, results = run_inference(executor)
             inference.extract_specs(results)
             snaps[executor] = snap(results)
+            assert inference.stats.quarantined == 1
             clear_fault_plan()
-        assert snaps["serial"] == snaps["process"]
+        assert set(snaps["worklist"]) == set(snaps["serial"])
+        assert snaps["worklist"][key] == snaps["serial"][key] == {}
 
     def test_constraints_fault_quarantines_one_method(self):
         key = some_method_key()
@@ -253,54 +250,6 @@ class TestQuarantine:
             for ref, spec in removed.specs.items()
         }
         assert faulted_specs == removed_specs
-
-
-class TestWorkerRecovery:
-    """Process-pool crash recovery.  Worker-stage faults fire only inside
-    pool workers; ``marker`` files make them once-only across the forked
-    pool generations a rebuild creates."""
-
-    def _serial_snap(self):
-        _, results = run_inference("serial")
-        return snap(results)
-
-    def test_killed_worker_is_recovered(self, tmp_path):
-        marker = str(tmp_path / "kill.marker")
-        install_fault_plan(
-            [FaultSpec(stage="worker", key="", kind="kill", count=-1,
-                       marker=marker)]
-        )
-        inference, results = run_inference("process", jobs=2)
-        assert inference.stats.executor == "process"
-        assert snap(results) == self._serial_snap()
-        dispositions = {r.disposition for r in inference.failures}
-        assert "worker-restarted" in dispositions
-        assert not inference.failures.has_degradation
-
-    def test_hung_worker_times_out_and_recovers(self, tmp_path):
-        marker = str(tmp_path / "hang.marker")
-        install_fault_plan(
-            [FaultSpec(stage="worker", key="", kind="delay", count=-1,
-                       seconds=5.0, marker=marker)]
-        )
-        policy = ResiliencePolicy(worker_timeout=0.5)
-        inference, results = run_inference("process", policy=policy, jobs=2)
-        assert snap(results) == self._serial_snap()
-        dispositions = {r.disposition for r in inference.failures}
-        assert "worker-restarted" in dispositions
-        assert not inference.failures.has_degradation
-
-    def test_pool_collapse_degrades_to_in_parent(self):
-        # No marker: the kill fault re-arms in every rebuilt pool, so the
-        # pool keeps collapsing until the backend gives up on processes.
-        install_fault_plan(
-            [FaultSpec(stage="worker", key="", kind="kill", count=-1)]
-        )
-        policy = ResiliencePolicy(worker_retries=1)
-        inference, results = run_inference("process", policy=policy, jobs=2)
-        assert snap(results) == self._serial_snap()
-        dispositions = {r.disposition for r in inference.failures}
-        assert "executor-degraded" in dispositions
 
 
 class TestDegradedNeverCached:

@@ -8,7 +8,7 @@ rehydrates them lazily from the persistent cache (or by deterministic
 rebuild when no cache is attached).  This suite locks in the contract:
 a run with an absurdly small budget sheds PFGs at every barrier and
 still produces marginals bit-identical to the unbounded run, under
-every executor and both engines.
+both schedules and both engines.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.java.symbols import method_key, resolve_program
 
 SOURCES = [ITERATOR_API_SOURCE, FIGURE3_CLIENT]
 
-EXECUTORS = ["worklist", "serial", "process"]
+EXECUTORS = ["worklist", "serial"]
 ENGINES = ["compiled", "loopy"]
 
 
@@ -53,9 +53,7 @@ def unbounded_reference(executor, engine):
     if key not in _REFS:
         inference = AnekInference(
             fresh_program(),
-            settings=InferenceSettings(
-                executor=executor, engine=engine, jobs=2
-            ),
+            settings=InferenceSettings(executor=executor, engine=engine),
         )
         _REFS[key] = snap(inference.run())
     return _REFS[key]
@@ -72,7 +70,6 @@ class TestBudgetedRunsMatchUnbounded:
             settings=InferenceSettings(
                 executor=executor,
                 engine=engine,
-                jobs=2,
                 run_dir=str(tmp_path),
                 max_rss_mb=1,
             ),
@@ -82,12 +79,8 @@ class TestBudgetedRunsMatchUnbounded:
         assert inference.stats.sheds >= 1
         assert inference.stats.pfg_sheds >= 1
         # After a shed the store keeps membership but drops live graphs;
-        # later passes/levels must pull some of them back in.  The
-        # process executor is exempt: its workers were shipped their own
-        # PFG copies at pool creation, so the parent-side store is never
-        # read again after the first level.
-        if executor != "process":
-            assert inference.stats.pfg_rehydrations >= 1
+        # later passes/levels must pull some of them back in.
+        assert inference.stats.pfg_rehydrations >= 1
 
 
 class TestPFGStore:

@@ -72,7 +72,7 @@ class TestFailureReport:
     def test_recovered_only_is_not_degraded(self):
         report = FailureReport()
         report.record("solve", "A.m#0", RuntimeError("x"), "recovered")
-        report.record("worker", "chunk", RuntimeError("x"), "worker-restarted")
+        report.record("solve", "B.n#0", RuntimeError("x"), "recovered")
         assert report
         assert not report.has_degradation
         assert "all failures recovered" in report.summary_line()
@@ -152,6 +152,11 @@ class TestFaultPlan:
             FaultSpec(stage="nope", key="")
         with pytest.raises(ValueError):
             FaultSpec(stage="solve", key="", kind="explode")
+        for stage in ("worker", "worker-recover"):
+            with pytest.raises(ValueError):
+                FaultSpec(stage=stage, key="")
+        with pytest.raises(ValueError):
+            FaultSpec(stage="solve", key="", kind="kill")
 
     def test_no_plan_is_noop(self):
         assert maybe_fault("solve", "anything") is None
@@ -310,13 +315,20 @@ class Demo {
         for argv in (
             ["infer", demo_file, "--jobs", "0"],
             ["infer", demo_file, "--jobs", "-2"],
+            ["infer", demo_file, "--jobs", "2"],
             ["infer", demo_file, "--threshold", "0.4"],
             ["infer", demo_file, "--threshold", "1.0"],
             ["infer", demo_file, "--max-iters", "0"],
             ["infer", demo_file, "--solve-retries", "-1"],
             ["infer", demo_file, "--worker-timeout", "-5"],
+            ["infer", demo_file, "--worker-timeout", "1"],
+            ["infer", demo_file, "--worker-retries", "1"],
             ["infer", demo_file, "--executor", "thread"],
+            ["infer", demo_file, "--executor", "process"],
             ["infer", demo_file, "--shards", "2"],
+            ["client", "--connect", "/nonexistent.sock", "--jobs", "2",
+             demo_file],
+            ["table", "5", "--jobs", "2"],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli_main(argv, io.StringIO())

@@ -217,18 +217,16 @@ class TestPipelineQuarantine:
         )
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
     def test_graph_factor_budget_quarantines_method(self, executor, enabled):
-        # One quarantine rule for every executor: a budget breach is a
+        # One quarantine rule for both schedules: a budget breach is a
         # ``resource-limit`` quarantine whether or not the resilience
         # policy is on.
         policy = ResiliencePolicy(
             enabled=enabled, limits=ResourceLimits(max_graph_factors=5)
         )
         result = AnekPipeline(
-            settings=InferenceSettings(
-                policy=policy, executor=executor, jobs=2
-            ),
+            settings=InferenceSettings(policy=policy, executor=executor),
             cache=None,
         ).run_on_sources([ITERATOR_API_SOURCE, FIGURE3_CLIENT])
         records = [
@@ -244,11 +242,14 @@ class TestPipelineQuarantine:
             if record.disposition == "method-quarantined"
         ]
 
-    def test_worklist_visit_ceiling(self):
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
+    def test_worklist_visit_ceiling(self, executor):
         result = _run(
             [ITERATOR_API_SOURCE, FIGURE3_CLIENT],
             limits=ResourceLimits(max_worklist_visits=1),
+            executor=executor,
         )
+        assert result.inference_stats.solves == 1
         records = [
             record for record in result.failures if record.stage == "resource"
         ]
@@ -256,8 +257,9 @@ class TestPipelineQuarantine:
         assert records[0].disposition == "resource-limit"
         assert records[0].key == "worklist"
 
-    def test_worklist_ceiling_untripped_on_clean_run(self):
-        result = _run([ITERATOR_API_SOURCE, FIGURE3_CLIENT])
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
+    def test_worklist_ceiling_untripped_on_clean_run(self, executor):
+        result = _run([ITERATOR_API_SOURCE, FIGURE3_CLIENT], executor=executor)
         assert not [
             record for record in result.failures if record.stage == "resource"
         ]
@@ -281,14 +283,11 @@ class TestGovernanceBitIdentity:
             include_marginals=True
         ) == ungoverned.canonical_json(include_marginals=True)
 
-    @pytest.mark.parametrize("executor", ["worklist", "serial", "process"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
     def test_executors(self, executor):
-        governed = _run(self.SOURCES, executor=executor, jobs=2)
+        governed = _run(self.SOURCES, executor=executor)
         ungoverned = _run(
-            self.SOURCES,
-            limits=ResourceLimits.disabled(),
-            executor=executor,
-            jobs=2,
+            self.SOURCES, limits=ResourceLimits.disabled(), executor=executor
         )
         assert governed.canonical_json(
             include_marginals=True

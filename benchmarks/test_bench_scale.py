@@ -14,11 +14,10 @@ chains) and asserts:
   10x the methods may cost at most 13x the inference time, measured on
   a >= 30k-method corpus; quick mode (the
   default, and what the CI ``scale-smoke`` job runs) checks the growth
-  between a 1x and 2x corpus stays far below quadratic;
-* **bounded residency under ``--max-rss-mb``** — a budgeted run of the
-  large corpus sheds PFGs at barriers, stays below the unbounded run's
-  resident set (asserted in full mode), and still produces marginals
-  **bit-identical** to the unbounded run (asserted in both modes).
+  between a 1x and 2x corpus stays far below quadratic.
+
+Each point also records its solve count, a digest of its marginals and
+its resident set at the end of the run.
 
 Every measurement runs in a forked child process so corpus residency
 and timings never contaminate each other.  Results go to
@@ -29,7 +28,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -37,14 +35,13 @@ FULL = os.environ.get("REPRO_FULL_SCALE", "") == "1"
 
 SMALL_FACTOR = 1.001  # smallest factor on the scale-out path
 BIG_FACTOR = 10.0 if FULL else 2.0
-RSS_BUDGET_MB = 600 if FULL else 1
 MAX_LINEAR_SLOWDOWN = 1.3  # full mode: 10x methods <= 13x time
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_scale.json"
 
 
-def _child(conn, factor, budget_mb, run_dir):
+def _child(conn, factor):
     """One measured run: generate, parse, infer; report over the pipe."""
     from repro.core.infer import AnekInference, InferenceSettings
     from repro.corpus import CorpusSpec, generate_pmd_corpus
@@ -58,12 +55,7 @@ def _child(conn, factor, budget_mb, run_dir):
         [parse_compilation_unit(s) for s in bundle.all_sources()]
     )
     parse_seconds = time.perf_counter() - parse_start
-    settings = InferenceSettings(
-        executor="serial",
-        run_dir=run_dir,
-        max_rss_mb=budget_mb,
-        checkpoint_every=10 ** 6,  # shed snapshots only; no periodic I/O
-    )
+    settings = InferenceSettings(executor="serial")
     infer_start = time.perf_counter()
     inference = AnekInference(program, settings=settings)
     results = inference.run()
@@ -90,10 +82,6 @@ def _child(conn, factor, budget_mb, run_dir):
             "parse_seconds": parse_seconds,
             "infer_seconds": infer_seconds,
             "solves": stats.solves,
-            "sheds": stats.sheds,
-            "pfg_sheds": stats.pfg_sheds,
-            "pfg_rehydrations": stats.pfg_rehydrations,
-            "rss_peak_mb": stats.rss_peak_mb,
             "end_rss_mb": current_rss_mb(),
             "marginals_sha256": digest.hexdigest(),
         }
@@ -101,19 +89,14 @@ def _child(conn, factor, budget_mb, run_dir):
     conn.close()
 
 
-def _measure(factor, budget_mb=0):
+def _measure(factor):
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    with tempfile.TemporaryDirectory() as run_dir:
-        proc = ctx.Process(
-            target=_child,
-            args=(child_conn, factor, budget_mb,
-                  run_dir if budget_mb else None),
-        )
-        proc.start()
-        child_conn.close()
-        payload = parent_conn.recv()
-        proc.join()
+    proc = ctx.Process(target=_child, args=(child_conn, factor))
+    proc.start()
+    child_conn.close()
+    payload = parent_conn.recv()
+    proc.join()
     assert proc.exitcode == 0
     return payload
 
@@ -122,10 +105,9 @@ def test_bench_scale_out(benchmark):
     def run():
         small = _measure(SMALL_FACTOR)
         big = _measure(BIG_FACTOR)
-        budgeted = _measure(BIG_FACTOR, budget_mb=RSS_BUDGET_MB)
-        return small, big, budgeted
+        return small, big
 
-    small, big, budgeted = benchmark.pedantic(run, rounds=1, iterations=1)
+    small, big = benchmark.pedantic(run, rounds=1, iterations=1)
 
     size_ratio = big["methods"] / small["methods"]
     time_ratio = big["infer_seconds"] / max(small["infer_seconds"], 1e-9)
@@ -141,16 +123,8 @@ def test_bench_scale_out(benchmark):
             )
         )
     print(
-        "  size x%.2f -> time x%.2f   budgeted run: %d shed(s), %d PFG"
-        " shed(s), peak %.0f MiB (unbounded end RSS %.0f MiB)"
-        % (
-            size_ratio,
-            time_ratio,
-            budgeted["sheds"],
-            budgeted["pfg_sheds"],
-            budgeted["rss_peak_mb"],
-            big["end_rss_mb"],
-        )
+        "  size x%.2f -> time x%.2f   end RSS %.0f MiB"
+        % (size_ratio, time_ratio, big["end_rss_mb"])
     )
 
     # Near-linear scaling of the scheduler.
@@ -160,14 +134,6 @@ def test_bench_scale_out(benchmark):
     # In every mode the growth must stay far below quadratic (the old
     # test_bench_scaling floor).
     assert time_ratio < size_ratio ** 2
-
-    # RSS governance: the budgeted run sheds PFGs and reproduces the
-    # unbounded marginals bit for bit.
-    assert budgeted["sheds"] >= 1
-    assert budgeted["pfg_sheds"] >= 1
-    assert budgeted["marginals_sha256"] == big["marginals_sha256"]
-    if FULL:
-        assert budgeted["rss_peak_mb"] < big["end_rss_mb"]
 
     report = {
         "bench": "scale",
@@ -182,15 +148,5 @@ def test_bench_scale_out(benchmark):
             if FULL
             else round(size_ratio ** 2, 3)
         ),
-        "rss_governance": {
-            "budget_mb": RSS_BUDGET_MB,
-            "budgeted_peak_rss_mb": round(budgeted["rss_peak_mb"], 1),
-            "unbounded_end_rss_mb": round(big["end_rss_mb"], 1),
-            "sheds": budgeted["sheds"],
-            "pfg_sheds": budgeted["pfg_sheds"],
-            "pfg_rehydrations": budgeted["pfg_rehydrations"],
-            "budgeted_infer_seconds": round(budgeted["infer_seconds"], 2),
-            "bit_identical_to_unbounded": True,
-        },
     }
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")

@@ -16,8 +16,9 @@ cache in ``.anek-cache/`` (``--cache-dir`` to move it, ``--no-cache`` to
 disable, ``--cache-stats`` to print hit/miss counters).
 
 ``infer --run-dir DIR`` makes the run durable (journal + checkpoints);
-SIGTERM/SIGINT then stop it gracefully at the next checkpoint barrier
-and ``infer --resume DIR`` continues it bit-identically.
+SIGTERM/SIGINT, or an RSS reading over ``--max-rss-mb``, then stop it
+gracefully at the next checkpoint barrier and ``infer --resume DIR``
+continues it bit-identically.
 
 Exit codes: 0 = clean run; 1 = ``check`` found warnings; 2 = the run
 completed but quarantined/degraded some work (see ``--fail-report``);
@@ -46,9 +47,12 @@ EXIT_CRASHLOOP = 6
 from repro.cache import DEFAULT_CACHE_DIR
 from repro.core import AnekPipeline, InferenceSettings
 from repro.core.infer import EXECUTORS
+from repro.core.model import ENGINES
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import MethodRef, resolve_program
+from repro.plural.checker import CHECK_TIERS
+from repro.serve.protocol import OPS
 
 
 def _read_sources(paths, include_api):
@@ -131,6 +135,13 @@ def cmd_infer(args, out):
     )
 
     run_dir = args.resume or args.run_dir
+    if args.max_rss_mb and not run_dir:
+        print(
+            "repro infer: error: --max-rss-mb requires --run-dir or "
+            "--resume (the budget stops the run at a checkpoint)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     settings = InferenceSettings(
         threshold=args.threshold,
         max_worklist_iters=args.max_iters,
@@ -179,19 +190,8 @@ def cmd_infer(args, out):
         print(cache.stats.describe(), file=out)
     if args.cache_stats and result.inference_stats is not None:
         stats = result.inference_stats
-        print("", file=out)
-        print(
-            "memory: %d shed(s), %d pfg shed(s), %d pfg rehydration(s), "
-            "peak rss %.0f MiB"
-            % (
-                stats.sheds,
-                stats.pfg_sheds,
-                stats.pfg_rehydrations,
-                stats.rss_peak_mb,
-            ),
-            file=out,
-        )
         if stats.check_tier:
+            print("", file=out)
             print(
                 "check: tier=%s %.3f s (tier1 %d method(s)/%d site(s) "
                 "%.3f s, tier2 %d method(s)/%d site(s) %.3f s)"
@@ -836,11 +836,11 @@ def build_parser():
                             "worklist (default) or the level-synchronous "
                             "serial schedule")
     infer.add_argument("--engine", default="compiled",
-                       choices=("loopy", "compiled"),
+                       choices=ENGINES,
                        help="BP engine: the compiled flat-array kernel "
                             "(default) or the per-message loopy reference")
     infer.add_argument("--check-tier", default="auto",
-                       choices=("full", "bitvector", "auto"),
+                       choices=CHECK_TIERS,
                        help="checker dispatch for the final PLURAL pass: "
                             "bit-vector fast path with residue routing "
                             "(auto, default) or the full checker (full); "
@@ -883,8 +883,10 @@ def build_parser():
                             "(default: %(default)s = every barrier)")
     infer.add_argument("--max-rss-mb", metavar="MB",
                        type=_nonnegative_count("--max-rss-mb"), default=0,
-                       help="soft RSS budget: checkpoint, then shed cached "
-                            "models when exceeded (0 = no budget)")
+                       help="soft RSS budget read at each checkpoint "
+                            "barrier: over it, checkpoint, then exit 5 "
+                            "(resume with --resume); needs --run-dir "
+                            "(0 = no budget)")
     _add_governance_flags(infer)
     infer.set_defaults(run=cmd_infer)
 
@@ -969,9 +971,7 @@ def build_parser():
     client = sub.add_parser(
         "client", help="send one request to a running repro serve daemon"
     )
-    client.add_argument("op",
-                        choices=("infer", "check", "ping", "health",
-                                 "stats", "shutdown"))
+    client.add_argument("op", choices=OPS)
     client.add_argument("files", nargs="*")
     client.add_argument("--connect", metavar="ADDRESS", required=True,
                         help="daemon address: a Unix socket path or "
@@ -981,7 +981,7 @@ def build_parser():
     client.add_argument("--threshold", type=_threshold, default=0.5)
     client.add_argument("--max-iters", type=_max_iters, default=0)
     client.add_argument("--engine", default="compiled",
-                        choices=("loopy", "compiled"))
+                        choices=ENGINES)
     client.add_argument("--executor", default="worklist", choices=EXECUTORS)
     client.add_argument("--no-cache", dest="use_cache", action="store_false",
                         help="ask the daemon to bypass the persistent cache")
@@ -1004,7 +1004,7 @@ def build_parser():
                         help="overall budget for one call across all "
                             "retries (0 = none)")
     client.add_argument("--check-tier", default="auto",
-                        choices=("full", "bitvector", "auto"),
+                        choices=CHECK_TIERS,
                         help="checker dispatch for the served check/infer")
     client.add_argument("--marginals", action="store_true",
                         help="include raw boundary marginals in the result")
@@ -1016,7 +1016,7 @@ def build_parser():
     check.add_argument("files", nargs="+")
     check.add_argument("--no-api", dest="api", action="store_false")
     check.add_argument("--check-tier", default="auto",
-                       choices=("full", "bitvector", "auto"),
+                       choices=CHECK_TIERS,
                        help="checker dispatch: the bit-vector fast path "
                             "with full-checker residue routing (auto, "
                             "default), tier 1 required (bitvector), or "

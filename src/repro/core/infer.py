@@ -36,7 +36,6 @@ from repro.analysis.callgraph import (
 from repro.core.heuristics import HeuristicConfig
 from repro.core.model import ENGINES, ModelCache
 from repro.core.pfg_builder import build_pfg
-from repro.core.pfgstore import PFGStore
 from repro.core.priors import SpecEnvironment
 from repro.core.summaries import (
     SummaryStore,
@@ -116,8 +115,10 @@ class InferenceSettings:
     #: Checkpoint barriers between compacted snapshots (1 = every
     #: barrier; higher trades resume granularity for snapshot I/O).
     checkpoint_every: int = 1
-    #: Soft RSS budget in MiB: exceeded → checkpoint, then shed the
-    #: in-memory model cache (0 = no budget).
+    #: Soft RSS budget in MiB, read at each checkpoint barrier: a reading
+    #: over it checkpoints, then stops the run with ``RunInterrupted``
+    #: (CLI exit 5), resumable from ``run_dir``.  Needs a ``run_dir``
+    #: (0 = no budget).
     max_rss_mb: int = 0
 
     def effective_policy(self):
@@ -151,6 +152,8 @@ class InferenceSettings:
             )
         if self.resume and not self.run_dir:
             raise ValueError("resume requires a run_dir")
+        if self.max_rss_mb and not self.run_dir:
+            raise ValueError("max_rss_mb requires a run_dir")
 
     def resolved_max_iters(self, method_count):
         if self.max_worklist_iters > 0:
@@ -222,19 +225,11 @@ class InferenceStats:
     degraded: int = 0
     #: Durable-run bookkeeping: compacted snapshots written; True when
     #: the run continued from an earlier run directory; True when a
-    #: graceful shutdown stopped it at a checkpoint barrier.
+    #: graceful shutdown or the RSS budget stopped it at a checkpoint
+    #: barrier.
     checkpoints: int = 0
     resumed: bool = False
     interrupted: bool = False
-    #: Soft-memory governance: model-cache sheds and the peak RSS (MiB)
-    #: observed at barriers (0.0 when no budget was set).
-    sheds: int = 0
-    rss_peak_mb: float = 0.0
-    #: PFG streaming under the RSS budget: shed events that evicted live
-    #: PFGs, and PFGs lazily re-hydrated (from the persistent cache or a
-    #: deterministic rebuild) after an eviction.
-    pfg_sheds: int = 0
-    pfg_rehydrations: int = 0
     #: Journal/snapshot writes that failed (ENOSPC etc.) and degraded
     #: the run to no-persist.
     persist_errors: int = 0
@@ -294,9 +289,8 @@ class AnekInference:
             if cache is not None
             else None
         )
-        #: Streaming PFG map: dict-like, but evictable under the RSS
-        #: budget with transparent re-hydration (see core/pfgstore.py).
-        self.pfgs = PFGStore(program, cache=self.cache, stats=self.stats)
+        #: {method_ref: PFG} of the methods inference still covers.
+        self.pfgs = {}
         self.models = ModelCache(
             program,
             self.config,
@@ -721,8 +715,7 @@ class AnekInference:
     def _solve_level(self, targets, results):
         """Visit every target against the summaries as they stood when the
         level began, then merge the visits in order; returns the methods
-        to revisit.  The visits (and the models they hold) die on return,
-        before the level's barrier can shed the model cache."""
+        to revisit."""
         visits = [(ref, self._visit(ref)) for ref in targets]
         revisit = set()
         for ref, visit in visits:

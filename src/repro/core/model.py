@@ -575,21 +575,6 @@ class ModelCache:
         #: Stable method-key memo for fault sites and failure records.
         self._site_keys = {}
 
-    def entry_count(self):
-        return len(self._entries)
-
-    def shed(self):
-        """Drop every cached model (soft-memory governance).
-
-        Subsequent visits rebuild from scratch; PR 2's guarantee that a
-        rebuild is bit-identical to a refresh means shedding can never
-        change results — only how much build work is repeated.  Returns
-        the number of entries released.
-        """
-        count = len(self._entries)
-        self._entries.clear()
-        return count
-
     def site_key(self, method_ref):
         from repro.java.symbols import method_key
 

@@ -315,13 +315,6 @@ class AnekPipeline:
             detail += ", resumed"
         if stats.checkpoints:
             detail += ", %d checkpoint(s)" % stats.checkpoints
-        if stats.sheds:
-            detail += ", %d memory shed(s)" % stats.sheds
-        if stats.pfg_sheds or stats.pfg_rehydrations:
-            detail += ", pfg[%d shed(s), %d rehydration(s)]" % (
-                stats.pfg_sheds,
-                stats.pfg_rehydrations,
-            )
         result.stages.append(
             StageTrace("anek-infer", time.perf_counter() - start, detail)
         )

@@ -23,7 +23,8 @@ corner of the corpus instead of aborting the run:
   compacted snapshots make a run crash-consistent (``--run-dir``), so a
   ``SIGKILL``/OOM of the whole orchestrator resumes (``--resume``)
   bit-identically; also home to graceful SIGTERM/SIGINT shutdown and
-  the soft-RSS checkpoint-then-shed governor.
+  the soft RSS budget, both of which checkpoint and stop the run with
+  the resumable exit code 5.
 """
 
 from repro.resilience.checkpoint import (

@@ -32,12 +32,12 @@ The run layer also owns two operational policies:
   and raises :class:`RunInterrupted`, which the CLI maps to the
   resumable exit code.  A second signal aborts immediately.
 * **resource governance** — a soft RSS budget
-  (``InferenceSettings.max_rss_mb``) polled at barriers; when exceeded,
-  the manager checkpoints first, then sheds the in-memory model cache
-  *and* the live PFGs (both rebuild/re-hydrate bit-identically, so
-  results are unaffected).  ``ENOSPC``
-  or any other ``OSError`` from the journal/snapshot path disables
-  persistence for the rest of the run instead of crashing it.
+  (``InferenceSettings.max_rss_mb``, which needs a run directory) read
+  at barriers; a reading over it stops the run exactly like a shutdown
+  signal: checkpoint, then :class:`RunInterrupted` (exit 5), so no unit
+  of work starts after a barrier that found the process over budget.
+  ``ENOSPC`` or any other ``OSError`` from the journal/snapshot path
+  disables persistence for the rest of the run instead of crashing it.
 """
 
 import json
@@ -71,7 +71,8 @@ KEEP_SNAPSHOTS = 2
 
 
 class RunInterrupted(Exception):
-    """A graceful shutdown stopped the run at a checkpoint barrier.
+    """A graceful shutdown or the RSS budget stopped the run at a
+    checkpoint barrier.
 
     Carries the run directory (to print the resume command) and the
     failure ledger as it stood at the interrupt.
@@ -504,69 +505,47 @@ class CheckpointManager:
         ``state_fn`` is a zero-argument callable producing the
         :meth:`encode`\\ d state — invoked only when a snapshot is
         actually due, so barriers that merely journal stay cheap.  In
-        order: the chaos fault site, the journal record, RSS governance
-        (checkpoint *then* shed), the shutdown check (final snapshot +
-        :class:`RunInterrupted`), and the periodic snapshot cadence.
+        order: the chaos fault site, the journal record, the stop check
+        (RSS over ``max_rss_mb``, or a shutdown request: final snapshot
+        + :class:`RunInterrupted`), and the periodic snapshot cadence.
         """
         self.barrier_index += 1
         maybe_fault("checkpoint", tag)
         self._append("barrier", {"index": self.barrier_index, "tag": tag})
-        inference = self.inference
-        stats = inference.stats
         budget = self.settings.max_rss_mb
-        if budget:
-            rss = current_rss_mb()
-            stats.rss_peak_mb = max(stats.rss_peak_mb, rss)
-            pfg_live = getattr(inference.pfgs, "live_count", lambda: 0)()
-            if rss > budget and (
-                inference.models.entry_count() or pfg_live
-            ):
-                self._snapshot(state_fn(), reason="memory")
-                shed = inference.models.shed()
-                # Models alone rarely cover a deep deficit: the PFGs are
-                # the other resident analysis artifact, and the store
-                # re-hydrates them on demand (cache hit or deterministic
-                # rebuild), so evicting them is equally result-neutral.
-                pfg_shed = inference.pfgs.shed() if pfg_live else 0
-                stats.sheds += 1
-                if pfg_shed:
-                    stats.pfg_sheds += 1
-                self._append(
-                    "shed",
-                    {"rss_mb": rss, "entries": shed, "pfgs": pfg_shed},
-                )
-                inference.failures.add(
-                    FailureRecord(
-                        stage="resource",
-                        key=tag,
-                        error="SoftMemoryBudget",
-                        message="RSS %.0f MiB over the %d MiB budget; "
-                        "checkpointed, then shed %d cached model(s) and "
-                        "%d PFG(s) (rebuilds are bit-identical)"
-                        % (rss, budget, shed, pfg_shed),
-                        disposition="memory-shed",
-                    )
-                )
+        rss = current_rss_mb() if budget else 0.0
+        if budget and rss > budget:
+            self._stop(tag, state_fn, "resource", "SoftMemoryBudget",
+                       "RSS %.0f MiB over the %d MiB budget" % (rss, budget),
+                       reason="memory")
         if shutdown_requested():
-            # Record the interrupt *before* snapshotting so the ledger
-            # entry survives into the resumed run (ledger contiguity).
-            stats.interrupted = True
-            inference.failures.interrupted = True
-            inference.failures.add(
-                FailureRecord(
-                    stage="checkpoint",
-                    key=tag,
-                    error="Interrupted",
-                    message="graceful shutdown: resumable checkpoint "
-                    "written to %s" % self.run_dir,
-                    disposition="run-interrupted",
-                )
-            )
-            self._snapshot(state_fn(), reason="interrupt")
-            self._append("interrupt", {"tag": tag})
-            raise RunInterrupted(self.run_dir, inference.failures)
+            self._stop(tag, state_fn, "checkpoint", "Interrupted",
+                       "graceful shutdown", reason="interrupt")
         if self.barrier_index % max(self.settings.checkpoint_every, 1) == 0:
             self._snapshot(state_fn(), reason="periodic")
+
+    def _stop(self, tag, state_fn, stage, error, why, reason):
+        """Stop the run at this barrier: ledger a ``run-interrupted``
+        record, write a snapshot journaled with ``reason``, and raise
+        :class:`RunInterrupted`."""
+        inference = self.inference
+        # Record the interrupt *before* snapshotting so the ledger entry
+        # survives into the resumed run (ledger contiguity).
+        inference.stats.interrupted = True
+        inference.failures.interrupted = True
+        inference.failures.add(
+            FailureRecord(
+                stage=stage,
+                key=tag,
+                error=error,
+                message="%s: resumable checkpoint written to %s"
+                % (why, self.run_dir),
+                disposition="run-interrupted",
+            )
+        )
+        self._snapshot(state_fn(), reason=reason)
+        self._append("interrupt", {"tag": tag})
+        raise RunInterrupted(self.run_dir, inference.failures)
 
     def finalize(self, state_fn):
         """Write the run's complete terminal state.

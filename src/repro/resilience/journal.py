@@ -2,7 +2,7 @@
 
 The journal is the durable spine of a checkpointed ANEK-INFER run: every
 run-layer event (run begin, checkpoint barrier, snapshot reference,
-memory shed, graceful interrupt, finalization) is one *record* appended
+interrupt, finalization) is one *record* appended
 to a single file and fsync'd before the run proceeds.  The format is
 built so that a ``SIGKILL`` at **any byte** leaves a readable valid
 prefix:

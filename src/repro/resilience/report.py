@@ -41,11 +41,9 @@ DISPOSITIONS = (
     #: A downstream stage (applier/checker) was skipped for this run.
     "stage-skipped",
     #: The run drained in-flight work, wrote a final checkpoint, and
-    #: stopped on SIGTERM/SIGINT — resumable, not a result defect.
+    #: stopped on SIGTERM/SIGINT or over its RSS budget — resumable, not
+    #: a result defect.
     "run-interrupted",
-    #: The soft memory budget was hit: a checkpoint was forced and the
-    #: in-memory model cache shed (rebuilds are bit-identical).
-    "memory-shed",
     #: The journal/snapshot (or cache) store hit ENOSPC or another
     #: OSError; the run continues without persistence.
     "persistence-disabled",

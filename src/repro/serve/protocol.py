@@ -20,6 +20,7 @@ import struct
 
 from repro.core.model import ENGINES
 from repro.core.infer import EXECUTORS
+from repro.plural.checker import CHECK_TIERS
 
 #: Per-frame magic: catches non-protocol bytes before a length is trusted.
 MAGIC = b"ANK1"
@@ -219,9 +220,6 @@ REQUEST_DEFAULTS = {
     #: completed response bit-identically instead of re-executing.
     "idem": "",
 }
-
-#: Checker dispatch tiers (mirrors the CLI's ``--check-tier``).
-CHECK_TIERS = ("full", "bitvector", "auto")
 
 
 def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):

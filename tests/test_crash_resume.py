@@ -15,11 +15,14 @@ The durable-run tentpole's contract, locked in end to end:
 * SIGTERM/SIGINT drain the in-flight unit of work, write a final
   checkpoint, and exit with the resumable code 5;
 * ``ENOSPC`` on the run directory degrades to a no-persist run (counted,
-  reported, not fatal), and a soft RSS budget sheds the model cache
-  without perturbing results.
+  reported, not fatal);
+* a soft RSS budget stops the run at a checkpoint exactly like SIGTERM
+  (exit 5), and resuming until the run completes reproduces the
+  unbudgeted marginals bit-identically.
 """
 
 import errno
+import itertools
 import json
 import os
 import shutil
@@ -455,6 +458,9 @@ class TestResumeValidation:
             InferenceSettings(max_rss_mb=-1)
         with pytest.raises(ValueError):
             InferenceSettings(resume=True)  # resume requires run_dir
+        with pytest.raises(ValueError, match="max_rss_mb requires a run_dir"):
+            InferenceSettings(max_rss_mb=1)
+        InferenceSettings(max_rss_mb=1, run_dir="runs/n1")
 
     def test_resume_missing_directory(self, tmp_path):
         inference = AnekInference(
@@ -516,33 +522,70 @@ class TestResumeValidation:
 # ---------------------------------------------------------------------------
 
 
-class TestResourceGovernance:
-    def test_rss_budget_sheds_models_bit_identically(self, tmp_path):
-        """An absurdly small budget forces a shed at every barrier; model
-        rebuilds are bit-identical, so results are unaffected."""
+class TestMemoryBudget:
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
+    def test_stop_and_resume_loop_is_bit_identical(self, tmp_path,
+                                                   executor):
+        """Every barrier finds the process over a 1 MiB budget, so each
+        run stops after one unit of work; resuming under the same budget
+        takes one resume per barrier of an unbudgeted run and ends with
+        its marginals."""
+        reference_dir = str(tmp_path / "unbudgeted")
+        unbudgeted = AnekInference(
+            fresh_program(),
+            settings=make_settings(executor, run_dir=reference_dir),
+        )
+        reference = snap(unbudgeted.run())
+        assert reference == clean_snap(executor)
+        records, _, _ = read_journal(
+            os.path.join(reference_dir, JOURNAL_NAME)
+        )
+        barriers = [kind for kind, _ in records].count("barrier")
+        assert barriers > 1
+
+        run_dir = str(tmp_path / "budgeted")
         inference = AnekInference(
             fresh_program(),
-            settings=make_settings(run_dir=str(tmp_path), max_rss_mb=1),
+            settings=make_settings(executor, run_dir=run_dir, max_rss_mb=1),
         )
-        results = snap(inference.run())
-        assert results == clean_snap()
-        assert inference.stats.sheds >= 1
-        assert inference.stats.rss_peak_mb > 0
-        shed_records = [
-            r
-            for r in inference.failures
-            if r.disposition == "memory-shed"
-        ]
-        assert shed_records
-        assert shed_records[0].stage == "resource"
-        assert not inference.failures.has_degradation
+        with pytest.raises(RunInterrupted) as excinfo:
+            inference.run()
+        assert excinfo.value.run_dir == run_dir
+        assert inference.stats.interrupted
+        (record,) = inference.failures
+        assert (record.stage, record.error, record.disposition) == (
+            "resource",
+            "SoftMemoryBudget",
+            "run-interrupted",
+        )
+        assert "over the 1 MiB budget" in record.message
+        records, _, _ = read_journal(os.path.join(run_dir, JOURNAL_NAME))
+        kinds = [kind for kind, _ in records]
+        assert kinds.count("barrier") == 1
+        assert [
+            data["reason"] for kind, data in records if kind == "snapshot"
+        ] == ["memory"]
+        assert kinds[-1] == "interrupt"
 
-    def test_no_budget_never_sheds(self, tmp_path):
-        inference = AnekInference(
-            fresh_program(), settings=make_settings(run_dir=str(tmp_path))
+        for resumes in itertools.count(1):
+            assert resumes <= barriers, "the budget never let the run end"
+            resumed = AnekInference(
+                fresh_program(),
+                settings=make_settings(
+                    executor, run_dir=run_dir, resume=True, max_rss_mb=1
+                ),
+            )
+            try:
+                results = snap(resumed.run())
+            except RunInterrupted:
+                continue
+            break
+        assert resumes == barriers
+        assert results == reference
+        assert [r.error for r in resumed.failures] == (
+            ["SoftMemoryBudget"] * barriers
         )
-        inference.run()
-        assert inference.stats.sheds == 0
+        assert not resumed.failures.has_degradation
 
 
 class TestPersistenceDegradation:
@@ -760,6 +803,21 @@ class TestCliSigkillChaos:
         )
         assert completed.returncode == 3
         assert "not a run directory" in completed.stderr
+
+
+class TestCliMemoryBudget:
+    def test_budget_exits_five_and_resumes_without_it(self, tmp_path):
+        files = _write_corpus(tmp_path)
+        run_dir = str(tmp_path / "run")
+        stopped = _run_cli(["--run-dir", run_dir, "--max-rss-mb", "1"] + files)
+        assert stopped.returncode == 5, (stopped.stdout, stopped.stderr)
+        assert "interrupted: resumable checkpoint" in stopped.stdout
+        assert "--resume %s" % run_dir in stopped.stdout
+        assert "SoftMemoryBudget" in stopped.stdout
+        resumed = _run_cli(["--resume", run_dir] + files)
+        assert resumed.returncode == 0, (resumed.stdout, resumed.stderr)
+        assert ", resumed" in resumed.stdout
+        assert _spec_section(resumed.stdout) == _cli_reference(files)
 
 
 class TestCliSigterm:

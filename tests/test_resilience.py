@@ -334,6 +334,18 @@ class Demo {
                 cli_main(argv, io.StringIO())
             assert exc.value.code == 3
 
+    def test_rss_budget_without_run_dir_is_usage_error(
+        self, demo_file, capsys
+    ):
+        code = cli_main(
+            ["infer", demo_file, "--no-cache", "--max-rss-mb", "1"],
+            io.StringIO(),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "--max-rss-mb requires --run-dir" in err
+        assert "fatal" not in err
+
     def test_fatal_error_exits_four(self, capsys):
         code = cli_main(
             ["infer", "/nonexistent/Missing.java", "--no-cache"],

@@ -22,7 +22,13 @@ from pathlib import Path
 
 from repro.core.extract import count_nonempty
 from repro.core.heuristics import HeuristicConfig
-from repro.core.infer import AnekInference, InferenceSettings
+from repro.core.infer import (
+    BP_DAMPING,
+    BP_ITERS,
+    BP_TOLERANCE,
+    AnekInference,
+    InferenceSettings,
+)
 from repro.core.model import MethodModel
 from repro.core.pfg_builder import build_pfg
 from repro.core.priors import SpecEnvironment
@@ -70,7 +76,7 @@ def _method_graphs(program):
 
 def _bench_kernel(program):
     graphs = _method_graphs(program)
-    bp = dict(max_iters=30, damping=0.2, tolerance=1e-4)
+    bp = dict(max_iters=BP_ITERS, damping=BP_DAMPING, tolerance=BP_TOLERANCE)
 
     start = time.perf_counter()
     loopy = [run_sum_product(graph, **bp) for graph in graphs]

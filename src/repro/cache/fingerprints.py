@@ -24,6 +24,12 @@ and the heuristic/inference configuration digest.
 import hashlib
 from dataclasses import fields as dataclass_fields
 
+from repro.core.infer import (
+    BP_DAMPING,
+    BP_ITERS,
+    BP_TOLERANCE,
+    SUMMARY_CHANGE_THRESHOLD,
+)
 from repro.java.pretty import (
     pretty_print,
     pretty_print_field,
@@ -193,7 +199,7 @@ def method_digest(method_ref):
 
 
 def config_digest(config, settings):
-    """Digest of every heuristic/inference knob that shapes a solve.
+    """Digest of every heuristic/inference knob that shapes the marginals.
 
     Returns ``None`` — *uncacheable* — when the config carries custom
     heuristics: their selector/predicate callables have no canonical
@@ -206,18 +212,18 @@ def config_digest(config, settings):
         if f.name == "custom":
             continue
         config_items.append((f.name, getattr(config, f.name)))
-    # The executor is deliberately excluded: both schedules funnel each
+    # Deliberately excluded: the executor (both schedules funnel each
     # solve through the same visit step on the same inputs, so a
-    # per-visit artifact is schedule-independent.  (The schedule *kind*
-    # distinguishes final-result entries separately.)
+    # per-visit artifact is schedule-independent; the schedule *kind*
+    # distinguishes final-result entries separately), the engine (the
+    # two give bit-identical marginals) and the threshold (read only by
+    # extraction, after the run).
     settings_items = (
         ("max_worklist_iters", settings.max_worklist_iters),
-        ("bp_iters", settings.bp_iters),
-        ("bp_damping", settings.bp_damping),
-        ("bp_tolerance", settings.bp_tolerance),
-        ("threshold", settings.threshold),
-        ("summary_change_threshold", settings.summary_change_threshold),
-        ("engine", settings.engine),
+        ("BP_ITERS", BP_ITERS),
+        ("BP_DAMPING", BP_DAMPING),
+        ("BP_TOLERANCE", BP_TOLERANCE),
+        ("SUMMARY_CHANGE_THRESHOLD", SUMMARY_CHANGE_THRESHOLD),
         ("reuse_models", settings.reuse_models),
     )
     return digest(("config", tuple(config_items), settings_items))

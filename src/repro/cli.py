@@ -47,11 +47,9 @@ EXIT_CRASHLOOP = 6
 from repro.cache import DEFAULT_CACHE_DIR
 from repro.core import AnekPipeline, InferenceSettings
 from repro.core.infer import EXECUTORS
-from repro.core.model import ENGINES
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import MethodRef, resolve_program
-from repro.plural.checker import CHECK_TIERS
 from repro.serve.protocol import OPS
 
 
@@ -135,22 +133,25 @@ def cmd_infer(args, out):
     )
 
     run_dir = args.resume or args.run_dir
-    if args.max_rss_mb and not run_dir:
-        print(
-            "repro infer: error: --max-rss-mb requires --run-dir or "
-            "--resume (the budget stops the run at a checkpoint)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    for flag, value in (
+        ("--max-rss-mb", args.max_rss_mb),
+        ("--checkpoint-every", args.checkpoint_every),
+    ):
+        if value and not run_dir:
+            print(
+                "repro infer: error: %s requires --run-dir or --resume"
+                % flag,
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     settings = InferenceSettings(
         threshold=args.threshold,
         max_worklist_iters=args.max_iters,
         executor=args.executor,
-        engine=args.engine,
         policy=_build_policy(args),
         run_dir=run_dir,
         resume=args.resume is not None,
-        checkpoint_every=args.checkpoint_every,
+        checkpoint_every=args.checkpoint_every or 1,
         max_rss_mb=args.max_rss_mb,
     )
     cache = None
@@ -158,9 +159,7 @@ def cmd_infer(args, out):
         from repro.cache import AnalysisCache
 
         cache = AnalysisCache(cache_dir=args.cache_dir)
-    pipeline = AnekPipeline(
-        settings=settings, cache=cache, check_tier=args.check_tier
-    )
+    pipeline = AnekPipeline(settings=settings, cache=cache)
     # SIGTERM/SIGINT drain-and-checkpoint only makes sense with a run
     # directory to checkpoint into; without one, default handling stays.
     shutdown = graceful_shutdown() if run_dir else nullcontext()
@@ -344,14 +343,12 @@ def cmd_client(args, out):
         request["sources"] = _read_sources(args.files, False)
         request["api"] = args.api
         request["no_cache"] = not args.use_cache
-        request["check_tier"] = args.check_tier
         if args.deadline:
             request["deadline"] = args.deadline
         if args.op == "infer":
             request.update(
                 threshold=args.threshold,
                 max_iters=args.max_iters,
-                engine=args.engine,
                 executor=args.executor,
                 include_marginals=args.marginals,
             )
@@ -371,7 +368,7 @@ def cmd_client(args, out):
         print(json.dumps(response, sort_keys=True, indent=2), file=out)
     elif status in ("ok", "degraded") and args.op == "infer":
         _print_served_infer(response, out)
-    elif status == "ok" and args.op == "check":
+    elif status in ("ok", "degraded") and args.op == "check":
         result = response["result"]
         for warning in result["warnings"]:
             print(warning, file=out)
@@ -471,11 +468,7 @@ def cmd_check(args, out):
         if error is not None:
             print("repro check: error: %s" % error, file=sys.stderr)
             return EXIT_USAGE
-    try:
-        run = run_check(program, tier=args.check_tier)
-    except RuntimeError as exc:
-        print("repro check: error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    run = run_check(program)
     for warning in run.warnings:
         print(warning.format(), file=out)
     print("%d warning(s)" % len(run.warnings), file=out)
@@ -696,31 +689,24 @@ def cmd_fuzz(args, out):
     return EXIT_OK if result.ok else EXIT_FINDINGS
 
 
-def _threshold(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a float, got %r" % text)
-    if not 0.5 <= value < 1.0:
-        raise argparse.ArgumentTypeError(
-            "--threshold must be in [0.5, 1), got %s" % text
-        )
-    return value
+def _setting(name, parse):
+    """An argparse type for the :class:`InferenceSettings` field ``name``:
+    ``parse`` the text, then let the settings check it, so the CLI rejects
+    exactly what serve's ``normalize_request`` rejects, with the same
+    message.  Text ``parse`` refuses reaches the settings' type check."""
 
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text
+        try:
+            InferenceSettings(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
 
-def _max_iters(text):
-    """Explicit ``--max-iters`` must be >= 1; the unset default stays the
-    sentinel 0 (= 3 passes over all methods)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "--max-iters must be >= 1 (omit the flag for the default "
-            "3-pass budget)"
-        )
-    return value
+    return convert
 
 
 def _nonnegative_seconds(flag):
@@ -801,6 +787,10 @@ def _add_governance_flags(command):
                              help="cap on %s (0 = unlimited)" % what)
 
 
+#: ``--executor``'s usage text, as argparse prints a ``choices`` list.
+EXECUTOR_CHOICES = "{%s}" % ",".join(EXECUTORS)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with the repo's exit-code convention: usage errors exit
     with :data:`EXIT_USAGE` instead of argparse's default 2 (which here
@@ -827,24 +817,18 @@ def build_parser():
     infer.add_argument("files", nargs="+")
     infer.add_argument("--no-api", dest="api", action="store_false",
                        help="do not prepend the annotated Iterator API")
-    infer.add_argument("--threshold", type=_threshold, default=0.5,
+    infer.add_argument("--threshold", type=_setting("threshold", float),
+                       default=0.5,
                        help="extraction threshold t in [0.5, 1)")
-    infer.add_argument("--max-iters", type=_max_iters, default=0,
-                       help="worklist iteration cap (default: 3 passes)")
-    infer.add_argument("--executor", default="worklist", choices=EXECUTORS,
+    infer.add_argument("--max-iters",
+                       type=_setting("max_worklist_iters", int), default=0,
+                       help="worklist iteration cap (default: 0 = 3 passes)")
+    infer.add_argument("--executor", default="worklist",
+                       type=_setting("executor", str),
+                       metavar=EXECUTOR_CHOICES,
                        help="inference schedule: the paper's sequential "
                             "worklist (default) or the level-synchronous "
                             "serial schedule")
-    infer.add_argument("--engine", default="compiled",
-                       choices=ENGINES,
-                       help="BP engine: the compiled flat-array kernel "
-                            "(default) or the per-message loopy reference")
-    infer.add_argument("--check-tier", default="auto",
-                       choices=CHECK_TIERS,
-                       help="checker dispatch for the final PLURAL pass: "
-                            "bit-vector fast path with residue routing "
-                            "(auto, default) or the full checker (full); "
-                            "warnings are bit-identical across tiers")
     infer.add_argument("--emit-source", action="store_true",
                        help="print the annotated sources")
     infer.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -878,9 +862,10 @@ def build_parser():
                             "directory (same sources and flags required; "
                             "implies --run-dir DIR)")
     infer.add_argument("--checkpoint-every", metavar="N",
-                       type=_positive_count("--checkpoint-every"), default=1,
+                       type=_positive_count("--checkpoint-every"),
+                       default=None,
                        help="checkpoint barriers between compacted snapshots "
-                            "(default: %(default)s = every barrier)")
+                            "(default: 1 = every barrier); needs --run-dir")
     infer.add_argument("--max-rss-mb", metavar="MB",
                        type=_nonnegative_count("--max-rss-mb"), default=0,
                        help="soft RSS budget read at each checkpoint "
@@ -978,11 +963,13 @@ def build_parser():
                              "tcp:HOST:PORT (as printed by repro serve)")
     client.add_argument("--no-api", dest="api", action="store_false",
                         help="do not prepend the annotated Iterator API")
-    client.add_argument("--threshold", type=_threshold, default=0.5)
-    client.add_argument("--max-iters", type=_max_iters, default=0)
-    client.add_argument("--engine", default="compiled",
-                        choices=ENGINES)
-    client.add_argument("--executor", default="worklist", choices=EXECUTORS)
+    client.add_argument("--threshold", type=_setting("threshold", float),
+                        default=0.5)
+    client.add_argument("--max-iters",
+                        type=_setting("max_worklist_iters", int), default=0)
+    client.add_argument("--executor", default="worklist",
+                        type=_setting("executor", str),
+                        metavar=EXECUTOR_CHOICES)
     client.add_argument("--no-cache", dest="use_cache", action="store_false",
                         help="ask the daemon to bypass the persistent cache")
     client.add_argument("--deadline", metavar="SECONDS",
@@ -1003,9 +990,6 @@ def build_parser():
                         default=0.0,
                         help="overall budget for one call across all "
                             "retries (0 = none)")
-    client.add_argument("--check-tier", default="auto",
-                        choices=CHECK_TIERS,
-                        help="checker dispatch for the served check/infer")
     client.add_argument("--marginals", action="store_true",
                         help="include raw boundary marginals in the result")
     client.add_argument("--json", action="store_true",
@@ -1015,22 +999,15 @@ def build_parser():
     check = sub.add_parser("check", help="run the PLURAL checker")
     check.add_argument("files", nargs="+")
     check.add_argument("--no-api", dest="api", action="store_false")
-    check.add_argument("--check-tier", default="auto",
-                       choices=CHECK_TIERS,
-                       help="checker dispatch: the bit-vector fast path "
-                            "with full-checker residue routing (auto, "
-                            "default), tier 1 required (bitvector), or "
-                            "the full checker only (full); warnings are "
-                            "bit-identical across tiers")
     check.add_argument("--run-dir", metavar="DIR", default=None,
                        help="reuse a completed 'infer --run-dir DIR' run: "
                             "re-extract its inferred specs from the final "
                             "snapshot and check them without re-running "
                             "inference (sources must match that run)")
-    check.add_argument("--threshold", type=_threshold, default=0.5,
+    check.add_argument("--threshold", type=_setting("threshold", float),
+                       default=0.5,
                        help="extraction threshold for --run-dir spec "
-                            "re-extraction; must match the infer run "
-                            "(default: %(default)s)")
+                            "re-extraction (default: %(default)s)")
     check.add_argument("--check-stats", action="store_true",
                        help="print the per-tier method/site/timing split")
     _add_governance_flags(check)
@@ -1049,7 +1026,8 @@ def build_parser():
     explain.add_argument("files", nargs="+")
     explain.add_argument("method", help="Class.method")
     explain.add_argument("--no-api", dest="api", action="store_false")
-    explain.add_argument("--threshold", type=_threshold, default=0.5)
+    explain.add_argument("--threshold", type=_setting("threshold", float),
+                         default=0.5)
     explain.set_defaults(run=cmd_explain)
 
     corpus = sub.add_parser(

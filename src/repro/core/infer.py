@@ -51,6 +51,16 @@ from repro.resilience.report import FailureRecord, FailureReport
 #: the paper's sequential loop, ``serial`` the level-synchronous one.
 EXECUTORS = ("worklist", "serial")
 
+#: Fixed solve parameters: the BP sweep budget, damping and convergence
+#: tolerance of every method solve, and the marginal change below which
+#: a summary update does not re-enqueue dependents.  No surface sets
+#: them; :func:`repro.cache.fingerprints.config_digest` hashes them, so
+#: editing one re-keys the cache.
+BP_ITERS = 30
+BP_DAMPING = 0.2
+BP_TOLERANCE = 1e-4
+SUMMARY_CHANGE_THRESHOLD = 0.02
+
 
 def _rekey_evidence_to_refs(store, table):
     """Rebind a restored store's evidence site keys to live MethodRefs.
@@ -79,19 +89,22 @@ _DEFAULT_POLICY = ResiliencePolicy()
 
 @dataclass
 class InferenceSettings:
-    """Knobs of ANEK-INFER."""
+    """Knobs of ANEK-INFER.  The one home of the solve knobs' checks:
+    the CLI and the serve protocol validate threshold, max-iters and
+    executor by building one of these and reporting its ``ValueError``."""
 
     max_worklist_iters: int = 0  # 0 = 3 passes over all methods
-    bp_iters: int = 30
-    bp_damping: float = 0.2
-    bp_tolerance: float = 1e-4
-    threshold: float = 0.5  # the paper's t in [0.5, 1)
-    summary_change_threshold: float = 0.02
+    #: The paper's extraction threshold t in [0.5, 1).  Read only when
+    #: specs are extracted from the final marginals, so cache and run
+    #: directory identity leave it out.
+    threshold: float = 0.5
     #: "worklist" = the sequential Figure 9 loop; "serial" = the
     #: level-synchronous schedule over call-graph SCC levels.
     executor: str = "worklist"
     #: BP engine: "compiled" = flat-array kernel (fast path, default);
-    #: "loopy" = the per-message reference engine.
+    #: "loopy" = the per-message reference engine, whose marginals are
+    #: bit-identical.  An API-only switch for tests and benchmarks;
+    #: identity leaves it out, like ``threshold``.
     engine: str = "compiled"
     #: Reuse each method's built model across worklist visits, rewriting
     #: only mutated prior/evidence slots and skipping solves whose input
@@ -114,6 +127,7 @@ class InferenceSettings:
     resume: bool = False
     #: Checkpoint barriers between compacted snapshots (1 = every
     #: barrier; higher trades resume granularity for snapshot I/O).
+    #: Any other value needs a ``run_dir``.
     checkpoint_every: int = 1
     #: Soft RSS budget in MiB, read at each checkpoint barrier: a reading
     #: over it checkpoints, then stops the run with ``RunInterrupted``
@@ -125,6 +139,24 @@ class InferenceSettings:
         return self.policy if self.policy is not None else _DEFAULT_POLICY
 
     def __post_init__(self):
+        if (
+            isinstance(self.threshold, bool)
+            or not isinstance(self.threshold, (int, float))
+            or not 0.5 <= self.threshold < 1.0
+        ):
+            raise ValueError(
+                "threshold must be a number in [0.5, 1), got %r"
+                % (self.threshold,)
+            )
+        if (
+            isinstance(self.max_worklist_iters, bool)
+            or not isinstance(self.max_worklist_iters, int)
+            or self.max_worklist_iters < 0
+        ):
+            raise ValueError(
+                "max_worklist_iters must be an integer >= 0 (0 = 3 passes "
+                "over all methods), got %r" % (self.max_worklist_iters,)
+            )
         if self.policy is not None and not isinstance(
             self.policy, ResiliencePolicy
         ):
@@ -154,6 +186,8 @@ class InferenceSettings:
             raise ValueError("resume requires a run_dir")
         if self.max_rss_mb and not self.run_dir:
             raise ValueError("max_rss_mb requires a run_dir")
+        if self.checkpoint_every != 1 and not self.run_dir:
+            raise ValueError("checkpoint_every requires a run_dir")
 
     def resolved_max_iters(self, method_count):
         if self.max_worklist_iters > 0:
@@ -279,7 +313,7 @@ class AnekInference:
         self.quarantined = {}
         self.spec_env = SpecEnvironment(program)
         self.summaries = SummaryStore(
-            change_threshold=self.settings.summary_change_threshold
+            change_threshold=SUMMARY_CHANGE_THRESHOLD
         )
         self.stats = InferenceStats(engine=self.settings.engine)
         #: The persistent cache, bound to this program/config — None when
@@ -654,9 +688,11 @@ class AnekInference:
         self.stats.constraint_counts = dict(self.stats.constraint_counts)
         self.stats.schedule = list(self.stats.schedule)
         # Restored stats describe the pre-crash run, where resumed was
-        # False; this run *is* a resume.
+        # False and the engine may have been the other one; this run
+        # *is* a resume, on this run's engine.
         self.stats.resumed = True
         self.stats.interrupted = False
+        self.stats.engine = self.settings.engine
         store = SummaryStore.from_payload(state["store"], table)
         _rekey_evidence_to_refs(store, table)
         self.summaries = store

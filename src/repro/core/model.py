@@ -688,7 +688,7 @@ class ModelCache:
         build_seconds = time.perf_counter() - start
         start = time.perf_counter()
         result, guard_record, degraded = guarded_solve(
-            model, settings, policy, site_key, self.engine
+            model, policy, site_key, self.engine
         )
         solve_seconds = time.perf_counter() - start
         boundary = model.boundary_marginals(result)

@@ -153,14 +153,23 @@ class AnekPipeline:
         #: An :class:`repro.cache.AnalysisCache`, or None (no persistence).
         self.cache = cache
         #: Checker dispatch: "full" runs the fractional-permission
-        #: checker on every method, "bitvector"/"auto" prove what they
-        #: can with the vectorized tier-1 pass first.  Warning output is
-        #: bit-identical across tiers.
+        #: checker on every method, "auto" proves what it can with the
+        #: vectorized tier-1 pass first.  Warning output is bit-identical
+        #: across tiers; "full" is the reference tests and benchmarks
+        #: select here, with no CLI or serve switch.
         self.check_tier = check_tier
 
-    def _parse_units(self, sources, result):
-        """Parse every source under isolation: a unit whose lex/parse
-        crashes is quarantined (``unit:<index>``) and the rest proceed."""
+    def resolve_sources(self, sources, failures):
+        """Parse and resolve raw sources under isolation; returns
+        ``(program, units, parse_hits)``.
+
+        A unit whose lex/parse crashes or breaches a resource budget is
+        quarantined (``unit:<index>``) into ``failures`` and the rest
+        proceed.  Resolution failures re-resolve incrementally and
+        quarantine exactly the units resolution chokes on; that pass is
+        O(n^2) but runs only on the failure path.  ``parse_hits`` counts
+        units the cache served.
+        """
         policy = self.settings.effective_policy()
         units = []
         parse_hits = 0
@@ -177,7 +186,7 @@ class AnekPipeline:
                 else:
                     unit = parse_compilation_unit(source, limits=policy.limits)
             except Exception as exc:
-                result.failures.add(
+                failures.add(
                     policy.quarantine_record(
                         "parse", unit_key, exc, "unit-quarantined"
                     )
@@ -186,17 +195,8 @@ class AnekPipeline:
             if self.cache is not None:
                 parse_hits += self.cache.stats.parse_hits - hits_before
             units.append(unit)
-        return units, parse_hits
-
-    def _resolve_units(self, units, result):
-        """Resolve under isolation: on failure, re-resolve incrementally
-        and quarantine exactly the units resolution chokes on.
-
-        The incremental pass is O(n^2) but runs only on the failure path;
-        the healthy path stays a single ``resolve_program`` call."""
-        policy = self.settings.effective_policy()
         try:
-            return resolve_program(units), units
+            return resolve_program(units), units, parse_hits
         except Exception:
             if not policy.enabled:
                 raise
@@ -206,12 +206,12 @@ class AnekPipeline:
             try:
                 program = resolve_program(kept + [unit])
             except Exception as exc:
-                result.failures.record(
+                failures.record(
                     "resolve", "unit:%d" % index, exc, "unit-quarantined"
                 )
                 continue
             kept.append(unit)
-        return program, kept
+        return program, kept, parse_hits
 
     def run_on_sources(self, sources):
         """Run the pipeline over raw Java source strings."""
@@ -220,13 +220,14 @@ class AnekPipeline:
             self.cache.stats.snapshot() if self.cache is not None else None
         )
         start = time.perf_counter()
-        units, parse_hits = self._parse_units(sources, result)
+        program, units, parse_hits = self.resolve_sources(
+            sources, result.failures
+        )
         cache_detail = (
             ", cache %d/%d units" % (parse_hits, len(units))
             if self.cache is not None
             else ""
         )
-        program, units = self._resolve_units(units, result)
         result.program = program
         result.stages.append(
             StageTrace(

@@ -34,22 +34,14 @@ construction (see DESIGN §14 for the exactness argument).
 
 from collections import deque
 
+import numpy as np
+
 from repro.analysis import ir
 from repro.analysis.cfg import build_cfg
 from repro.permissions import kinds
 from repro.permissions.splitting import best_retained
 from repro.permissions.states import ALIVE
 from repro.plural.context import Guard, StateTest, kind_join
-
-try:  # pragma: no cover - exercised via available()
-    import numpy as np
-except Exception:  # pragma: no cover
-    np = None
-
-
-def available():
-    """True when the vectorized sweep can run (numpy importable)."""
-    return np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1102,10 +1094,6 @@ class BitVectorChecker:
     """Compiles methods against a :class:`PluralChecker`'s spec view."""
 
     def __init__(self, checker):
-        if np is None:
-            raise RuntimeError(
-                "bit-vector tier requires numpy; use --check-tier full"
-            )
         self.checker = checker
         self._machines = {}
         self._machine_sig_ids = {}

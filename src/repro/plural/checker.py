@@ -543,7 +543,7 @@ def check_program(program, default_this_kind=kinds.FULL):
 # Tiered checking
 # ---------------------------------------------------------------------------
 
-CHECK_TIERS = ("full", "bitvector", "auto")
+CHECK_TIERS = ("full", "auto")
 
 
 @dataclass
@@ -609,11 +609,11 @@ def run_check(
     ``tier``:
 
     * ``"full"`` — the fractional-permission checker on every method;
-    * ``"bitvector"`` — tier-1 bit-vector proving with full-checker
-      residue routing; an error if numpy is unavailable;
-    * ``"auto"`` — ``bitvector`` when numpy is available, else ``full``.
+    * ``"auto"`` — tier-1 bit-vector proving with full-checker residue
+      routing.
 
-    All three produce bit-identical warning lists.  ``failures`` is an
+    Both produce bit-identical warning lists.  ``full`` is the reference
+    the differential tests hold ``auto`` to.  ``failures`` is an
     optional :class:`repro.resilience.report.FailureReport`; tier-1
     faults (injected or real) degrade the affected methods to the full
     checker and are recorded there with a ``tier-fallback`` disposition.
@@ -624,18 +624,7 @@ def run_check(
         )
     checker = PluralChecker(program, default_this_kind)
     methods = list(program.methods_with_bodies())
-    use_bitvector = tier != "full"
-    if use_bitvector:
-        from repro.plural import bitvector
-
-        if not bitvector.available():
-            if tier == "bitvector":
-                raise RuntimeError(
-                    "--check-tier bitvector requires numpy; "
-                    "use --check-tier full or auto"
-                )
-            use_bitvector = False
-    if not use_bitvector:
+    if tier == "full":
         start = time.perf_counter()
         warnings = []
         for method_ref in methods:
@@ -646,6 +635,8 @@ def run_check(
             tier2_methods=len(methods),
             tier2_seconds=time.perf_counter() - start,
         )
+
+    from repro.plural import bitvector
 
     tier1_start = time.perf_counter()
     outcome = None

@@ -285,6 +285,9 @@ class CheckpointManager:
     # -- identity ---------------------------------------------------------------
 
     def _meta(self):
+        """The run's identity: what a resume must match.  The engine and
+        the threshold are not part of it (see ``config_digest``), so a
+        run resumes bit-identically on either engine, at any threshold."""
         from repro.cache.fingerprints import config_digest, program_digest
 
         inference = self.inference
@@ -293,7 +296,6 @@ class CheckpointManager:
             "program": program_digest(inference.program),
             "config": config_digest(inference.config, self.settings),
             "schedule": inference._schedule_kind(),
-            "engine": self.settings.engine,
         }
 
     # -- construction -----------------------------------------------------------
@@ -349,7 +351,7 @@ class CheckpointManager:
                 % (meta_path, type(exc).__name__, exc)
             )
         expected = manager._meta()
-        for field in ("format", "program", "config", "schedule", "engine"):
+        for field in ("format", "program", "config", "schedule"):
             if stored.get(field) != expected[field]:
                 raise ResumeError(
                     "run directory %s was recorded with a different %s "

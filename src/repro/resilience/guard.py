@@ -2,7 +2,7 @@
 
 One method solve under the guard walks the policy's degradation ladder::
 
-    attempt 0   configured engine, configured damping
+    attempt 0   configured engine, the fixed BP damping
     retry 1..N  same engine, escalating damping (oscillation killer)
     fallback    loopy reference engine (when compiled was configured)
     floor       prior-only marginals (never fails)
@@ -10,7 +10,7 @@ One method solve under the guard walks the policy's degradation ladder::
 An attempt *fails* when it raises, exceeds the policy deadline, or
 produces non-finite (NaN/inf) or engine-flagged diverged marginals.  On
 the zero-failure path the guard adds only a finiteness scan over the
-final marginals — the solve itself runs with exactly the configured
+final marginals — the solve itself runs with exactly the fixed BP
 parameters, so resilient and non-resilient runs are bit-identical.
 
 The guard emits at most one :class:`FailureRecord` per solve: either
@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from repro.core.infer import BP_DAMPING, BP_ITERS, BP_TOLERANCE
 from repro.factorgraph.sumproduct import SumProductResult
 from repro.resilience.faults import maybe_fault
 from repro.resilience.report import FailureRecord
@@ -69,7 +70,12 @@ def _poison(result):
     return result
 
 
-def _attempt_ladder(settings, policy, engine):
+#: Damping floor of the escalating retries: each retry after the first
+#: moves a third of the remaining distance from it toward 0.9.
+RETRY_DAMPING = 0.5
+
+
+def _attempt_ladder(policy, engine):
     """[(engine, damping), ...] — the full retry/fallback schedule.
 
     The first retry reruns with *identical* parameters: a transient
@@ -77,24 +83,19 @@ def _attempt_ladder(settings, policy, engine):
     bit-identical marginals.  Only later retries escalate damping, for
     genuinely oscillating/diverging solves where sameness is lost anyway.
     """
-    ladder = [(engine, settings.bp_damping)]
+    ladder = [(engine, BP_DAMPING)]
     if policy.solve_retries >= 1:
-        ladder.append((engine, settings.bp_damping))
+        ladder.append((engine, BP_DAMPING))
+    floor = max(RETRY_DAMPING, BP_DAMPING)
+    step = (0.9 - floor) / 3.0
     for attempt in range(2, policy.solve_retries + 1):
-        ladder.append(
-            (
-                engine,
-                policy.retry_damping_for(attempt - 1, settings.bp_damping),
-            )
-        )
+        ladder.append((engine, min(0.9, floor + step * (attempt - 2))))
     if engine == "compiled":
-        ladder.append(
-            ("loopy", max(settings.bp_damping, policy.retry_damping))
-        )
+        ladder.append(("loopy", floor))
     return ladder
 
 
-def guarded_solve(model, settings, policy, site_key, engine):
+def guarded_solve(model, policy, site_key, engine):
     """Run one method solve under the policy's degradation ladder.
 
     Returns ``(result, record, degraded)`` where ``record`` is None on
@@ -104,24 +105,24 @@ def guarded_solve(model, settings, policy, site_key, engine):
     if policy is None or not policy.enabled:
         return (
             model.solve(
-                max_iters=settings.bp_iters,
-                damping=settings.bp_damping,
-                tolerance=settings.bp_tolerance,
+                max_iters=BP_ITERS,
+                damping=BP_DAMPING,
+                tolerance=BP_TOLERANCE,
                 engine=engine,
             ),
             None,
             False,
         )
     reasons = []
-    ladder = _attempt_ladder(settings, policy, engine)
+    ladder = _attempt_ladder(policy, engine)
     for attempt, (attempt_engine, damping) in enumerate(ladder):
         start = time.perf_counter()
         try:
             action = maybe_fault("solve", site_key)
             result = model.solve(
-                max_iters=settings.bp_iters,
+                max_iters=BP_ITERS,
                 damping=damping,
-                tolerance=settings.bp_tolerance,
+                tolerance=BP_TOLERANCE,
                 engine=attempt_engine,
             )
             if action == "nan":

@@ -20,7 +20,7 @@ class ResiliencePolicy:
 
     The degradation ladder for one method solve::
 
-        attempt 0   configured engine, configured damping
+        attempt 0   configured engine, the fixed BP damping
         retry 1..N  same engine, damping escalated toward 0.9
         fallback    loopy reference engine (when compiled was configured)
         floor       prior-only marginals (never fails, fully conservative)
@@ -35,11 +35,9 @@ class ResiliencePolicy:
     #: next attempt rather than an in-flight preemption.
     solve_deadline: float = 0.0
     #: Same-engine re-solves with escalated damping before the engine
-    #: fallback step.
+    #: fallback step (:data:`repro.resilience.guard.RETRY_DAMPING` is the
+    #: escalation's floor).
     solve_retries: int = 2
-    #: Damping floor for retry attempts; each retry moves a third of the
-    #: remaining distance from this floor toward 0.9.
-    retry_damping: float = 0.5
     #: Resource budgets for every untrusted-input stage (lexer, parser,
     #: PFG builder, factor graph, worklist).  Checks are pure threshold
     #: comparisons; a breach quarantines the unit of work with the
@@ -54,8 +52,6 @@ class ResiliencePolicy:
             raise ValueError("solve_deadline must be >= 0")
         if self.solve_retries < 0:
             raise ValueError("solve_retries must be >= 0")
-        if not 0.0 <= self.retry_damping < 1.0:
-            raise ValueError("retry_damping must be in [0, 1)")
 
     @classmethod
     def disabled(cls):
@@ -78,10 +74,3 @@ class ResiliencePolicy:
         return record_from_exception(
             stage, key, exc, "resource-limit" if breach else disposition
         )
-
-    def retry_damping_for(self, attempt, base_damping):
-        """Damping of retry ``attempt`` (1-based): escalates from the
-        policy floor toward 0.9, never below the configured damping."""
-        floor = max(self.retry_damping, base_damping)
-        step = (0.9 - floor) / 3.0
-        return min(0.9, floor + step * (attempt - 1))

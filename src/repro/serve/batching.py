@@ -26,27 +26,22 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.cache.fingerprints import digest
+from repro.serve.protocol import REQUEST_DEFAULTS
 
 #: Request fields that define the *work*, i.e. participate in the
-#: coalescing fingerprint.  ``include_marginals`` is excluded — it only
-#: widens the response payload, so a marginal-requesting member can
-#: share a group with one that is not.  ``deadline`` *is* included even
-#: though it does not change the program under analysis: a deadline'd
-#: request maps its remaining budget into the solve deadline of the
-#: resilience policy, and letting it share a solve with a deadline-free
-#: request would let one requester's budget degrade another's result —
-#: exactly the cross-request state bleed the serving layer must not have.
-WORK_FIELDS = (
-    "op",
-    "sources",
-    "api",
-    "threshold",
-    "max_iters",
-    "engine",
-    "executor",
-    "no_cache",
-    "deadline",
-    "check_tier",
+#: coalescing fingerprint: every field but two.  ``include_marginals``
+#: only widens the response payload, so a marginal-requesting member can
+#: share a group with one that is not, and ``idem`` names a retry, not
+#: work.  ``deadline`` *is* included even though it does not change the
+#: program under analysis: a deadline'd request maps its remaining
+#: budget into the solve deadline of the resilience policy, and letting
+#: it share a solve with a deadline-free request would let one
+#: requester's budget degrade another's result — exactly the
+#: cross-request state bleed the serving layer must not have.
+WORK_FIELDS = tuple(
+    name
+    for name in REQUEST_DEFAULTS
+    if name not in ("include_marginals", "idem")
 )
 
 

@@ -18,9 +18,7 @@ knob is typed, ranged, and defaulted — a malformed request costs one
 import json
 import struct
 
-from repro.core.model import ENGINES
-from repro.core.infer import EXECUTORS
-from repro.plural.checker import CHECK_TIERS
+from repro.core.infer import InferenceSettings
 
 #: Per-frame magic: catches non-protocol bytes before a length is trusted.
 MAGIC = b"ANK1"
@@ -209,12 +207,10 @@ REQUEST_DEFAULTS = {
     "api": True,
     "threshold": 0.5,
     "max_iters": 0,
-    "engine": "compiled",
     "executor": "worklist",
     "no_cache": False,
     "deadline": 0.0,
     "include_marginals": False,
-    "check_tier": "auto",
     #: Client-generated idempotency key ("" = none).  A retried request
     #: carrying the same key and the same work replays the original
     #: completed response bit-identically instead of re-executing.
@@ -226,9 +222,10 @@ def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
     """Validate one raw request dict into a fully-defaulted copy.
 
     Raises :class:`ProtocolError` with a requester-facing message on any
-    unknown field, unknown op, out-of-range knob (the same ranges the
-    CLI's argparse validators enforce), or a ``sources`` payload whose
-    total UTF-8 size exceeds ``max_source_bytes`` (0 = unlimited).
+    unknown field, unknown op, bad inference knob (the
+    :class:`InferenceSettings` message, the same the CLI reports), or a
+    ``sources`` payload whose total UTF-8 size exceeds
+    ``max_source_bytes`` (0 = unlimited).
     """
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -259,33 +256,20 @@ def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
                 "sources of %d bytes exceed the %d byte limit"
                 % (total, max_source_bytes)
             )
-    if not isinstance(request["threshold"], (int, float)) or not (
-        0.5 <= request["threshold"] < 1.0
-    ):
-        raise ProtocolError("threshold must be in [0.5, 1)")
-    if not isinstance(request["max_iters"], int) or request["max_iters"] < 0:
-        raise ProtocolError("max_iters must be an integer >= 0")
-    if request["engine"] not in ENGINES:
-        raise ProtocolError(
-            "unknown engine %r (expected one of %s)"
-            % (request["engine"], ", ".join(ENGINES))
+    try:
+        InferenceSettings(
+            threshold=request["threshold"],
+            max_worklist_iters=request["max_iters"],
+            executor=request["executor"],
         )
-    if request["executor"] not in EXECUTORS:
-        raise ProtocolError(
-            "unknown executor %r (expected one of %s)"
-            % (request["executor"], ", ".join(EXECUTORS))
-        )
+    except ValueError as exc:
+        raise ProtocolError(str(exc))
     if (
         not isinstance(request["deadline"], (int, float))
         or request["deadline"] < 0
     ):
         raise ProtocolError("deadline must be a number of seconds >= 0")
     request["deadline"] = float(request["deadline"])
-    if request["check_tier"] not in CHECK_TIERS:
-        raise ProtocolError(
-            "unknown check_tier %r (expected one of %s)"
-            % (request["check_tier"], ", ".join(CHECK_TIERS))
-        )
     for flag in ("api", "no_cache", "include_marginals"):
         if not isinstance(request[flag], bool):
             raise ProtocolError("%s must be a boolean" % flag)

@@ -66,8 +66,6 @@ from dataclasses import replace
 from repro.cache import DEFAULT_CACHE_DIR, AnalysisCache
 from repro.core import AnekPipeline, InferenceSettings
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
-from repro.java.parser import parse_compilation_unit
-from repro.java.symbols import resolve_program
 from repro.plural.checker import run_check
 from repro.resilience.checkpoint import current_rss_mb
 from repro.resilience.faults import maybe_fault
@@ -660,18 +658,27 @@ class AnekServer:
         member.connection.send(payload)
 
     def _execute(self, request, live):
-        """Run one group's work: the same pipeline the CLI runs."""
+        """Run one group's work: the same pipeline the CLI runs.  A
+        ``check`` runs only the pipeline's governed, isolated parse and
+        resolve (no cache) and then the checker."""
         sources = list(request["sources"])
         if request["api"]:
             sources.insert(0, ITERATOR_API_SOURCE)
         started = time.perf_counter()
+        settings = InferenceSettings(
+            threshold=request["threshold"],
+            max_worklist_iters=request["max_iters"],
+            executor=request["executor"],
+            policy=self._policy_for(live),
+        )
         if request["op"] == "check":
-            program = resolve_program(
-                [parse_compilation_unit(source) for source in sources]
+            failures = FailureReport()
+            program, _, _ = AnekPipeline(settings=settings).resolve_sources(
+                sources, failures
             )
-            check = run_check(program, tier=request["check_tier"])
+            check = run_check(program, failures=failures)
             return {
-                "status": "ok",
+                "status": "degraded" if failures.has_degradation else "ok",
                 "result": {
                     "warnings": [w.format() for w in check.warnings],
                     "count": len(check.warnings),
@@ -687,15 +694,9 @@ class AnekServer:
                         "tier1_seconds": check.tier1_seconds,
                         "tier2_seconds": check.tier2_seconds,
                     },
+                    "failures": failures.to_payload(),
                 },
             }
-        settings = InferenceSettings(
-            threshold=request["threshold"],
-            max_worklist_iters=request["max_iters"],
-            executor=request["executor"],
-            engine=request["engine"],
-            policy=self._policy_for(live),
-        )
         cache = None
         if self.use_cache and not request["no_cache"]:
             # A fresh AnalysisCache *instance* per request over the
@@ -703,10 +704,9 @@ class AnekServer:
             # (write-once, atomic — concurrency-safe), while stats stay
             # an unpolluted per-request delta.
             cache = AnalysisCache(cache_dir=self.cache_dir)
-        pipeline = AnekPipeline(
-            settings=settings, cache=cache, check_tier=request["check_tier"]
+        result = AnekPipeline(settings=settings, cache=cache).run_on_sources(
+            sources
         )
-        result = pipeline.run_on_sources(sources)
         stats = result.inference_stats
         executed = {
             "status": "degraded" if result.degraded else "ok",

@@ -83,18 +83,30 @@ def test_digest_is_hex_sha256():
     int(value, 16)  # hex-parsable
 
 
-def test_config_digest_ignores_schedule_settings():
-    """The executor changes *how* methods are scheduled, never the visit
-    step, so it must not invalidate cached artifacts."""
+def test_config_digest_ignores_schedule_settings(monkeypatch):
+    """Only knobs that change the marginals key the cache.  The executor
+    changes *how* methods are scheduled, never the visit step; the
+    engines give bit-identical marginals; the threshold is read only by
+    extraction.  The fixed BP constants are hashed, so editing one
+    re-keys the cache."""
+    from repro.cache import fingerprints
+
     config = HeuristicConfig()
     base = config_digest(config, InferenceSettings())
-    assert base == config_digest(
-        config, InferenceSettings(executor="serial")
+    for settings in (
+        InferenceSettings(executor="serial"),
+        InferenceSettings(threshold=0.75),
+        InferenceSettings(engine="loopy"),
+    ):
+        assert base == config_digest(config, settings)
+    assert base != config_digest(
+        config, InferenceSettings(max_worklist_iters=5)
     )
     assert base != config_digest(
-        config, InferenceSettings(threshold=0.75)
+        config, InferenceSettings(reuse_models=False)
     )
-    assert base != config_digest(config, InferenceSettings(engine="loopy"))
+    monkeypatch.setattr(fingerprints, "BP_DAMPING", 0.3)
+    assert base != config_digest(config, InferenceSettings())
 
 
 def test_config_digest_refuses_custom_heuristics():

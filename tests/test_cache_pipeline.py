@@ -53,8 +53,8 @@ def spec_map(result):
     }
 
 
-def run_pipeline(sources, cache=None, executor="worklist", engine="compiled"):
-    settings = InferenceSettings(executor=executor, engine=engine)
+def run_pipeline(sources, cache=None, **settings):
+    settings = InferenceSettings(**settings)
     pipeline = AnekPipeline(settings=settings, cache=cache, run_checker=False)
     return pipeline.run_on_sources(sources)
 
@@ -76,17 +76,25 @@ def test_cold_warm_disabled_specs_identical(tmp_path, executor):
     assert warm.inference_stats.warm_start
 
 
-@pytest.mark.parametrize("engine", ["compiled", "loopy"])
-def test_engines_have_separate_keyspaces(tmp_path, engine):
+@pytest.mark.parametrize(
+    "knob",
+    [{"engine": "loopy"}, {"threshold": 0.75}],
+    ids=["engine", "threshold"],
+)
+def test_warm_start_across_identity_free_knobs(tmp_path, knob):
+    """The engine and the threshold leave the cache identity: a run that
+    differs from the warming (compiled, t = 0.5) run only in one of them
+    is restored whole, and answers exactly as a cold run with that knob."""
     sources = [ITERATOR_API_SOURCE, CLIENT]
-    cold = run_pipeline(
-        sources, cache=AnalysisCache(tmp_path / "c"), engine=engine
-    )
-    warm = run_pipeline(
-        sources, cache=AnalysisCache(tmp_path / "c"), engine=engine
-    )
-    assert spec_map(cold) == spec_map(warm)
+    run_pipeline(sources, cache=AnalysisCache(tmp_path / "c"))
+    warm = run_pipeline(sources, cache=AnalysisCache(tmp_path / "c"), **knob)
+    cold = run_pipeline(sources, **knob)
+    assert warm.cache_stats.final_hits == 1
     assert warm.inference_stats.warm_start
+    assert warm.inference_stats.solves == 0
+    assert warm.canonical_json(include_marginals=True) == cold.canonical_json(
+        include_marginals=True
+    )
 
 
 def test_warm_run_restores_without_solving(tmp_path):

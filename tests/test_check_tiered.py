@@ -13,9 +13,10 @@ The bit-vector fast path's contract, locked in end to end:
 * **fault tolerance** — an injected tier-1 fault degrades the affected
   method (or the whole tier) to the full checker with a
   ``tier-fallback`` ledger record, never a changed warning set;
-* the CLI/serve knobs (``--check-tier``, ``--check-stats``,
-  ``check --run-dir``, the ``check_tier`` request field) validate and
-  round-trip.
+* the CLI knobs (``--check-stats``, ``check --run-dir``) round-trip;
+  the tier itself is an API-only switch (``run_check(tier=)``,
+  ``AnekPipeline(check_tier=)``), and serve refuses a ``check_tier``
+  request field.
 """
 
 import io
@@ -351,20 +352,7 @@ class TestRunCheckApi:
             run_check(figure3_program, tier="turbo")
 
     def test_tier_names_locked(self):
-        assert CHECK_TIERS == ("full", "bitvector", "auto")
-
-    def test_bitvector_requires_numpy(self, figure3_program, monkeypatch):
-        monkeypatch.setattr(bitvector, "available", lambda: False)
-        with pytest.raises(RuntimeError, match="requires numpy"):
-            run_check(figure3_program, tier="bitvector")
-
-    def test_auto_degrades_without_numpy(self, figure3_program, monkeypatch):
-        monkeypatch.setattr(bitvector, "available", lambda: False)
-        run = run_check(figure3_program, tier="auto")
-        assert run.tier == "full"
-        assert fmt(run.warnings) == fmt(
-            run_check(figure3_program, tier="full").warnings
-        )
+        assert CHECK_TIERS == ("full", "auto")
 
     def test_describe_mentions_tiers(self, figure3_program):
         run = run_check(figure3_program, tier="auto")
@@ -478,27 +466,11 @@ def run_cli(argv):
 
 
 class TestCliTiering:
-    def test_check_tier_flags_agree(self, demo_file):
-        full_code, full_out = run_cli(
-            ["check", demo_file, "--check-tier", "full"]
-        )
-        auto_code, auto_out = run_cli(
-            ["check", demo_file, "--check-tier", "auto"]
-        )
-        assert (full_code, full_out) == (auto_code, auto_out)
-
     def test_check_stats_line(self, demo_file):
         code, output = run_cli(["check", demo_file, "--check-stats"])
         assert "check: tier=auto" in output
         _, plain = run_cli(["check", demo_file])
         assert "check: tier=" not in plain
-
-    def test_infer_check_tier_full(self, demo_file):
-        code, output = run_cli(
-            ["infer", demo_file, "--check-tier", "full", "--cache-stats"]
-        )
-        assert code == 0
-        assert "check: tier=full" in output
 
     def test_infer_cache_stats_reports_tier_split(self, demo_file):
         code, output = run_cli(["infer", demo_file, "--cache-stats"])
@@ -535,16 +507,12 @@ class TestCliTiering:
 
 
 class TestServeProtocolTier:
-    def test_check_tier_defaulted(self):
-        from repro.serve.protocol import normalize_request
-
-        request = normalize_request({"op": "check", "sources": ["class A {}"]})
-        assert request["check_tier"] == "auto"
-
     def test_unknown_check_tier_rejected(self):
         from repro.serve.protocol import ProtocolError, normalize_request
 
-        with pytest.raises(ProtocolError, match="unknown check_tier"):
+        with pytest.raises(
+            ProtocolError, match=r"unknown request field\(s\): check_tier"
+        ):
             normalize_request(
                 {
                     "op": "check",

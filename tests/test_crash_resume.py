@@ -461,6 +461,11 @@ class TestResumeValidation:
         with pytest.raises(ValueError, match="max_rss_mb requires a run_dir"):
             InferenceSettings(max_rss_mb=1)
         InferenceSettings(max_rss_mb=1, run_dir="runs/n1")
+        with pytest.raises(
+            ValueError, match="checkpoint_every requires a run_dir"
+        ):
+            InferenceSettings(checkpoint_every=5)
+        InferenceSettings(checkpoint_every=5, run_dir="runs/n1")
 
     def test_resume_missing_directory(self, tmp_path):
         inference = AnekInference(
@@ -485,21 +490,21 @@ class TestResumeValidation:
             inference.run()
         assert "program" in str(excinfo.value)
 
-    def test_resume_different_engine_rejected(self, tmp_path):
+    def test_resume_under_other_engine_bit_identical(self, tmp_path):
+        """Neither the engine nor the threshold is part of a run's
+        identity: a run crashed under compiled at t = 0.5 resumes under
+        loopy at t = 0.75 and ends where a clean run ends."""
         crash_run(
             tmp_path,
             [FaultSpec(stage="checkpoint", key="", kind="raise", skip=5)],
             engine="compiled",
         )
-        inference = AnekInference(
-            fresh_program(),
-            settings=make_settings(
-                engine="loopy", run_dir=str(tmp_path), resume=True
-            ),
+        resumed, results = resume_run(
+            tmp_path, engine="loopy", threshold=0.75
         )
-        with pytest.raises(ResumeError) as excinfo:
-            inference.run()
-        assert "engine" in str(excinfo.value)
+        assert results == clean_snap()
+        assert resumed.stats.resumed
+        assert resumed.stats.engine == "loopy"
 
     def test_resume_different_schedule_rejected(self, tmp_path):
         crash_run(

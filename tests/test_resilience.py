@@ -124,15 +124,21 @@ class TestResiliencePolicy:
         with pytest.raises(ValueError):
             ResiliencePolicy(solve_retries=-1)
         with pytest.raises(ValueError):
-            ResiliencePolicy(retry_damping=1.5)
-        with pytest.raises(ValueError):
             ResiliencePolicy(solve_deadline=-0.1)
 
     def test_retry_damping_escalates_and_caps(self):
-        policy = ResiliencePolicy(solve_retries=5, retry_damping=0.5)
-        values = [policy.retry_damping_for(i, 0.2) for i in range(1, 6)]
+        from repro.core.infer import BP_DAMPING
+        from repro.resilience.guard import RETRY_DAMPING, _attempt_ladder
+
+        ladder = _attempt_ladder(ResiliencePolicy(solve_retries=5), "compiled")
+        # Attempt 0 and the identical-parameter retry, four escalating
+        # retries, then the loopy fallback at the floor.
+        assert ladder[:2] == [("compiled", BP_DAMPING)] * 2
+        values = [damping for _, damping in ladder[2:-1]]
+        assert len(values) == 4
         assert values == sorted(values)
-        assert all(0.5 <= v <= 0.9 for v in values)
+        assert all(RETRY_DAMPING <= v <= 0.9 for v in values)
+        assert ladder[-1] == ("loopy", RETRY_DAMPING)
 
     def test_settings_reject_bad_policy(self):
         from repro.core.infer import InferenceSettings
@@ -318,7 +324,6 @@ class Demo {
             ["infer", demo_file, "--jobs", "2"],
             ["infer", demo_file, "--threshold", "0.4"],
             ["infer", demo_file, "--threshold", "1.0"],
-            ["infer", demo_file, "--max-iters", "0"],
             ["infer", demo_file, "--solve-retries", "-1"],
             ["infer", demo_file, "--worker-timeout", "-5"],
             ["infer", demo_file, "--worker-timeout", "1"],
@@ -345,6 +350,43 @@ class Demo {
         err = capsys.readouterr().err
         assert "--max-rss-mb requires --run-dir" in err
         assert "fatal" not in err
+
+    def test_checkpoint_every_without_run_dir_is_usage_error(
+        self, demo_file, capsys
+    ):
+        for every in ("1", "5"):
+            code = cli_main(
+                ["infer", demo_file, "--no-cache",
+                 "--checkpoint-every", every],
+                io.StringIO(),
+            )
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "--checkpoint-every requires --run-dir or --resume" in err
+            assert "fatal" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer", "{file}", "--engine", "loopy"],
+            ["infer", "{file}", "--check-tier", "full"],
+            ["check", "{file}", "--check-tier", "full"],
+            ["client", "infer", "{file}", "--connect", "/nonexistent.sock",
+             "--engine", "loopy"],
+            ["client", "check", "{file}", "--connect", "/nonexistent.sock",
+             "--check-tier", "full"],
+        ],
+        ids=["infer-engine", "infer-tier", "check-tier", "client-engine",
+             "client-tier"],
+    )
+    def test_removed_selectors_are_usage_errors(self, demo_file, argv):
+        """The loopy engine and the full check tier are API-only
+        references (``InferenceSettings(engine=)``,
+        ``AnekPipeline(check_tier=)``); no flag selects them."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main([arg.format(file=demo_file) for arg in argv],
+                     io.StringIO())
+        assert exc.value.code == 3
 
     def test_fatal_error_exits_four(self, capsys):
         code = cli_main(

@@ -338,6 +338,38 @@ class TestProtocolCaps:
         # 0 disables the cap.
         normalize_request(payload, max_source_bytes=0)
 
+    def test_served_check_is_governed_like_infer(self):
+        """A served ``check`` parses under the server's budgets, as an
+        ``infer`` does: a breached unit is quarantined, and the answer
+        is ``degraded`` with the same ledger records."""
+        from repro.serve.server import AnekServer
+
+        server = AnekServer(
+            port=0,
+            use_cache=False,
+            policy=ResiliencePolicy(limits=ResourceLimits(max_tokens=50)),
+        )
+        failures = {}
+        for op in ("check", "infer"):
+            request = normalize_request(
+                {
+                    "op": op,
+                    "sources": [ITERATOR_API_SOURCE, FIGURE3_CLIENT],
+                    "api": False,
+                }
+            )
+            executed = server._execute(request, [])
+            assert executed["status"] == "degraded"
+            failures[op] = executed["stats"]["failures"]["failures"]
+        assert [
+            (record["stage"], record["key"], record["disposition"])
+            for record in failures["check"]
+        ] == [
+            ("parse", "unit:0", "resource-limit"),
+            ("parse", "unit:1", "resource-limit"),
+        ]
+        assert failures["check"] == failures["infer"]
+
     def test_server_answers_invalid_and_survives(self, tmp_path):
         from tests.serve_harness import running_server
         from repro.serve.client import ServeClient

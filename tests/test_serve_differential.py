@@ -31,13 +31,13 @@ from tests.serve_harness import (
 
 @pytest.mark.parametrize("engine", ["compiled", "loopy"])
 def test_served_infer_bit_identical_to_cold(tmp_path, engine):
+    """The daemon always runs the compiled engine; its answer equals a
+    cold run on either engine, the loopy reference included."""
     cold = cold_result([LEDGER_CLIENT], engine=engine)
     expected = canonical_json(cold.canonical_payload(include_marginals=True))
     with running_server(tmp_path) as server:
         with ServeClient(server.address) as client:
-            response = client.infer(
-                [LEDGER_CLIENT], engine=engine, include_marginals=True
-            )
+            response = client.infer([LEDGER_CLIENT], include_marginals=True)
     assert response["status"] == "ok"
     assert canonical_json(response["result"]) == expected
 

@@ -82,8 +82,8 @@ class TestProtocol:
 
     def test_normalize_fills_defaults(self):
         request = normalize_request({"op": "infer", "sources": ["class A {}"]})
-        assert request["engine"] == "compiled"
         assert request["executor"] == "worklist"
+        assert request["max_iters"] == 0
         assert request["threshold"] == 0.5
         assert request["deadline"] == 0.0
 
@@ -94,7 +94,8 @@ class TestProtocol:
             {"op": "infer"},
             {"op": "infer", "sources": [1]},
             {"op": "infer", "sources": ["x"], "threshold": 0.4},
-            {"op": "infer", "sources": ["x"], "engine": "magic"},
+            # The engine is an API-only reference, not a request field.
+            {"op": "infer", "sources": ["x"], "engine": "compiled"},
             {"op": "infer", "sources": ["x"], "jobs": -1},
             {"op": "infer", "sources": ["x"], "deadline": -1},
             {"op": "infer", "sources": ["x"], "bogus": True},
@@ -194,7 +195,7 @@ class TestBatchPlanner:
     def test_distinct_work_stays_distinct(self):
         one = {"op": "infer", "sources": ["class A {}"]}
         two = {"op": "infer", "sources": ["class B {}"]}
-        knob = {"op": "infer", "sources": ["class A {}"], "engine": "loopy"}
+        knob = {"op": "infer", "sources": ["class A {}"], "threshold": 0.75}
         late = {"op": "infer", "sources": ["class A {}"], "deadline": 1.0}
         # Worklist and the scheduler run different trajectories.
         sched = {"op": "infer", "sources": ["class A {}"],

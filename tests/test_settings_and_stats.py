@@ -2,10 +2,32 @@
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core import AnekInference, InferenceSettings
 from repro.core.infer import InferenceStats
 from repro.corpus.iterator_api import iterator_protocol_dot
+from repro.serve.protocol import ProtocolError, normalize_request
 from tests.conftest import build_program
+
+#: (request field = CLI dest, CLI flag, InferenceSettings field, value).
+KNOB_ROWS = [
+    ("threshold", "--threshold", "threshold", 0.5),
+    ("threshold", "--threshold", "threshold", 0.99),
+    ("threshold", "--threshold", "threshold", 0.4),
+    ("threshold", "--threshold", "threshold", 1.0),
+    ("threshold", "--threshold", "threshold", "x"),
+    ("max_iters", "--max-iters", "max_worklist_iters", 0),
+    ("max_iters", "--max-iters", "max_worklist_iters", 3),
+    ("max_iters", "--max-iters", "max_worklist_iters", -1),
+    ("executor", "--executor", "executor", "worklist"),
+    ("executor", "--executor", "executor", "serial"),
+    ("executor", "--executor", "executor", "thread"),
+]
+
+CLI_PREFIX = {
+    "infer": ["infer", "A.java"],
+    "client": ["client", "infer", "A.java", "--connect", "daemon.sock"],
+}
 
 
 class TestInferenceSettings:
@@ -32,6 +54,49 @@ class TestInferenceSettings:
         )
         specs = inference.extract_specs()
         assert all(spec.is_empty for spec in specs.values())
+
+
+class TestOneKnobSchema:
+    """The CLI and serve accept and reject a run knob alike, because both
+    ask :class:`InferenceSettings` and report its message."""
+
+    @pytest.mark.parametrize("command", sorted(CLI_PREFIX))
+    @pytest.mark.parametrize(
+        "field,flag,setting,value",
+        KNOB_ROWS,
+        ids=["%s=%s" % (row[0], row[3]) for row in KNOB_ROWS],
+    )
+    def test_cli_and_serve_agree(
+        self, capsys, command, field, flag, setting, value
+    ):
+        try:
+            InferenceSettings(**{setting: value})
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        argv = CLI_PREFIX[command] + [flag, str(value)]
+        request = {"op": "infer", "sources": ["class A {}"], field: value}
+        if expected is None:
+            assert getattr(build_parser().parse_args(argv), field) == value
+            assert normalize_request(request)[field] == value
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 3
+        assert "%s: %s" % (flag, expected) in capsys.readouterr().err
+        with pytest.raises(ProtocolError) as error:
+            normalize_request(request)
+        assert str(error.value) == expected
+
+    def test_out_of_range_and_mistyped_knobs_rejected(self):
+        with pytest.raises(ValueError, match=r"threshold must be a number in"):
+            InferenceSettings(threshold=2.0)
+        with pytest.raises(ValueError, match="max_worklist_iters must be"):
+            InferenceSettings(max_worklist_iters=-5)
+        with pytest.raises(ProtocolError, match="max_worklist_iters must be"):
+            normalize_request(
+                {"op": "infer", "sources": ["class A {}"], "max_iters": True}
+            )
 
 
 class TestInferenceStats:

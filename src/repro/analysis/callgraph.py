@@ -13,20 +13,19 @@ from repro.analysis.ir import lower_method
 
 
 class CallSite:
-    """One call site: caller method, callee method, and the IR call."""
+    """One resolved call site: caller method, callee method, and line."""
 
-    __slots__ = ("caller", "callee", "call", "line")
+    __slots__ = ("caller", "callee", "line")
 
-    def __init__(self, caller, callee, call, line):
+    def __init__(self, caller, callee, line):
         self.caller = caller
         self.callee = callee
-        self.call = call
         self.line = line
 
     def __repr__(self):
         return "CallSite(%s -> %s @%d)" % (
             self.caller.qualified_name,
-            self.callee.qualified_name if self.callee else "?",
+            self.callee.qualified_name,
             self.line,
         )
 
@@ -42,8 +41,7 @@ class CallGraph:
     def add(self, site):
         self.sites.append(site)
         self._by_caller.setdefault(site.caller, []).append(site)
-        if site.callee is not None:
-            self._by_callee.setdefault(site.callee, []).append(site)
+        self._by_callee.setdefault(site.callee, []).append(site)
 
     def callees_of(self, method_ref):
         """Call sites inside ``method_ref``."""
@@ -72,8 +70,6 @@ def dependency_edges(graph, members):
     member_set = set(members)
     edges = {ref: [] for ref in members}
     for site in graph.sites:
-        if site.callee is None:
-            continue
         if site.caller not in member_set or site.callee not in member_set:
             continue
         bucket = edges[site.caller]
@@ -186,98 +182,61 @@ def condensation_levels(graph, members, sort_key=None):
     return levels, len(components)
 
 
-def method_call_sites(program, caller_ref, lowered=None):
-    """Yield the :class:`CallSite`\\ s inside one method, in source order.
+def method_call_targets(program, lowered):
+    """The resolved ``(callee_ref, line)`` pairs of one lowered method, in
+    source order.
 
-    ``lowered`` optionally reuses existing lowering work.  Method calls
-    yield a site even when unresolved (``callee is None``); constructor
-    calls yield only when resolved — matching what
-    :func:`build_call_graph` has always recorded.
+    Method calls dispatch on the receiver's static class; constructor
+    calls on the allocated class.  Unresolved calls are dropped (nothing
+    downstream of the graph consumes them).  This is the per-method slice
+    the persistent cache stores; refs later travel as stable method keys.
     """
-    if lowered is None:
-        lowered = lower_method(
-            program, caller_ref.class_decl, caller_ref.method_decl
-        )
+    targets = []
     for instr in iter_instrs(lowered.body):
-        if isinstance(instr, ir.Assign) and isinstance(instr.source, ir.Call):
-            call = instr.source
-            callee = None
-            if call.static_class is not None:
+        if not isinstance(instr, ir.Assign):
+            continue
+        source = instr.source
+        callee = None
+        if isinstance(source, ir.Call):
+            if source.static_class is not None:
                 callee = program.resolve_method(
-                    call.static_class, call.method_name, len(call.args)
+                    source.static_class, source.method_name, len(source.args)
                 )
-            yield CallSite(caller_ref, callee, call, instr.line)
-        elif isinstance(instr, ir.Assign) and isinstance(
-            instr.source, ir.NewObj
-        ):
+        elif isinstance(source, ir.NewObj):
             callee = program.resolve_constructor(
-                instr.source.class_name, len(instr.source.args)
+                source.class_name, len(source.args)
             )
-            if callee is not None:
-                yield CallSite(caller_ref, callee, instr.source, instr.line)
-
-
-def method_call_targets(program, caller_ref, lowered=None):
-    """The resolved ``(callee_ref, line)`` pairs inside one method.
-
-    This is the picklable slice of :func:`method_call_sites` the
-    persistent cache stores per method: unresolved sites are dropped
-    (nothing downstream of the graph consumes them), refs later travel
-    as stable method keys.
-    """
-    return [
-        (site.callee, site.line)
-        for site in method_call_sites(program, caller_ref, lowered=lowered)
-        if site.callee is not None
-    ]
+        if callee is not None:
+            targets.append((callee, instr.line))
+    return targets
 
 
 def call_graph_from_targets(targets_by_method):
-    """Rebuild a :class:`CallGraph` from per-method resolved targets.
+    """A :class:`CallGraph` from per-method resolved targets.
 
     ``targets_by_method`` maps caller ref -> ``[(callee_ref, line), ...]``
-    in source order (the shape :func:`method_call_targets` produces and
-    the cache round-trips).  The reconstructed graph carries no IR call
-    objects, but caller/callee identities — all that inference and the
-    scheduler consume — match :func:`build_call_graph` exactly.
+    in source order: what :func:`method_call_targets` produces and the
+    cache round-trips.  Inference builds its graph this way from the
+    targets its PFG stage resolved.
     """
     graph = CallGraph()
     for caller_ref, targets in targets_by_method.items():
         for callee_ref, line in targets:
-            graph.add(CallSite(caller_ref, callee_ref, None, line))
+            graph.add(CallSite(caller_ref, callee_ref, line))
     return graph
 
 
-def build_call_graph(program, lowered_methods=None, skip=None, on_error=None):
-    """Build the call graph.
-
-    ``lowered_methods`` optionally maps MethodRef -> LoweredMethod to reuse
-    existing lowering work; otherwise methods are lowered on demand.
-    ``skip`` is a container of caller refs to leave out entirely (already
-    quarantined methods — the cached-callee reconstruction omits them, so
-    the from-scratch build must too).  ``on_error`` receives
-    ``(caller_ref, exc)`` when lowering one caller fails and that caller
-    is then skipped; without it the exception propagates.
-    """
-    graph = CallGraph()
-    for caller_ref in program.methods_with_bodies():
-        if skip is not None and caller_ref in skip:
-            continue
-        lowered = None
-        if lowered_methods is not None and caller_ref in lowered_methods:
-            lowered = lowered_methods[caller_ref]
-        try:
-            sites = list(
-                method_call_sites(program, caller_ref, lowered=lowered)
+def build_call_graph(program):
+    """The whole program's call graph, lowering every method once (for
+    reports and tests; inference does not call it)."""
+    return call_graph_from_targets(
+        {
+            ref: method_call_targets(
+                program, lower_method(program, ref.class_decl, ref.method_decl)
             )
-        except Exception as exc:
-            if on_error is None:
-                raise
-            on_error(caller_ref, exc)
-            continue
-        for site in sites:
-            graph.add(site)
-    return graph
+            for ref in program.methods_with_bodies()
+        }
+    )
 
 
 def iter_instrs(block):

@@ -38,10 +38,15 @@ class CFGNode:
 
 
 class CFG:
-    """A per-method control-flow graph."""
+    """A per-method control-flow graph.
 
-    def __init__(self, method_ref=None):
-        self.method_ref = method_ref
+    ``lowered`` is the :class:`repro.analysis.ir.LoweredMethod` the graph
+    was built from, so a caller that needs both (the PFG stage, which
+    also resolves the method's call targets) lowers the method once.
+    """
+
+    def __init__(self, lowered):
+        self.lowered = lowered
         self.nodes = []
         self.entry = self._new_node("entry")
         self.exit = self._new_node("exit")
@@ -124,7 +129,7 @@ class _Builder:
 
     def __init__(self, lowered):
         self.lowered = lowered
-        self.cfg = CFG(method_ref=lowered.method_ref)
+        self.cfg = CFG(lowered)
         self.break_targets = []
         self.continue_targets = []
 
@@ -229,11 +234,7 @@ class _Builder:
 
 
 def build_cfg(program, class_decl, method_decl):
-    """Lower a method and build its CFG."""
+    """Lower a method and build its CFG (``cfg.lowered`` keeps the
+    lowering)."""
     lowered = ir.lower_method(program, class_decl, method_decl)
-    return _Builder(lowered).build()
-
-
-def build_cfg_from_lowered(lowered):
-    """Build a CFG from an already-lowered method."""
     return _Builder(lowered).build()

@@ -230,10 +230,8 @@ class LoweredMethod:
     the classes below.
     """
 
-    def __init__(self, method_ref, body, temps):
-        self.method_ref = method_ref
+    def __init__(self, body):
         self.body = body
-        self.temp_count = temps
 
 
 class LoweredBlock:
@@ -278,13 +276,13 @@ class LoweredContinue:
 class Lowerer(ast.NodeVisitor):
     """Lowers one method body into a :class:`LoweredMethod`."""
 
-    def __init__(self, program, class_decl, method_decl, typer=None):
+    def __init__(self, program, class_decl, method_decl):
         from repro.java.types import ExprTyper
 
         self.program = program
         self.class_decl = class_decl
         self.method_decl = method_decl
-        self.typer = typer or ExprTyper(program, class_decl, method_decl)
+        self.typer = ExprTyper(program, class_decl, method_decl)
         self.temp_count = 0
         self.block_stack = []
         # Innermost break-able construct: "loop" or "switch".  A break
@@ -330,11 +328,7 @@ class Lowerer(ast.NodeVisitor):
                     self.lower_stmt(stmt)
         finally:
             self.block_stack.pop()
-        return LoweredMethod(
-            method_ref=(self.class_decl, self.method_decl),
-            body=body,
-            temps=self.temp_count,
-        )
+        return LoweredMethod(body)
 
     # -- statements ------------------------------------------------------------
 

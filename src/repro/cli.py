@@ -455,25 +455,38 @@ def _apply_cached_specs(program, run_dir, threshold):
 
 def cmd_check(args, out):
     from repro.plural.checker import run_check
+    from repro.resilience.report import FailureReport
 
-    limits = _build_limits(args)
-    program = resolve_program(
-        [
-            parse_compilation_unit(source, limits=limits)
-            for source in _read_sources(args.files, args.api)
-        ]
+    if args.threshold is not None and args.run_dir is None:
+        print(
+            "repro check: error: --threshold requires --run-dir",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    # Parsed under isolation, as ``infer`` and a served ``check`` are: a
+    # unit that breaches a budget is quarantined, not fatal.
+    settings = InferenceSettings(policy=_build_policy(args))
+    failures = FailureReport()
+    program, _, _ = AnekPipeline(settings=settings).resolve_sources(
+        _read_sources(args.files, args.api), failures
     )
     if args.run_dir is not None:
-        error = _apply_cached_specs(program, args.run_dir, args.threshold)
+        threshold = args.threshold
+        if threshold is None:
+            threshold = settings.threshold
+        error = _apply_cached_specs(program, args.run_dir, threshold)
         if error is not None:
             print("repro check: error: %s" % error, file=sys.stderr)
             return EXIT_USAGE
-    run = run_check(program)
+    run = run_check(program, failures=failures)
     for warning in run.warnings:
         print(warning.format(), file=out)
     print("%d warning(s)" % len(run.warnings), file=out)
     if args.check_stats:
         print(run.describe(), file=out)
+    _write_fail_report(failures, args, out)
+    if failures.has_degradation:
+        return EXIT_DEGRADED
     return 0 if not run.warnings else 1
 
 
@@ -1005,9 +1018,9 @@ def build_parser():
                             "snapshot and check them without re-running "
                             "inference (sources must match that run)")
     check.add_argument("--threshold", type=_setting("threshold", float),
-                       default=0.5,
+                       default=None,
                        help="extraction threshold for --run-dir spec "
-                            "re-extraction (default: %(default)s)")
+                            "re-extraction (needs --run-dir; default: 0.5)")
     check.add_argument("--check-stats", action="store_true",
                        help="print the per-tier method/site/timing split")
     _add_governance_flags(check)

@@ -28,14 +28,13 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import (
-    build_call_graph,
     call_graph_from_targets,
     condensation_levels,
     method_call_targets,
 )
 from repro.core.heuristics import HeuristicConfig
 from repro.core.model import ENGINES, ModelCache
-from repro.core.pfg_builder import build_pfg
+from repro.core.pfg_builder import build_pfg, method_cfg
 from repro.core.priors import SpecEnvironment
 from repro.core.summaries import (
     SummaryStore,
@@ -350,13 +349,17 @@ class AnekInference:
 
     def _build_pfg_guarded(self, method_ref, policy):
         """PFG build under isolation: a crash quarantines only this
-        method.  Returns (pfg, callees-or-None) or (None, None)."""
+        method.  One lowering feeds both the PFG and the resolved call
+        targets.  Returns (pfg, callees) or (None, None)."""
         site_key = self.models.site_key(method_ref)
         try:
             if policy.enabled:
                 maybe_fault("pfg", site_key)
-            pfg = build_pfg(self.program, method_ref, limits=policy.limits)
-            callees = method_call_targets(self.program, method_ref)
+            cfg = method_cfg(self.program, method_ref)
+            pfg = build_pfg(
+                self.program, method_ref, cfg=cfg, limits=policy.limits
+            )
+            callees = method_call_targets(self.program, cfg.lowered)
         except Exception as exc:
             self.quarantine_method(
                 method_ref,
@@ -367,65 +370,34 @@ class AnekInference:
             return None, None
         return pfg, callees
 
-    def _quarantine_caller(self, method_ref, exc, policy):
-        """Call-graph lowering failed for one caller: quarantine it, same
-        contract as :meth:`_build_pfg_guarded`."""
-        self.quarantine_method(
-            method_ref,
-            policy.quarantine_record(
-                "resolve",
-                self.models.site_key(method_ref),
-                exc,
-                "method-quarantined",
-            ),
-        )
-
     # -- initialization (Figure 9 lines 1-7) -------------------------------------
 
-    def _initialize(self, build_pfgs=True):
+    def _initialize(self):
         policy = self.settings.effective_policy()
         methods = list(self.program.methods_with_bodies())
         self.stats.methods = len(methods)
         self.method_set = set(methods)
-        cached_callees = None
-        if build_pfgs:
+        callees_of = {}
+        for method_ref in methods:
+            pfg = None
             if self.cache is not None:
-                cached_callees = {}
-            for method_ref in methods:
-                pfg = None
-                if cached_callees is not None:
-                    pfg, callees = self.cache.load_frontend(method_ref)
-                    if pfg is None:
-                        pfg, callees = self._build_pfg_guarded(
-                            method_ref, policy
-                        )
-                        if pfg is None:
-                            continue
-                        self.cache.store_frontend(method_ref, pfg, callees)
-                    cached_callees[method_ref] = callees
-                else:
-                    pfg, _ = self._build_pfg_guarded(method_ref, policy)
-                    if pfg is None:
-                        continue
-                self.pfgs[method_ref] = pfg
-                self.stats.pfg_nodes += pfg.node_count()
-            if self.quarantined:
-                methods = [m for m in methods if m in self.pfgs]
-        if cached_callees is not None:
-            # The call graph is reconstructed from the per-method callee
-            # lists — skipping every lowering — and matches what
-            # build_call_graph would produce for inference's purposes
-            # (caller/callee identities in source order).
-            self.call_graph = call_graph_from_targets(cached_callees)
+                pfg, callees = self.cache.load_frontend(method_ref)
+            if pfg is None:
+                pfg, callees = self._build_pfg_guarded(method_ref, policy)
+                if pfg is None:
+                    continue
+                if self.cache is not None:
+                    self.cache.store_frontend(method_ref, pfg, callees)
+            callees_of[method_ref] = callees
+            self.pfgs[method_ref] = pfg
+            self.stats.pfg_nodes += pfg.node_count()
+        if self.quarantined:
+            methods = [m for m in methods if m in self.pfgs]
+        # Cached or freshly built, every surviving method's targets are
+        # in source order, so the graph never needs a lowering of its own.
+        self.call_graph = call_graph_from_targets(callees_of)
+        if self.cache is not None:
             self.cache.record_invalidation(self.call_graph, methods)
-        else:
-            self.call_graph = build_call_graph(
-                self.program,
-                skip=self.quarantined,
-                on_error=lambda ref, exc: self._quarantine_caller(
-                    ref, exc, policy
-                ),
-            )
         for method_ref in methods:
             self._callers_of[method_ref] = [
                 caller

@@ -33,13 +33,7 @@ class PFGBuilder:
         self.program = program
         self.method_ref = method_ref
         self._max_nodes = limits.cap("max_pfg_nodes") if limits else 0
-        # CFG construction and alias analysis walk the AST recursively;
-        # a method body deep enough to blow the interpreter stack must
-        # surface as a typed, quarantinable failure.
-        with recursion_guard("pfg-build-depth", "CFG/alias construction"):
-            self.cfg = cfg or build_cfg(
-                program, method_ref.class_decl, method_ref.method_decl
-            )
+        self.cfg = cfg or method_cfg(program, method_ref)
         self.alias = analyze_aliases(
             self.cfg, [p.name for p in method_ref.method_decl.params]
         )
@@ -487,6 +481,16 @@ class PFGBuilder:
                         break
 
 
+def method_cfg(program, method_ref):
+    """Lower one method and build its CFG (``cfg.lowered`` keeps the
+    lowering).  Both walk the AST recursively; a method body deep enough
+    to blow the interpreter stack must surface as a typed, quarantinable
+    failure."""
+    with recursion_guard("pfg-build-depth", "CFG/alias construction"):
+        return build_cfg(program, method_ref.class_decl, method_ref.method_decl)
+
+
 def build_pfg(program, method_ref, cfg=None, limits=None):
-    """Build the PFG for one method."""
+    """Build the PFG for one method (from ``cfg`` when the caller already
+    built it with :func:`method_cfg`)."""
     return PFGBuilder(program, method_ref, cfg=cfg, limits=limits).build()

@@ -89,8 +89,6 @@ def coverage_report(program, warnings, protocol_methods=None):
     warned_sites = {(w.method, w.line) for w in warnings}
     for site in graph.sites:
         callee = site.callee
-        if callee is None:
-            continue
         name = callee.qualified_name
         if protocol_methods is not None:
             if name not in protocol_methods:

@@ -110,8 +110,6 @@ class PmdExperiment:
         graph = build_call_graph(program)
         count = 0
         for site in graph.sites:
-            if site.callee is None:
-                continue
             if (
                 site.callee.method_decl.name == "next"
                 and program.is_subtype(site.callee.class_decl.name, "Iterator")

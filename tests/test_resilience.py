@@ -365,6 +365,17 @@ class Demo {
             assert "--checkpoint-every requires --run-dir or --resume" in err
             assert "fatal" not in err
 
+    def test_check_threshold_without_run_dir_is_usage_error(
+        self, demo_file, capsys
+    ):
+        code = cli_main(
+            ["check", demo_file, "--threshold", "0.9"], io.StringIO()
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "repro check: error: --threshold requires --run-dir" in err
+        assert "fatal" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

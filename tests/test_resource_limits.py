@@ -8,6 +8,7 @@ differential contract: a clean-corpus run is bit-identical with
 governance on or off.
 """
 
+import io
 import socket
 import struct
 
@@ -425,6 +426,18 @@ class TestCliGovernance:
         path.write_text(_deep_nesting_source(120))
         assert cli_main(["infer", "--no-cache", str(path)]) == 2
         capsys.readouterr()
+
+    def test_check_is_governed_like_infer(self, tmp_path):
+        """``repro check`` parses under isolation, as ``infer`` and a
+        served ``check`` do: a unit past the depth budget is quarantined
+        and printed, and the check exits 2 instead of dying fatally."""
+        path = tmp_path / "deep.java"
+        path.write_text(_deep_nesting_source(200))
+        record = "  [parse] unit:1: ResourceLimitError (resource-limit)"
+        for argv in (["check", str(path)], ["infer", "--no-cache", str(path)]):
+            out = io.StringIO()
+            assert cli_main(argv, out) == 2
+            assert record in out.getvalue().splitlines()
 
     def test_no_governance_flag(self, tmp_path, capsys):
         path = tmp_path / "deep.java"

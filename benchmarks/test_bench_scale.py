@@ -47,7 +47,7 @@ def _child(conn, factor):
     from repro.corpus import CorpusSpec, generate_pmd_corpus
     from repro.java.parser import parse_compilation_unit
     from repro.java.symbols import method_key, resolve_program
-    from repro.resilience.checkpoint import current_rss_mb
+    from repro.resilience.limits import current_rss_mb
 
     bundle = generate_pmd_corpus(CorpusSpec().scaled(factor))
     parse_start = time.perf_counter()

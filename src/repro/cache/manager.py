@@ -173,9 +173,11 @@ class AnalysisCache:
 
     def save(self, key, payload):
         """Persist via the store, surfacing write failures as a counted
-        ``store_errors`` stat (the store itself degrades to no-persist)."""
-        self.store.save(key, payload)
+        ``store_errors`` stat (the store itself degrades to no-persist).
+        Returns True when the entry is in the store afterwards."""
+        saved = self.store.save(key, payload)
         self.stats.store_errors = self.store.store_errors
+        return saved
 
     def save_manifest(self, manifest):
         self.store.save_manifest(manifest)
@@ -385,7 +387,7 @@ class BoundCache:
                 for callee, slot, target, site_key, marginal in deposits
             ],
         }
-        self.cache.save(key, payload)
+        return self.cache.save(key, payload)
 
     # -- layer 3b: whole-run final results -------------------------------------
 

@@ -62,13 +62,14 @@ class ArtifactStore:
             return None
 
     def save(self, key, payload):
-        """Atomically persist one payload; failures disable further writes."""
+        """Atomically persist one payload; failures disable further writes.
+        Returns True when the entry is in the store afterwards."""
         if self._write_disabled:
-            return
+            return False
         path = self._path(key)
         if os.path.exists(path):
-            return
-        self._atomic_write(
+            return True
+        return self._atomic_write(
             path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
 
@@ -112,6 +113,7 @@ class ArtifactStore:
     # -- plumbing -------------------------------------------------------------
 
     def _atomic_write(self, path, data):
+        """Write ``data`` to ``path`` atomically; returns True on success."""
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             handle, temp_path = tempfile.mkstemp(
@@ -139,3 +141,5 @@ class ArtifactStore:
                 RuntimeWarning,
                 stacklevel=2,
             )
+            return False
+        return True

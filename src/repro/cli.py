@@ -9,23 +9,25 @@
     python -m repro figure {1,4,6,10} regenerate a paper figure
     python -m repro fuzz --seed S --budget N   structured fuzzing campaign
 
-``infer`` and ``check`` accept ``--api`` to prepend the annotated
-Iterator API (on by default) and ``--threshold``/``--max-iters`` to tune
+``infer`` and ``check`` prepend the annotated Iterator API (``--no-api``
+to skip it); ``infer`` takes ``--threshold``/``--max-iters`` to tune
 extraction and the worklist.  ``infer`` keeps a persistent analysis
 cache in ``.anek-cache/`` (``--cache-dir`` to move it, ``--no-cache`` to
 disable, ``--cache-stats`` to print hit/miss counters).
 
-``infer --run-dir DIR`` makes the run durable (journal + checkpoints);
-SIGTERM/SIGINT, or an RSS reading over ``--max-rss-mb``, then stop it
-gracefully at the next checkpoint barrier and ``infer --resume DIR``
-continues it bit-identically.
+The cache is also how a cached ``infer`` survives a stop or a kill:
+every finished visit is stored as it completes, so running the same
+command again replays those visits (``N replayed`` in the trace) and
+solves on.  SIGTERM/SIGINT, or an RSS reading over ``--max-rss-mb``,
+stop a cached run after the visit in flight.
 
 Exit codes: 0 = clean run; 1 = ``check`` found warnings; 2 = the run
 completed but quarantined/degraded some work (see ``--fail-report``);
-3 = usage error; 4 = fatal internal error (one-line summary on stderr,
-full traceback with ``--debug``); 5 = interrupted at a checkpoint —
-resumable with ``--resume``; 6 = ``serve --supervise`` gave up on a
-crash-looping daemon.
+3 = usage error (including ``--max-rss-mb`` without the cache, or a
+budget the run is over before its first visit); 4 = fatal internal error
+(one-line summary on stderr, full traceback with ``--debug``); 5 = a
+cached run stopped between two visits — rerun the same command to
+continue; 6 = ``serve --supervise`` gave up on a crash-looping daemon.
 """
 
 import argparse
@@ -126,32 +128,21 @@ def _emit_fail_report(result, args, out):
 
 
 def cmd_infer(args, out):
-    from repro.resilience.checkpoint import (
-        ResumeError,
-        RunInterrupted,
-        graceful_shutdown,
-    )
+    from repro.resilience.limits import MemoryBudgetError
+    from repro.resilience.shutdown import RunInterrupted, graceful_shutdown
 
-    run_dir = args.resume or args.run_dir
-    for flag, value in (
-        ("--max-rss-mb", args.max_rss_mb),
-        ("--checkpoint-every", args.checkpoint_every),
-    ):
-        if value and not run_dir:
-            print(
-                "repro infer: error: %s requires --run-dir or --resume"
-                % flag,
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    if args.max_rss_mb and not args.use_cache:
+        print(
+            "repro infer: error: --max-rss-mb needs the analysis cache: a "
+            "stopped run continues only by rerunning against it",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     settings = InferenceSettings(
         threshold=args.threshold,
         max_worklist_iters=args.max_iters,
         executor=args.executor,
         policy=_build_policy(args),
-        run_dir=run_dir,
-        resume=args.resume is not None,
-        checkpoint_every=args.checkpoint_every or 1,
         max_rss_mb=args.max_rss_mb,
     )
     cache = None
@@ -160,28 +151,21 @@ def cmd_infer(args, out):
 
         cache = AnalysisCache(cache_dir=args.cache_dir)
     pipeline = AnekPipeline(settings=settings, cache=cache)
-    # SIGTERM/SIGINT drain-and-checkpoint only makes sense with a run
-    # directory to checkpoint into; without one, default handling stays.
-    shutdown = graceful_shutdown() if run_dir else nullcontext()
+    # Stopping between two visits only helps a run that a rerun can
+    # continue from the cache; without one, default handling stays.
+    shutdown = graceful_shutdown() if cache is not None else nullcontext()
     try:
         with shutdown:
             result = pipeline.run_on_sources(
                 _read_sources(args.files, args.api)
             )
     except RunInterrupted as exc:
-        print(
-            "interrupted: resumable checkpoint written to %s" % exc.run_dir,
-            file=out,
-        )
-        print(
-            "resume with: python -m repro infer --resume %s ..." % exc.run_dir,
-            file=out,
-        )
-        if exc.failures is not None:
-            _write_fail_report(exc.failures, args, out)
+        print("interrupted: %s" % exc, file=out)
+        print("rerun the same command to continue", file=out)
+        _write_fail_report(exc.failures, args, out)
         return EXIT_INTERRUPTED
-    except ResumeError as exc:
-        print("repro: error: %s" % exc, file=sys.stderr)
+    except MemoryBudgetError as exc:
+        print("repro infer: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     print(result.describe_stages(), file=out)
     if args.cache_stats and cache is not None:
@@ -391,78 +375,10 @@ def cmd_client(args, out):
     return EXIT_FATAL
 
 
-def _apply_cached_specs(program, run_dir, threshold):
-    """Reuse a completed ``infer --run-dir`` run's final marginals:
-    re-extract specs at ``threshold`` and apply them to ``program``
-    without re-running inference.  Returns an error string, or None."""
-    import json
-    import os
-
-    from repro.cache.fingerprints import program_digest
-    from repro.core.applier import apply_specs
-    from repro.core.extract import extract_program_specs
-    from repro.core.priors import SpecEnvironment
-    from repro.core.summaries import TargetMarginal
-    from repro.resilience.checkpoint import META_NAME, latest_valid_snapshot
-
-    meta_path = os.path.join(run_dir, META_NAME)
-    try:
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except FileNotFoundError:
-        return "%s is not a run directory (no %s)" % (run_dir, META_NAME)
-    except (OSError, ValueError) as exc:
-        return "unreadable run metadata %s (%s: %s)" % (
-            meta_path,
-            type(exc).__name__,
-            exc,
-        )
-    if meta.get("program") != program_digest(program):
-        return (
-            "run directory %s was recorded for a different program; pass "
-            "the same sources (and --api setting) the infer run used"
-            % run_dir
-        )
-    name, state = latest_valid_snapshot(run_dir)
-    if state is None:
-        return "run directory %s has no valid snapshot" % run_dir
-    if not state.get("complete"):
-        return (
-            "run directory %s holds an interrupted run (snapshot %s); "
-            "finish it first with: repro infer --resume %s"
-            % (run_dir, name, run_dir)
-        )
-    table = program.method_key_table()
-    results = {}
-    for key, boundary in state["results"]:
-        ref = table.get(key)
-        if ref is None:
-            continue
-        results[ref] = {
-            tuple(slot_target): TargetMarginal.from_payload(payload)
-            for slot_target, payload in boundary
-        }
-    # Methods inference never produced marginals for (quarantined, or
-    # outside the inference set) get an empty boundary: empty spec.
-    for ref in program.methods_with_bodies():
-        results.setdefault(ref, {})
-    specs = extract_program_specs(
-        program, results, SpecEnvironment(program), threshold=threshold
-    )
-    apply_specs(program, specs)
-    return None
-
-
 def cmd_check(args, out):
     from repro.plural.checker import run_check
     from repro.resilience.report import FailureReport
 
-    if args.threshold is not None and args.run_dir is None:
-        print(
-            "repro check: error: --threshold requires --run-dir",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     # Parsed under isolation, as ``infer`` and a served ``check`` are: a
     # unit that breaches a budget is quarantined, not fatal.
     settings = InferenceSettings(policy=_build_policy(args))
@@ -470,14 +386,6 @@ def cmd_check(args, out):
     program, _, _ = AnekPipeline(settings=settings).resolve_sources(
         _read_sources(args.files, args.api), failures
     )
-    if args.run_dir is not None:
-        threshold = args.threshold
-        if threshold is None:
-            threshold = settings.threshold
-        error = _apply_cached_specs(program, args.run_dir, threshold)
-        if error is not None:
-            print("repro check: error: %s" % error, file=sys.stderr)
-            return EXIT_USAGE
     run = run_check(program, failures=failures)
     for warning in run.warnings:
         print(warning.format(), file=out)
@@ -866,24 +774,12 @@ def build_parser():
                        type=_nonnegative_count("--solve-retries"), default=2,
                        help="solve retries before the engine fallback "
                             "(default: %(default)s)")
-    infer.add_argument("--run-dir", metavar="DIR", default=None,
-                       help="durable run directory (journal + checkpoints); "
-                            "SIGTERM/SIGINT then stop at a checkpoint with "
-                            "exit code 5 and the run resumes via --resume")
-    infer.add_argument("--resume", metavar="DIR", default=None,
-                       help="resume an interrupted run from its run "
-                            "directory (same sources and flags required; "
-                            "implies --run-dir DIR)")
-    infer.add_argument("--checkpoint-every", metavar="N",
-                       type=_positive_count("--checkpoint-every"),
-                       default=None,
-                       help="checkpoint barriers between compacted snapshots "
-                            "(default: 1 = every barrier); needs --run-dir")
     infer.add_argument("--max-rss-mb", metavar="MB",
-                       type=_nonnegative_count("--max-rss-mb"), default=0,
-                       help="soft RSS budget read at each checkpoint "
-                            "barrier: over it, checkpoint, then exit 5 "
-                            "(resume with --resume); needs --run-dir "
+                       type=_setting("max_rss_mb", int), default=0,
+                       help="soft RSS budget of a cached run: over it "
+                            "before the first visit, exit 3; over it after "
+                            "a newly cached visit, exit 5 (rerun the same "
+                            "command to continue); needs the cache "
                             "(0 = no budget)")
     _add_governance_flags(infer)
     infer.set_defaults(run=cmd_infer)
@@ -1012,15 +908,6 @@ def build_parser():
     check = sub.add_parser("check", help="run the PLURAL checker")
     check.add_argument("files", nargs="+")
     check.add_argument("--no-api", dest="api", action="store_false")
-    check.add_argument("--run-dir", metavar="DIR", default=None,
-                       help="reuse a completed 'infer --run-dir DIR' run: "
-                            "re-extract its inferred specs from the final "
-                            "snapshot and check them without re-running "
-                            "inference (sources must match that run)")
-    check.add_argument("--threshold", type=_setting("threshold", float),
-                       default=None,
-                       help="extraction threshold for --run-dir spec "
-                            "re-extraction (needs --run-dir; default: 0.5)")
     check.add_argument("--check-stats", action="store_true",
                        help="print the per-tier method/site/timing split")
     _add_governance_flags(check)

@@ -42,8 +42,10 @@ from repro.core.summaries import (
     satisfaction_evidence,
 )
 from repro.resilience.faults import maybe_fault
+from repro.resilience.limits import MemoryBudgetError, current_rss_mb
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import FailureRecord, FailureReport
+from repro.resilience.shutdown import RunInterrupted, shutdown_requested
 
 
 #: Schedules accepted by ``InferenceSettings.executor``: ``worklist`` is
@@ -61,41 +63,21 @@ BP_TOLERANCE = 1e-4
 SUMMARY_CHANGE_THRESHOLD = 0.02
 
 
-def _rekey_evidence_to_refs(store, table):
-    """Rebind a restored store's evidence site keys to live MethodRefs.
-
-    Snapshots canonicalize site keys to ``(method key, index)``, but both
-    schedules deposit evidence keyed by ``(MethodRef, index)`` —
-    left as strings, a resumed run's later deposits would create *new*
-    bucket entries beside the restored ones instead of overwriting them,
-    silently double-counting votes.  Bucket insertion order (the vote
-    order of the geometric-mean aggregation) is preserved.
-    """
-    rekeyed = {}
-    for header, bucket in store._evidence.items():
-        new_bucket = {}
-        for (owner, index), marginal in bucket.items():
-            if isinstance(owner, str) and owner in table:
-                new_bucket[(table[owner], index)] = marginal
-            else:
-                new_bucket[(owner, index)] = marginal
-        rekeyed[header] = new_bucket
-    store._evidence = rekeyed
-
 #: The default fault-tolerance posture: isolation and degradation on.
 _DEFAULT_POLICY = ResiliencePolicy()
 
 
 @dataclass
 class InferenceSettings:
-    """Knobs of ANEK-INFER.  The one home of the solve knobs' checks:
-    the CLI and the serve protocol validate threshold, max-iters and
-    executor by building one of these and reporting its ``ValueError``."""
+    """Knobs of ANEK-INFER.  The one home of the run knobs' checks: the
+    CLI and the serve protocol validate threshold, max-iters and
+    executor (and the CLI its RSS budget) by building one of these and
+    reporting its ``ValueError``."""
 
     max_worklist_iters: int = 0  # 0 = 3 passes over all methods
     #: The paper's extraction threshold t in [0.5, 1).  Read only when
-    #: specs are extracted from the final marginals, so cache and run
-    #: directory identity leave it out.
+    #: specs are extracted from the final marginals, so cache identity
+    #: leaves it out.
     threshold: float = 0.5
     #: "worklist" = the sequential Figure 9 loop; "serial" = the
     #: level-synchronous schedule over call-graph SCC levels.
@@ -116,22 +98,12 @@ class InferenceSettings:
     #: zero faults a resilient run is bit-identical to a non-resilient
     #: one.
     policy: object = None
-    #: Durable run directory (journal + checkpoints) for crash-consistent
-    #: resume, or None (no run-layer persistence).  Like ``policy``,
-    #: excluded from cache config digests: checkpointing never changes
-    #: results.
-    run_dir: str = None
-    #: True to resume an interrupted run from ``run_dir`` instead of
-    #: starting fresh.
-    resume: bool = False
-    #: Checkpoint barriers between compacted snapshots (1 = every
-    #: barrier; higher trades resume granularity for snapshot I/O).
-    #: Any other value needs a ``run_dir``.
-    checkpoint_every: int = 1
-    #: Soft RSS budget in MiB, read at each checkpoint barrier: a reading
-    #: over it checkpoints, then stops the run with ``RunInterrupted``
-    #: (CLI exit 5), resumable from ``run_dir``.  Needs a ``run_dir``
-    #: (0 = no budget).
+    #: Soft RSS budget in MiB of a cached run (0 = no budget).  Read once
+    #: before the first visit, where a reading over it refuses the run
+    #: (:class:`MemoryBudgetError`), then after every visit that wrote a
+    #: new outcome to the cache, where it stops the run with
+    #: ``RunInterrupted``; a rerun continues from the cache.  Needs a
+    #: bound cache; like ``policy``, left out of cache identity.
     max_rss_mb: int = 0
 
     def effective_policy(self):
@@ -173,20 +145,15 @@ class InferenceSettings:
                 "unknown engine %r (expected one of %s)"
                 % (self.engine, ", ".join(ENGINES))
             )
-        if self.checkpoint_every < 1:
+        if (
+            isinstance(self.max_rss_mb, bool)
+            or not isinstance(self.max_rss_mb, int)
+            or self.max_rss_mb < 0
+        ):
             raise ValueError(
-                "checkpoint_every must be >= 1, got %d" % self.checkpoint_every
+                "max_rss_mb must be an integer >= 0 (0 = no budget), got %r"
+                % (self.max_rss_mb,)
             )
-        if self.max_rss_mb < 0:
-            raise ValueError(
-                "max_rss_mb must be >= 0, got %d" % self.max_rss_mb
-            )
-        if self.resume and not self.run_dir:
-            raise ValueError("resume requires a run_dir")
-        if self.max_rss_mb and not self.run_dir:
-            raise ValueError("max_rss_mb requires a run_dir")
-        if self.checkpoint_every != 1 and not self.run_dir:
-            raise ValueError("checkpoint_every requires a run_dir")
 
     def resolved_max_iters(self, method_count):
         if self.max_worklist_iters > 0:
@@ -256,16 +223,6 @@ class InferenceStats:
     quarantined: int = 0
     #: Solves that fell to the prior-only floor of the retry ladder.
     degraded: int = 0
-    #: Durable-run bookkeeping: compacted snapshots written; True when
-    #: the run continued from an earlier run directory; True when a
-    #: graceful shutdown or the RSS budget stopped it at a checkpoint
-    #: barrier.
-    checkpoints: int = 0
-    resumed: bool = False
-    interrupted: bool = False
-    #: Journal/snapshot writes that failed (ENOSPC etc.) and degraded
-    #: the run to no-persist.
-    persist_errors: int = 0
     #: Checker-stage split (the build/kernel/cache stages above all have
     #: dedicated timings; the checker gets the same treatment).  ``check_tier``
     #: is the tier that actually ran ("" when the checker was skipped);
@@ -322,6 +279,11 @@ class AnekInference:
             if cache is not None
             else None
         )
+        if self.settings.max_rss_mb and self.cache is None:
+            raise ValueError(
+                "max_rss_mb needs a bound analysis cache: a stopped run "
+                "continues only by rerunning against that cache"
+            )
         #: {method_ref: PFG} of the methods inference still covers.
         self.pfgs = {}
         self.models = ModelCache(
@@ -409,44 +371,35 @@ class AnekInference:
     # -- the schedules (Figure 9 lines 8-21) --------------------------------------
 
     def run(self):
-        """Run inference; returns {method_ref: boundary marginals dict}."""
+        """Run inference; returns {method_ref: boundary marginals dict}.
+
+        A cached run may stop between two visits with
+        :class:`RunInterrupted` (see :meth:`_stop_check`); rerunning it
+        against the same cache replays every visit it finished."""
         start = time.perf_counter()
-        manager = self._checkpoint_manager()
-        resume_state = manager.resume_state if manager is not None else None
-        if resume_state is None:
-            restored = self._restore_final()
-            if restored is not None:
-                self.stats.elapsed_seconds = time.perf_counter() - start
-                if manager is not None:
-                    manager.finalize(
-                        lambda: manager.encode(restored, complete=True)
-                    )
-                return restored
-        else:
-            self.stats.resumed = True
-        if resume_state is not None and resume_state.get("complete"):
-            # The earlier run already finalized: its terminal state *is*
-            # this run's result (same program/config/schedule, enforced
-            # by the resume validation).
-            results, _ = self._apply_resume_state(resume_state)
-            self.stats.resumed = True
+        restored = self._restore_final()
+        if restored is not None:
             self.stats.elapsed_seconds = time.perf_counter() - start
-            if manager is not None:
-                manager.close()
-            return results
+            return restored
         methods = self._initialize()
-        results, resume = {}, None
-        if resume_state is not None:
-            results, resume = self._apply_resume_state(resume_state)
+        budget = self.settings.max_rss_mb
+        if budget:
+            rss = current_rss_mb()
+            if rss > budget:
+                raise MemoryBudgetError(
+                    "max-rss-mb",
+                    "%.0f MiB" % rss,
+                    "%d MiB" % budget,
+                    "RSS after setup, before the first visit",
+                )
+        results = {}
         self.stats.executor = self.settings.executor
         if self.settings.executor == "worklist":
-            self._run_worklist(methods, results, manager, resume)
+            self._run_worklist(methods, results)
         else:
-            self._run_levels(methods, results, manager, resume)
+            self._run_levels(methods, results)
         self.stats.elapsed_seconds = time.perf_counter() - start
         self._persist_final(results)
-        if manager is not None:
-            manager.finalize(lambda: manager.encode(results, complete=True))
         return results
 
     def _visit_ceiling(self):
@@ -472,73 +425,85 @@ class AnekInference:
             )
         )
 
-    def _run_worklist(self, methods, results, manager, resume):
-        """The paper's loop: visit methods first-in first-out, re-enqueueing
-        the dependents of every changed summary; a barrier follows each
-        visit."""
-        worklist = deque(methods)
-        count = 0
-        if resume is not None:
-            table = self.program.method_key_table()
-            worklist = deque(
-                table[key]
-                for key in resume.get("worklist", ())
-                if key in table and table[key] in self.pfgs
+    def _stop_check(self, method_ref, visit):
+        """Between two visits of a cached run: stop on a stop request, or
+        on an RSS reading over ``max_rss_mb`` taken right after a visit
+        that wrote a new outcome to the cache.  Replays and skips never
+        read RSS, so every rerun of a stopped run solves at least one
+        more visit than the last."""
+        if self.cache is None:
+            return
+        if shutdown_requested():
+            self._interrupt(method_ref, "solve", "Interrupted",
+                            "stop requested")
+        budget = self.settings.max_rss_mb
+        if budget and visit is not None and visit.stored:
+            rss = current_rss_mb()
+            if rss > budget:
+                self._interrupt(
+                    method_ref,
+                    "resource",
+                    "SoftMemoryBudget",
+                    "RSS %.0f MiB over the %d MiB budget" % (rss, budget),
+                )
+
+    def _interrupt(self, method_ref, stage, error, why):
+        """Ledger one ``run-interrupted`` record and raise
+        :class:`RunInterrupted`; nothing final is persisted."""
+        self.failures.interrupted = True
+        self.failures.add(
+            FailureRecord(
+                stage=stage,
+                key=self.models.site_key(method_ref),
+                error=error,
+                message="%s after this visit; rerun the same command "
+                "to continue" % why,
+                disposition="run-interrupted",
             )
-            count = resume.get("count", 0)
+        )
+        raise RunInterrupted(why, self.failures)
+
+    def _run_worklist(self, methods, results):
+        """The paper's loop: visit methods first-in first-out, re-enqueueing
+        the dependents of every changed summary."""
+        stats = self.stats
+        worklist = deque(methods)
         queued = set(worklist)
         # Quarantines shrink ``pfgs``, so its size is the surviving
-        # method count on both the fresh and the resumed path.
+        # method count.
         max_iters = self.settings.resolved_max_iters(len(self.pfgs))
         visit_ceiling = self._visit_ceiling()
         if visit_ceiling and max_iters > visit_ceiling:
             max_iters = visit_ceiling
-        while worklist and count < max_iters:
-            count += 1
+        while worklist and stats.solves < max_iters:
+            stats.solves += 1
             method_ref = worklist.popleft()  # CHOOSE(W)
             queued.discard(method_ref)
-            changed = self._merge(method_ref, self._visit(method_ref), results)
+            visit = self._visit(method_ref)
+            changed = self._merge(method_ref, visit, results)
             for dependent in changed:
                 if dependent not in queued and dependent in self.pfgs:
                     queued.add(dependent)
                     worklist.append(dependent)
-            if manager is not None:
-                self.stats.solves = count
-                extra = {
-                    "worklist": [
-                        self.models.site_key(ref) for ref in worklist
-                    ],
-                    "count": count,
-                }
-                manager.barrier(
-                    "visit:%d:%s" % (count, self.models.site_key(method_ref)),
-                    lambda extra=extra: manager.encode(results, extra=extra),
-                )
-        if worklist and visit_ceiling and count >= visit_ceiling:
-            self._record_visit_ceiling(len(worklist), count)
-        self.stats.solves = count
+            self._stop_check(method_ref, visit)
+        if worklist and visit_ceiling and stats.solves >= visit_ceiling:
+            self._record_visit_ceiling(len(worklist), stats.solves)
 
-    def _run_levels(self, methods, results, manager, resume):
+    def _run_levels(self, methods, results):
         """The ``serial`` schedule: rounds over the SCC levels, callee-first.
 
         Each level visits its dirty methods, then merges them in sorted
-        method-key order; a barrier follows each level's merge.  Later
-        rounds visit only methods whose own summary, callee summaries or
-        incoming evidence changed.  Rounds stop when the round budget
-        derived from ``max_worklist_iters`` runs out, or when a round
-        leaves every summary and every piece of evidence unchanged.
+        method-key order.  Later rounds visit only methods whose own
+        summary, callee summaries or incoming evidence changed.  Rounds
+        stop when the round budget derived from ``max_worklist_iters``
+        runs out, or when a round leaves every summary and every piece
+        of evidence unchanged.
         """
         stats = self.stats
-        if resume is not None:
-            # A method the earlier run quarantined is absent from the
-            # condensation, as it was then, keeping the round budget and
-            # the schedule identical across the resume boundary.
-            methods = [ref for ref in methods if ref in self.pfgs]
         if not methods:
             return
-        key_of = self.models.site_key
         levels, stats.sccs = condensation_levels(
-            self.call_graph, methods, sort_key=key_of
+            self.call_graph, methods, sort_key=self.models.site_key
         )
         stats.levels = len(levels)
         method_count = sum(len(level) for level in levels)
@@ -547,26 +512,8 @@ class AnekInference:
         visit_ceiling = self._visit_ceiling()
         dirty = set(methods)
         round_changed = set()
-        start_round, resume_level = 1, None
-        if resume:
-            # Snapshots record the position *after* level (round, level)
-            # merged, plus both dirty sets; re-entering there re-executes
-            # the remaining levels exactly as the uninterrupted run would.
-            table = self.program.method_key_table()
-            start_round = resume["round"]
-            resume_level = resume["level"]
-            dirty = {table[key] for key in resume["dirty"] if key in table}
-            round_changed = {
-                table[key] for key in resume["round_changed"] if key in table
-            }
-        for round_index in range(start_round, rounds + 1):
+        for round_index in range(1, rounds + 1):
             for level_index, level in enumerate(levels):
-                if (
-                    resume_level is not None
-                    and round_index == start_round
-                    and level_index <= resume_level
-                ):
-                    continue
                 targets = [
                     ref for ref in level if ref in dirty and ref in self.pfgs
                 ]
@@ -591,93 +538,10 @@ class AnekInference:
                     stats.rounds = round_index
                     self._record_visit_ceiling(pending, stats.solves)
                     return
-                if targets and manager is not None:
-                    extra = {
-                        "round": round_index,
-                        "level": level_index,
-                        "dirty": sorted(key_of(ref) for ref in dirty),
-                        "round_changed": sorted(
-                            key_of(ref) for ref in round_changed
-                        ),
-                    }
-                    manager.barrier(
-                        "round:%d:level:%d" % (round_index, level_index),
-                        lambda extra=extra: manager.encode(
-                            results, extra=extra
-                        ),
-                    )
             stats.rounds = round_index
             dirty, round_changed = round_changed, set()
             if not dirty:
                 break
-
-    def _checkpoint_manager(self):
-        """The durable run layer, or None when ``run_dir`` is unset."""
-        if not self.settings.run_dir:
-            return None
-        from repro.resilience.checkpoint import CheckpointManager
-
-        if self.settings.resume:
-            return CheckpointManager.resume(self.settings.run_dir, self)
-        return CheckpointManager.start(self.settings.run_dir, self)
-
-    def _apply_resume_state(self, state):
-        """Restore a snapshot's state into this run; returns
-        ``(results, engine_extra)``.
-
-        Called *after* ``_initialize`` (the resumed process must rebuild
-        PFGs and the call graph from source anyway): the ledger and the
-        quarantine set are restored wholesale so the failure history is
-        contiguous across the resume boundary and a method quarantined
-        before the crash stays quarantined even when its fault does not
-        recur.
-        """
-        from dataclasses import fields as dataclass_fields
-
-        from repro.core.summaries import TargetMarginal
-
-        table = self.program.method_key_table()
-        resumed_from = self.failures.resumed_from
-        self.failures.records[:] = [
-            FailureRecord(**record) for record in state["failures"]
-        ]
-        self.failures.resumed_from = resumed_from
-        self.quarantined = {}
-        self.stats.quarantined = 0
-        for key, record in state["quarantined"]:
-            ref = table.get(key)
-            if ref is None:
-                continue
-            self.quarantined[ref] = FailureRecord(**record)
-            self.pfgs.pop(ref, None)
-            self.method_set.discard(ref)
-        snapshot_stats = state["stats"]
-        for field_info in dataclass_fields(self.stats):
-            if field_info.name in snapshot_stats:
-                setattr(
-                    self.stats, field_info.name, snapshot_stats[field_info.name]
-                )
-        self.stats.constraint_counts = dict(self.stats.constraint_counts)
-        self.stats.schedule = list(self.stats.schedule)
-        # Restored stats describe the pre-crash run, where resumed was
-        # False and the engine may have been the other one; this run
-        # *is* a resume, on this run's engine.
-        self.stats.resumed = True
-        self.stats.interrupted = False
-        self.stats.engine = self.settings.engine
-        store = SummaryStore.from_payload(state["store"], table)
-        _rekey_evidence_to_refs(store, table)
-        self.summaries = store
-        results = {}
-        for key, boundary in state["results"]:
-            ref = table.get(key)
-            if ref is None:
-                continue
-            results[ref] = {
-                tuple(slot_target): TargetMarginal.from_payload(payload)
-                for slot_target, payload in boundary
-            }
-        return results, state.get("extra", {})
 
     def _schedule_kind(self):
         """Distinguishes final-result artifacts: the worklist and the
@@ -723,8 +587,13 @@ class AnekInference:
     def _solve_level(self, targets, results):
         """Visit every target against the summaries as they stood when the
         level began, then merge the visits in order; returns the methods
-        to revisit."""
-        visits = [(ref, self._visit(ref)) for ref in targets]
+        to revisit.  The stop check follows every visit: the level's
+        finished visits are already cached, so a rerun replays them."""
+        visits = []
+        for ref in targets:
+            visit = self._visit(ref)
+            visits.append((ref, visit))
+            self._stop_check(ref, visit)
         revisit = set()
         for ref, visit in visits:
             revisit.update(self._merge(ref, visit, results))

@@ -529,6 +529,9 @@ class ModelVisit:
     degraded: bool = False
     #: FailureRecords emitted by the solve guard for this visit.
     failures: list = field(default_factory=list)
+    #: True when this visit solved and its outcome is now in the
+    #: persistent store, so a rerun replays it instead of solving.
+    stored: bool = False
 
     @property
     def reused(self):
@@ -707,8 +710,9 @@ class ModelCache:
                 entry["result"] = result
                 entry["boundary"] = boundary
                 entry["deposits"] = deposits
+        stored = False
         if solve_key is not None and not degraded:
-            self.cache.store_solve(solve_key, boundary, deposits)
+            stored = self.cache.store_solve(solve_key, boundary, deposits)
         return ModelVisit(
             model=model,
             result=result,
@@ -722,4 +726,5 @@ class ModelCache:
             constraint_counts=dict(model.generator.counts) if built else {},
             degraded=degraded,
             failures=[guard_record] if guard_record is not None else [],
+            stored=stored,
         )

@@ -312,10 +312,6 @@ class AnekPipeline:
                 stats.levels,
                 stats.rounds,
             )
-        if stats.resumed:
-            detail += ", resumed"
-        if stats.checkpoints:
-            detail += ", %d checkpoint(s)" % stats.checkpoints
         result.stages.append(
             StageTrace("anek-infer", time.perf_counter() - start, detail)
         )

@@ -164,7 +164,7 @@ class SummaryStore:
     def evidence_count(self):
         return sum(len(bucket) for bucket in self._evidence.values())
 
-    # -- picklable exchange (checkpoints, cache) --------------------------------
+    # -- picklable exchange (the final-results cache artifact) -----------------
 
     def to_payload(self, key_of):
         """Serialize the store into plain picklable data.

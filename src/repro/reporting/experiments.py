@@ -430,9 +430,6 @@ class Table5Row:
     #: (quarantines + prior-only degradations) for this run.
     failures: int = 0
     degraded: int = 0
-    #: True when this row's run was resumed from a checkpoint directory
-    #: (crash/SIGTERM recovery) rather than executed start-to-finish.
-    resumed: bool = False
 
 
 @dataclass
@@ -451,10 +448,7 @@ def table5_parallel(corpus_spec=None, settings=None, repeats=1, cache=None):
     (the worklist row legitimately reads False when its different
     schedule changed a borderline marginal).  Passing an
     :class:`repro.cache.AnalysisCache` runs both schedules against it
-    and adds its hit ratio to the report.  A run that was resumed from a
-    checkpoint directory is flagged in the Failures column — resumed
-    runs are bit-identical to uninterrupted ones, so the note is
-    provenance, not a caveat.
+    and adds its hit ratio to the report.
     """
     from repro.corpus import generate_pmd_corpus
 
@@ -511,10 +505,6 @@ def table5_parallel(corpus_spec=None, settings=None, repeats=1, cache=None):
                 ),
                 failures=len(pipeline_result.failures),
                 degraded=len(pipeline_result.failures.degraded()),
-                resumed=bool(
-                    getattr(stats, "resumed", False)
-                    or pipeline_result.failures.resumed_from
-                ),
             )
         )
     reference_specs = specs_by_executor["serial"]
@@ -537,12 +527,9 @@ def table5_parallel(corpus_spec=None, settings=None, repeats=1, cache=None):
             "off"
             if row.cache_ratio is None
             else "%.0f%%" % (100.0 * row.cache_ratio),
-            (
-                "none"
-                if not row.failures
-                else "%d (%d degraded)" % (row.failures, row.degraded)
-            )
-            + (", resumed" if row.resumed else ""),
+            "none"
+            if not row.failures
+            else "%d (%d degraded)" % (row.failures, row.degraded),
             "yes" if row.identical else "no",
         )
     result.table = table

@@ -18,24 +18,13 @@ corner of the corpus instead of aborting the run:
   harness (seeded plans that raise/delay/corrupt/kill at named stages,
   installable in-process or via the ``REPRO_FAULTS`` env hook) that
   makes every recovery path above testable in CI;
-* :mod:`repro.resilience.journal` / :mod:`repro.resilience.checkpoint`
-  — the durable run layer: an append-only fsync'd journal plus atomic
-  compacted snapshots make a run crash-consistent (``--run-dir``), so a
-  ``SIGKILL``/OOM of the whole orchestrator resumes (``--resume``)
-  bit-identically; also home to graceful SIGTERM/SIGINT shutdown and
-  the soft RSS budget, both of which checkpoint and stop the run with
-  the resumable exit code 5.
+* :mod:`repro.resilience.shutdown` — the stop request between two
+  visits of a cached run: SIGTERM/SIGINT or an RSS reading over
+  ``max_rss_mb`` stop it with :class:`RunInterrupted` (exit code 5),
+  and rerunning the same command continues it from the analysis cache,
+  which already holds every finished visit.
 """
 
-from repro.resilience.checkpoint import (
-    CheckpointManager,
-    ResumeError,
-    RunInterrupted,
-    clear_shutdown,
-    graceful_shutdown,
-    request_shutdown,
-    shutdown_requested,
-)
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -51,6 +40,13 @@ from repro.resilience.limits import (
 )
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import FailureRecord, FailureReport
+from repro.resilience.shutdown import (
+    RunInterrupted,
+    clear_shutdown,
+    graceful_shutdown,
+    request_shutdown,
+    shutdown_requested,
+)
 
 __all__ = [
     "FailureRecord",
@@ -65,9 +61,7 @@ __all__ = [
     "install_fault_plan",
     "clear_fault_plan",
     "maybe_fault",
-    "CheckpointManager",
     "RunInterrupted",
-    "ResumeError",
     "graceful_shutdown",
     "shutdown_requested",
     "request_shutdown",

@@ -33,10 +33,11 @@ Fault kinds:
 ``delay``
     Sleep ``seconds`` then continue (deadline paths).
 ``killproc``
-    ``SIGKILL`` the **whole current process** — fired from orchestrator
-    sites (``checkpoint``, ``journal``, ``serve-admit``) it simulates
-    an OOM-kill or node preemption of the entire run, the scenario the
-    crash-consistent checkpoint/resume layer exists for.
+    ``SIGKILL`` the **whole current process** — fired at ``solve`` it
+    simulates an OOM-kill or node preemption of a run mid-way, after
+    which rerunning it against the same cache must replay every
+    finished visit; fired at ``serve-admit``/``serve-respond`` it kills
+    the daemon mid-request.
 """
 
 import json
@@ -52,10 +53,9 @@ ENV_VAR = "REPRO_FAULTS"
 KINDS = ("raise", "nan", "delay", "killproc")
 
 #: Instrumented stages (matching :data:`repro.resilience.report.STAGES`
-#: where injection makes sense).  ``checkpoint`` fires at run-layer
-#: barriers/finalization, ``journal`` *between* the two writes of one
-#: journal record (so a kill there leaves a torn tail record),
-#: and ``serve`` inside the daemon's request handler (the key is
+#: where injection makes sense).  ``solve`` fires before every solve
+#: attempt of a visit (never for a replayed or skipped visit), and
+#: ``serve`` inside the daemon's request handler (the key is
 #: ``req:<id>:<work fingerprint prefix>``) — a fault there must cost
 #: exactly one response, never the daemon.
 #:
@@ -72,8 +72,6 @@ STAGES = (
     "pfg",
     "constraints",
     "solve",
-    "checkpoint",
-    "journal",
     "serve",
     "serve-admit",
     "serve-respond",
@@ -105,8 +103,8 @@ class FaultSpec:
     count: int = 1
     #: Matching sites to *pass over* before the spec arms — ``skip=2``
     #: fires at the third matching site, giving chaos tests a way to aim
-    #: a kill at a deterministic mid-run point (the N-th checkpoint
-    #: barrier, the N-th journal record) without naming it.
+    #: a kill at a deterministic mid-run point (after the N-th solve)
+    #: without naming it.
     skip: int = 0
     #: Sleep duration for ``delay`` faults.
     seconds: float = 0.0

@@ -126,6 +126,28 @@ class ResourceLimits:
             raise ResourceLimitError(limit, observed, ceiling, detail)
 
 
+class MemoryBudgetError(ResourceLimitError):
+    """A cached run's RSS is over its ``max_rss_mb`` budget before the
+    first visit: a stop there would make no progress, so no visit runs."""
+
+
+def current_rss_mb():
+    """This process's resident set size in MiB (0.0 when unknowable)."""
+    try:
+        with open("/proc/self/status") as handle:
+            for line in handle:
+                if line.startswith("VmRSS:"):
+                    return float(line.split()[1]) / 1024.0
+    except (OSError, ValueError, IndexError):
+        pass
+    try:  # pragma: no cover - non-/proc platforms
+        import resource
+
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    except Exception:  # pragma: no cover
+        return 0.0
+
+
 @contextmanager
 def recursion_guard(limit, detail=""):
     """Convert an escaping ``RecursionError`` into a typed

@@ -2,8 +2,7 @@
 
 Every isolation, retry, and degradation event is appended to a
 :class:`FailureReport` as one :class:`FailureRecord` — plain, picklable
-data, so records survive checkpoints and serialize to the
-``--fail-report`` JSON unchanged.
+data, so records serialize to the ``--fail-report`` JSON unchanged.
 """
 
 import json
@@ -17,7 +16,6 @@ STAGES = (
     "constraints",
     "solve",
     "cache",
-    "checkpoint",
     "resource",
     "applier",
     "plural-check",
@@ -40,13 +38,10 @@ DISPOSITIONS = (
     "entry-quarantined",
     #: A downstream stage (applier/checker) was skipped for this run.
     "stage-skipped",
-    #: The run drained in-flight work, wrote a final checkpoint, and
-    #: stopped on SIGTERM/SIGINT or over its RSS budget — resumable, not
-    #: a result defect.
+    #: A cached run stopped between two visits on SIGTERM/SIGINT or over
+    #: its RSS budget; rerunning it continues from the cache — not a
+    #: result defect.
     "run-interrupted",
-    #: The journal/snapshot (or cache) store hit ENOSPC or another
-    #: OSError; the run continues without persistence.
-    "persistence-disabled",
     #: A served request failed (handler crash) or missed its deadline;
     #: the requester got a failure response, the daemon kept serving.
     "request-failed",
@@ -126,19 +121,13 @@ _DEGRADED = frozenset(
 class FailureReport:
     """The ordered ledger of every failure event in one pipeline run.
 
-    A run resumed from a checkpoint restores the earlier segment's
-    records wholesale, so the ledger is contiguous across resume
-    boundaries; ``resumed_from`` names the run directory it came from
-    and ``interrupted`` marks a report written by a graceful shutdown
-    (the run is incomplete but resumable).
+    ``interrupted`` marks a report of a run that stopped between two
+    visits: it is incomplete, and a rerun continues it from the cache.
     """
 
     records: list = field(default_factory=list)
-    #: True when this report was written by a graceful shutdown — the
-    #: run stopped at a checkpoint barrier and can be resumed.
+    #: True when the run stopped between two visits (``RunInterrupted``).
     interrupted: bool = False
-    #: The run directory this run's state was restored from, or None.
-    resumed_from: str = None
 
     def add(self, record):
         self.records.append(record)
@@ -188,11 +177,7 @@ class FailureReport:
 
     def summary_line(self):
         """A one-line human summary for the CLI."""
-        suffix = ""
-        if self.interrupted:
-            suffix += " (interrupted — resumable)"
-        if self.resumed_from:
-            suffix += " (resumed from %s)" % self.resumed_from
+        suffix = " (interrupted — rerun to continue)" if self.interrupted else ""
         if self.is_clean:
             return "resilience: no failures" + suffix
         parts = [
@@ -223,7 +208,6 @@ class FailureReport:
             "clean": self.is_clean,
             "degraded": self.has_degradation,
             "interrupted": self.interrupted,
-            "resumed_from": self.resumed_from,
             "by_stage": self.by_stage(),
             "failures": [asdict(record) for record in self.records],
         }

@@ -33,8 +33,7 @@ same request (asserted by ``tests/test_serve_differential.py``).
 
 Shutdown: SIGTERM/SIGINT (or a ``shutdown`` op) closes the queue —
 later requests are ``rejected`` at the door — drains everything already
-admitted through normal dispatch, then exits 0, mirroring the graceful
-drain of the checkpoint layer.
+admitted through normal dispatch, then exits 0.
 
 Self-healing additions (DESIGN §15):
 
@@ -67,8 +66,8 @@ from repro.cache import DEFAULT_CACHE_DIR, AnalysisCache
 from repro.core import AnekPipeline, InferenceSettings
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.plural.checker import run_check
-from repro.resilience.checkpoint import current_rss_mb
 from repro.resilience.faults import maybe_fault
+from repro.resilience.limits import current_rss_mb
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import FailureReport
 from repro.serve.batching import plan_batch, work_fingerprint

@@ -13,7 +13,7 @@ The bit-vector fast path's contract, locked in end to end:
 * **fault tolerance** — an injected tier-1 fault degrades the affected
   method (or the whole tier) to the full checker with a
   ``tier-fallback`` ledger record, never a changed warning set;
-* the CLI knobs (``--check-stats``, ``check --run-dir``) round-trip;
+* the CLI knob (``--check-stats``) round-trips;
   the tier itself is an API-only switch (``run_check(tier=)``,
   ``AnekPipeline(check_tier=)``), and serve refuses a ``check_tier``
   request field.
@@ -476,34 +476,6 @@ class TestCliTiering:
         code, output = run_cli(["infer", demo_file, "--cache-stats"])
         assert code == 0
         assert "check: tier=auto" in output
-
-    def test_check_run_dir_reuses_inferred_specs(self, demo_file, tmp_path):
-        run_dir = str(tmp_path / "run")
-        code, _ = run_cli(["infer", demo_file, "--run-dir", run_dir])
-        assert code == 0
-        # Without the cached specs the unannotated wrapper warns; with
-        # them the check is clean — proof the run directory was reused.
-        bare_code, _ = run_cli(["check", demo_file])
-        assert bare_code == 1
-        cached_code, cached_out = run_cli(
-            ["check", demo_file, "--run-dir", run_dir]
-        )
-        assert cached_code == 0
-        assert "0 warning(s)" in cached_out
-
-    def test_check_run_dir_rejects_non_run_dir(self, demo_file, tmp_path):
-        code, _ = run_cli(
-            ["check", demo_file, "--run-dir", str(tmp_path / "nope")]
-        )
-        assert code == 3
-
-    def test_check_run_dir_rejects_other_program(self, demo_file, tmp_path):
-        run_dir = str(tmp_path / "run")
-        assert run_cli(["infer", demo_file, "--run-dir", run_dir])[0] == 0
-        other = tmp_path / "Other.java"
-        other.write_text("class Other { void noop() { } }")
-        code, _ = run_cli(["check", str(other), "--run-dir", run_dir])
-        assert code == 3
 
 
 class TestServeProtocolTier:

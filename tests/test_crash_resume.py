@@ -1,31 +1,26 @@
-"""The crash/resume chaos harness.
+"""Kill and rerun: the analysis cache is how a stopped run continues.
 
-The durable-run tentpole's contract, locked in end to end:
+Every visit of a cached run is a pure function of its fingerprinted
+inputs, and its outcome is in the content-addressed store as soon as it
+is solved (DESIGN §11).  So, end to end:
 
-* a ``SIGKILL`` at *any* point of a run with a run directory — during
-  pass 1 of the worklist, between two SCC level barriers, halfway
-  through a journal record, or during the final persist — leaves a
-  directory from which ``--resume`` reproduces the uninterrupted run
-  **bit-identically**;
-* the journal is a valid-prefix format: truncating or corrupting its
-  tail at any byte never breaks recovery (the snapshot drives resume,
-  the journal only narrates);
-* a corrupt newest snapshot falls back to its predecessor and the
-  resume still converges to the same marginals;
-* SIGTERM/SIGINT drain the in-flight unit of work, write a final
-  checkpoint, and exit with the resumable code 5;
-* ``ENOSPC`` on the run directory degrades to a no-persist run (counted,
-  reported, not fatal);
-* a soft RSS budget stops the run at a checkpoint exactly like SIGTERM
-  (exit 5), and resuming until the run completes reproduces the
-  unbudgeted marginals bit-identically.
+* a cached run that dies after N solves and is started again replays
+  exactly N visits and ends bit-identical — marginals included — to a
+  clean run with no cache, under both schedules and both engines;
+* SIGTERM/SIGINT (or a stop request) and an RSS reading over
+  ``max_rss_mb`` stop a cached run between two visits (exit code 5),
+  and rerunning the same command finishes it;
+* a budget the run is already over before its first visit is refused
+  once (exit 3), and a stop-and-rerun loop under a budget always ends,
+  because every rerun solves at least one visit more than the last;
+* a full disk degrades the cache to no-persist; the run still completes
+  with the same answer.
 """
 
 import errno
+import io
 import itertools
-import json
 import os
-import shutil
 import signal
 import subprocess
 import sys
@@ -33,31 +28,26 @@ import time
 
 import pytest
 
+from repro import cli
+from repro.cache import AnalysisCache
+from repro.cache.manager import BoundCache
 from repro.cache.store import ArtifactStore
+from repro.core import AnekPipeline
+from repro.core import infer as infer_module
 from repro.core.infer import AnekInference, InferenceSettings
 from repro.corpus.examples import FIGURE3_CLIENT
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.parser import parse_compilation_unit
-from repro.java.symbols import method_key, resolve_program
-from repro.resilience import checkpoint
-from repro.resilience.checkpoint import (
-    JOURNAL_NAME,
-    CheckpointManager,
-    ResumeError,
-    RunInterrupted,
-    latest_valid_snapshot,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.java.symbols import resolve_program
+from repro.resilience import guard, shutdown
 from repro.resilience.faults import (
     ENV_VAR,
     FaultPlan,
     FaultSpec,
-    InjectedFault,
     clear_fault_plan,
-    install_fault_plan,
 )
-from repro.resilience.journal import MAGIC, Journal, read_journal
+from repro.resilience.limits import MemoryBudgetError
+from repro.resilience.shutdown import RunInterrupted
 
 SOURCES = [ITERATOR_API_SOURCE, FIGURE3_CLIENT]
 
@@ -68,585 +58,378 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _no_leaked_plan(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     clear_fault_plan()
-    checkpoint.clear_shutdown()
+    shutdown.clear_shutdown()
     yield
     clear_fault_plan()
-    checkpoint.clear_shutdown()
+    shutdown.clear_shutdown()
 
 
-def fresh_program(sources=None):
-    return resolve_program(
-        [parse_compilation_unit(source) for source in (sources or SOURCES)]
+class Killed(BaseException):
+    """SIGKILL, in process: nothing after it runs, and no ``except
+    Exception`` on its way out catches it."""
+
+
+def run(cache_dir=None, executor="worklist", engine="compiled", **knobs):
+    """One pipeline run over :data:`SOURCES`, cached when ``cache_dir``."""
+    cache = None if cache_dir is None else AnalysisCache(str(cache_dir))
+    settings = InferenceSettings(executor=executor, engine=engine, **knobs)
+    return AnekPipeline(settings=settings, cache=cache).run_on_sources(
+        SOURCES
     )
 
 
-def snap(results):
-    """Boundary marginals as plain comparable data, keyed by method key."""
-    return {
-        method_key(ref): {
-            str(slot_target): marginal.to_payload()
-            for slot_target, marginal in sorted(
-                boundary.items(), key=lambda kv: str(kv[0])
-            )
-        }
-        for ref, boundary in results.items()
-    }
+def answer(result):
+    return result.canonical_json(include_marginals=True)
 
 
-def make_settings(executor="worklist", engine="compiled", **kwargs):
-    return InferenceSettings(executor=executor, engine=engine, **kwargs)
+_CLEAN = {}
 
 
-_REFS = {}
-
-
-def clean_snap(executor="worklist", engine="compiled"):
-    """Memoized fault-free reference marginals per configuration."""
+def clean(executor="worklist", engine="compiled"):
+    """Memoized clean no-cache run per configuration."""
     key = (executor, engine)
-    if key not in _REFS:
-        inference = AnekInference(
-            fresh_program(), settings=make_settings(executor, engine)
-        )
-        _REFS[key] = snap(inference.run())
-    return _REFS[key]
+    if key not in _CLEAN:
+        _CLEAN[key] = run(None, executor, engine)
+    return _CLEAN[key]
 
 
-def crash_run(run_dir, faults, executor="worklist", engine="compiled",
-              **kwargs):
-    """Run with an installed fault plan until it raises InjectedFault."""
-    install_fault_plan(faults)
-    inference = AnekInference(
-        fresh_program(),
-        settings=make_settings(
-            executor, engine, run_dir=str(run_dir), **kwargs
-        ),
-    )
-    with pytest.raises(InjectedFault):
-        inference.run()
-    clear_fault_plan()
-    return inference
+def kernel_solves(stats):
+    return stats.builds + stats.reuses
 
 
-def resume_run(run_dir, executor="worklist", engine="compiled",
-               sources=None, **kwargs):
-    inference = AnekInference(
-        fresh_program(sources),
-        settings=make_settings(
-            executor, engine, run_dir=str(run_dir), resume=True, **kwargs
-        ),
-    )
-    return inference, snap(inference.run())
+def die_after(patch, solves):
+    """Kill the run as it starts solve ``solves + 1``."""
+    real = guard.guarded_solve
+    done = {"solves": 0}
+
+    def dying(*args, **kwargs):
+        if done["solves"] == solves:
+            raise Killed()
+        done["solves"] += 1
+        return real(*args, **kwargs)
+
+    patch.setattr(guard, "guarded_solve", dying)
+
+
+def killed_run(monkeypatch, cache_dir, solves, executor="worklist",
+               engine="compiled"):
+    with monkeypatch.context() as patch:
+        die_after(patch, solves)
+        with pytest.raises(Killed):
+            run(cache_dir, executor, engine)
 
 
 # ---------------------------------------------------------------------------
-# The journal format: valid-prefix reads under arbitrary tail damage
-# ---------------------------------------------------------------------------
-
-
-class TestJournal:
-    def _write(self, path, count=5):
-        journal = Journal.create(path)
-        for index in range(count):
-            journal.append("event", {"index": index, "pad": "x" * 50})
-        journal.close()
-
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "journal.bin")
-        self._write(path, count=5)
-        records, valid_bytes, total_bytes = read_journal(path)
-        assert [data["index"] for _, data in records] == list(range(5))
-        assert valid_bytes == total_bytes == os.path.getsize(path)
-
-    def test_missing_file(self, tmp_path):
-        assert read_journal(str(tmp_path / "absent.bin")) == ([], 0, 0)
-
-    def test_bad_magic(self, tmp_path):
-        path = str(tmp_path / "journal.bin")
-        with open(path, "wb") as handle:
-            handle.write(b"NOTJRNL!" + b"\x00" * 32)
-        records, valid_bytes, total_bytes = read_journal(path)
-        assert records == [] and valid_bytes == 0
-        assert total_bytes == os.path.getsize(path)
-
-    def test_truncation_fuzz_every_boundary(self, tmp_path):
-        """A journal cut at *any* byte parses as a valid prefix."""
-        path = str(tmp_path / "journal.bin")
-        self._write(path, count=4)
-        full_records, full_valid, _ = read_journal(path)
-        size = os.path.getsize(path)
-        data = open(path, "rb").read()
-        cut_path = str(tmp_path / "cut.bin")
-        for cut in range(len(MAGIC), size + 1, 7):
-            with open(cut_path, "wb") as handle:
-                handle.write(data[:cut])
-            records, valid_bytes, total = read_journal(cut_path)
-            assert total == cut
-            assert valid_bytes <= cut
-            assert len(records) <= len(full_records)
-            # The prefix property: what parses agrees with the full log.
-            assert records == full_records[: len(records)]
-
-    def test_corrupt_tail_excluded(self, tmp_path):
-        path = str(tmp_path / "journal.bin")
-        self._write(path, count=4)
-        records, valid_bytes, _ = read_journal(path)
-        data = bytearray(open(path, "rb").read())
-        data[-10] ^= 0xFF  # flip a byte inside the last record's payload
-        with open(path, "wb") as handle:
-            handle.write(bytes(data))
-        damaged, damaged_valid, _ = read_journal(path)
-        assert damaged == records[:-1]
-        assert damaged_valid < valid_bytes
-
-    def test_append_to_truncates_torn_tail(self, tmp_path):
-        path = str(tmp_path / "journal.bin")
-        self._write(path, count=3)
-        _, valid_bytes, _ = read_journal(path)
-        with open(path, "ab") as handle:
-            handle.write(b"R\xff\xff")  # a torn header
-        journal = Journal.append_to(path, valid_bytes, index=3)
-        journal.append("resumed", {})
-        journal.close()
-        records, new_valid, total = read_journal(path)
-        assert [kind for kind, _ in records] == ["event"] * 3 + ["resumed"]
-        assert new_valid == total == os.path.getsize(path)
-
-
-class TestSnapshots:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "snapshot-000001.bin")
-        write_snapshot(path, {"hello": [1, 2, 3]})
-        assert read_snapshot(path) == {"hello": [1, 2, 3]}
-
-    def test_corruption_detected(self, tmp_path):
-        path = str(tmp_path / "snapshot-000001.bin")
-        write_snapshot(path, {"hello": "world"})
-        data = bytearray(open(path, "rb").read())
-        data[-1] ^= 0xFF
-        with open(path, "wb") as handle:
-            handle.write(bytes(data))
-        with pytest.raises(ValueError):
-            read_snapshot(path)
-
-    def test_latest_valid_skips_corrupt_newest(self, tmp_path):
-        write_snapshot(str(tmp_path / "snapshot-000001.bin"), {"gen": 1})
-        write_snapshot(str(tmp_path / "snapshot-000002.bin"), {"gen": 2})
-        with open(str(tmp_path / "snapshot-000002.bin"), "r+b") as handle:
-            handle.truncate(10)
-        name, state = latest_valid_snapshot(str(tmp_path))
-        assert name == "snapshot-000001.bin"
-        assert state == {"gen": 1}
-
-    def test_empty_dir(self, tmp_path):
-        assert latest_valid_snapshot(str(tmp_path)) == (None, None)
-
-
-# ---------------------------------------------------------------------------
-# In-process crash/resume: bit-identity across schedules and engines
+# In-process kill and rerun: bit-identity across schedules and engines
 # ---------------------------------------------------------------------------
 
 
 class TestCrashResumeMatrix:
-    """A crash at a checkpoint barrier (the moment a SIGKILL would land)
-    followed by ``--resume`` must be bit-identical to a clean run, for
-    every schedule x engine combination."""
+    """A cached run killed after N solves, then started again, replays N
+    visits and ends where a clean run with no cache ends."""
 
     @pytest.mark.parametrize("engine", ["compiled", "loopy"])
     @pytest.mark.parametrize("executor", ["worklist", "serial"])
-    def test_bit_identity(self, tmp_path, executor, engine):
-        skip = 7 if executor == "worklist" else 3
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=skip)],
-            executor=executor,
-            engine=engine,
-        )
-        resumed, results = resume_run(
-            tmp_path, executor=executor, engine=engine
-        )
-        assert results == clean_snap(executor, engine)
-        assert resumed.stats.resumed
-        assert not resumed.stats.interrupted
-        assert resumed.failures.resumed_from == str(tmp_path)
+    def test_bit_identity(self, tmp_path, monkeypatch, executor, engine):
+        total = kernel_solves(clean(executor, engine).inference_stats)
+        for solves in (1, total // 2, total - 1):
+            cache_dir = tmp_path / ("killed-%d" % solves)
+            killed_run(monkeypatch, cache_dir, solves, executor, engine)
+            rerun = run(cache_dir, executor, engine)
+            stats = rerun.inference_stats
+            assert stats.replays == solves
+            assert kernel_solves(stats) == total - solves
+            assert answer(rerun) == answer(clean(executor, engine))
 
-    @pytest.mark.parametrize("skip", [0, 1, 20, 41])
-    def test_worklist_depth_sweep(self, tmp_path, skip):
-        """Kills at the first barrier (before any snapshot — resume is a
-        fresh run), early, mid pass 2, and at the second-to-last visit."""
-        run_dir = tmp_path / ("depth-%d" % skip)
-        crash_run(
-            run_dir,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=skip)],
-        )
-        _, results = resume_run(run_dir)
-        assert results == clean_snap()
+    @pytest.mark.parametrize("depth", [0, 1, 20, 41])
+    def test_worklist_depth_sweep(self, tmp_path, monkeypatch, depth):
+        """Kills between two worklist visits: before the first (only the
+        front end is cached), early, mid pass 2, and before the last of
+        the clean run's 42 visits."""
+        assert clean().inference_stats.solves == 42
+        real = AnekInference._visit
+        seen = {"visits": 0, "solves": 0}
 
-    def test_crash_mid_journal_record(self, tmp_path):
-        """The journal fault site sits between a record's header and
-        payload writes: the crash leaves a torn tail on disk, which the
-        resume truncates before appending."""
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="journal", key="", kind="raise", skip=6)],
-        )
-        journal_path = str(tmp_path / JOURNAL_NAME)
-        _, valid_bytes, total_bytes = read_journal(journal_path)
-        assert valid_bytes < total_bytes  # the tail really is torn
-        _, results = resume_run(tmp_path)
-        assert results == clean_snap()
-        _, valid_bytes, total_bytes = read_journal(journal_path)
-        assert valid_bytes == total_bytes  # ...and was repaired
+        def visit(inference, method_ref):
+            if seen["visits"] == depth:
+                raise Killed()
+            seen["visits"] += 1
+            outcome = real(inference, method_ref)
+            seen["solves"] += not (outcome.skipped or outcome.replayed)
+            return outcome
 
-    def test_crash_during_final_persist(self, tmp_path):
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="checkpoint", key="final", kind="raise")],
+        with monkeypatch.context() as patch:
+            patch.setattr(AnekInference, "_visit", visit)
+            with pytest.raises(Killed):
+                run(tmp_path)
+        rerun = run(tmp_path)
+        assert rerun.inference_stats.replays == seen["solves"]
+        assert answer(rerun) == answer(clean())
+
+    def test_crash_during_final_persist(self, tmp_path, monkeypatch):
+        """A kill while the final results are written loses only the
+        warm-start entry: the rerun replays every solve."""
+        with monkeypatch.context() as patch:
+
+            def die(*args, **kwargs):
+                raise Killed()
+
+            patch.setattr(BoundCache, "store_final", die)
+            with pytest.raises(Killed):
+                run(tmp_path)
+        rerun = run(tmp_path)
+        assert not rerun.inference_stats.warm_start
+        assert rerun.inference_stats.replays == kernel_solves(
+            clean().inference_stats
         )
-        _, results = resume_run(tmp_path)
-        assert results == clean_snap()
+        assert kernel_solves(rerun.inference_stats) == 0
+        assert answer(rerun) == answer(clean())
 
     def test_resume_of_completed_run(self, tmp_path):
-        """Resuming a finalized directory restores the terminal state
-        without re-solving anything."""
-        inference = AnekInference(
-            fresh_program(), settings=make_settings(run_dir=str(tmp_path))
-        )
-        reference = snap(inference.run())
-        resumed, results = resume_run(tmp_path)
-        assert results == reference
-        assert resumed.stats.resumed
+        """Rerunning a finished run is a warm start: nothing is solved."""
+        first = run(tmp_path)
+        rerun = run(tmp_path)
+        assert rerun.inference_stats.warm_start
+        assert rerun.inference_stats.solves == 0
+        assert answer(first) == answer(rerun) == answer(clean())
 
-    def test_corrupt_newest_snapshot_falls_back(self, tmp_path):
-        """KEEP_SNAPSHOTS=2: trashing the newest image lands recovery on
-        its predecessor, and the longer re-executed tail still converges
-        to the same marginals."""
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=10)],
-        )
-        names = sorted(
-            name
-            for name in os.listdir(str(tmp_path))
-            if name.startswith("snapshot-")
-        )
-        assert len(names) == 2
-        with open(str(tmp_path / names[-1]), "r+b") as handle:
-            handle.seek(12)
-            handle.write(b"\xde\xad\xbe\xef")
-        _, results = resume_run(tmp_path)
-        assert results == clean_snap()
+    def test_corrupt_newest_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """A torn store entry (the store's write is atomic but not
+        fsync'd, so power loss can leave one) is a miss, never a wrong
+        answer: the rerun re-solves that visit and still matches."""
+        written = []
+        real_store = BoundCache.store_solve
 
-    def test_journal_fuzz_never_breaks_resume(self, tmp_path):
-        """Truncate the journal of a crashed run at assorted byte offsets
-        — resume must succeed and stay bit-identical every time (the
-        journal narrates; snapshots carry the state)."""
-        origin = tmp_path / "origin"
-        crash_run(
-            origin,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=12)],
-        )
-        journal_size = os.path.getsize(str(origin / JOURNAL_NAME))
-        cuts = sorted({len(MAGIC), journal_size // 3, journal_size // 2,
-                       journal_size - 3, journal_size})
-        for cut in cuts:
-            replica = tmp_path / ("cut-%d" % cut)
-            shutil.copytree(str(origin), str(replica))
-            with open(str(replica / JOURNAL_NAME), "r+b") as handle:
-                handle.truncate(cut)
-            _, results = resume_run(replica)
-            assert results == clean_snap(), "resume broke at cut %d" % cut
+        def recording(bound, key, boundary, deposits):
+            written.append(key)
+            return real_store(bound, key, boundary, deposits)
 
-    def test_checkpoint_every_coarser_cadence(self, tmp_path):
-        """checkpoint_every=5 snapshots less often; a crash then replays
-        a longer (but still deterministic) tail."""
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=17)],
-            checkpoint_every=5,
-        )
-        resumed, results = resume_run(tmp_path, checkpoint_every=5)
-        assert results == clean_snap()
-        assert resumed.stats.resumed
+        with monkeypatch.context() as patch:
+            patch.setattr(BoundCache, "store_solve", recording)
+            killed_run(patch, tmp_path, 10)
+        assert len(written) == 10
+        store = ArtifactStore(str(tmp_path))
+        with open(store._path(written[-1]), "r+b") as handle:
+            handle.truncate(7)
+        with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
+            rerun = run(tmp_path)
+        assert rerun.inference_stats.replays == 9
+        assert rerun.cache_stats.corrupt_entries == 1
+        assert answer(rerun) == answer(clean())
 
 
 # ---------------------------------------------------------------------------
-# Graceful shutdown (in-process) and ledger continuity
+# Stop requests (in process)
 # ---------------------------------------------------------------------------
 
 
 class TestGracefulShutdown:
-    def _interrupt_after(self, monkeypatch, barriers):
+    def _stop_after(self, patch, visits):
         calls = {"count": 0}
 
         def fake():
             calls["count"] += 1
-            return calls["count"] > barriers
+            return calls["count"] > visits
 
-        monkeypatch.setattr(checkpoint, "shutdown_requested", fake)
+        patch.setattr(infer_module, "shutdown_requested", fake)
 
     def test_interrupt_then_resume_bit_identical(self, tmp_path, monkeypatch):
-        self._interrupt_after(monkeypatch, 5)
-        inference = AnekInference(
-            fresh_program(), settings=make_settings(run_dir=str(tmp_path))
-        )
-        with pytest.raises(RunInterrupted) as excinfo:
-            inference.run()
-        assert excinfo.value.run_dir == str(tmp_path)
-        assert inference.stats.interrupted
-        assert inference.failures.interrupted
+        with monkeypatch.context() as patch:
+            self._stop_after(patch, 5)
+            pipeline = AnekPipeline(
+                settings=InferenceSettings(),
+                cache=AnalysisCache(str(tmp_path)),
+            )
+            with pytest.raises(RunInterrupted) as excinfo:
+                pipeline.run_on_sources(SOURCES)
+        failures = excinfo.value.failures
+        assert failures.interrupted
         (record,) = [
-            r
-            for r in inference.failures
-            if r.disposition == "run-interrupted"
+            r for r in failures if r.disposition == "run-interrupted"
         ]
-        assert record.stage == "checkpoint"
-        monkeypatch.setattr(checkpoint, "shutdown_requested", lambda: False)
-        resumed, results = resume_run(tmp_path)
-        assert results == clean_snap()
-        assert not resumed.stats.interrupted
+        assert (record.stage, record.error) == ("solve", "Interrupted")
+        assert not failures.has_degradation
+        rerun = run(tmp_path)
+        # The stop came after the sixth visit; the worklist's first pass
+        # builds and solves every method once, so all six were cached.
+        assert rerun.inference_stats.replays == 6
+        assert answer(rerun) == answer(clean())
 
-    def test_ledger_contiguous_across_resume(self, tmp_path, monkeypatch):
-        """The resumed run's ledger starts with the pre-interrupt records
-        (restored, not re-recorded) and carries ``resumed_from``."""
-        self._interrupt_after(monkeypatch, 5)
-        inference = AnekInference(
-            fresh_program(), settings=make_settings(run_dir=str(tmp_path))
-        )
-        with pytest.raises(RunInterrupted):
-            inference.run()
-        before = [
-            (r.stage, r.key, r.disposition) for r in inference.failures
-        ]
-        monkeypatch.setattr(checkpoint, "shutdown_requested", lambda: False)
-        resumed, _ = resume_run(tmp_path)
-        after = [(r.stage, r.key, r.disposition) for r in resumed.failures]
-        assert after[: len(before)] == before
-        assert resumed.failures.resumed_from == str(tmp_path)
-        payload = json.loads(resumed.failures.to_json())
-        assert payload["resumed_from"] == str(tmp_path)
-        assert payload["interrupted"] is False
-        # The interrupt is operational, not a result defect.
-        assert not resumed.failures.has_degradation
-
-    def test_second_run_dir_use_wipes_stale_state(self, tmp_path,
-                                                  monkeypatch):
-        self._interrupt_after(monkeypatch, 3)
-        inference = AnekInference(
-            fresh_program(), settings=make_settings(run_dir=str(tmp_path))
-        )
-        with pytest.raises(RunInterrupted):
-            inference.run()
-        monkeypatch.setattr(checkpoint, "shutdown_requested", lambda: False)
-        # A fresh (non-resume) run over the same directory starts over.
-        fresh = AnekInference(
-            fresh_program(), settings=make_settings(run_dir=str(tmp_path))
-        )
-        assert snap(fresh.run()) == clean_snap()
-        assert not fresh.stats.resumed
+    def test_stop_request_ignored_without_cache(self):
+        """Without a cache a stop could not be continued, so the run
+        never checks for one."""
+        shutdown.request_shutdown()
+        assert answer(run(None)) == answer(clean())
 
 
 # ---------------------------------------------------------------------------
-# Resume validation
+# Settings and engine identity
 # ---------------------------------------------------------------------------
 
 
 class TestResumeValidation:
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            InferenceSettings(checkpoint_every=0)
-        with pytest.raises(ValueError):
-            InferenceSettings(max_rss_mb=-1)
-        with pytest.raises(ValueError):
-            InferenceSettings(resume=True)  # resume requires run_dir
-        with pytest.raises(ValueError, match="max_rss_mb requires a run_dir"):
-            InferenceSettings(max_rss_mb=1)
-        InferenceSettings(max_rss_mb=1, run_dir="runs/n1")
-        with pytest.raises(
-            ValueError, match="checkpoint_every requires a run_dir"
-        ):
-            InferenceSettings(checkpoint_every=5)
-        InferenceSettings(checkpoint_every=5, run_dir="runs/n1")
+    def test_settings_validation(self, tmp_path):
+        for value in (-1, True, 2.5, "5"):
+            with pytest.raises(ValueError, match="max_rss_mb must be"):
+                InferenceSettings(max_rss_mb=value)
+        settings = InferenceSettings(max_rss_mb=4096)
+        program = resolve_program(
+            [parse_compilation_unit(source) for source in SOURCES]
+        )
+        with pytest.raises(ValueError, match="needs a bound analysis cache"):
+            AnekInference(program, settings=settings)
+        AnekInference(
+            program, settings=settings, cache=AnalysisCache(str(tmp_path))
+        )
+        for gone in ("run_dir", "resume", "checkpoint_every"):
+            with pytest.raises(TypeError):
+                InferenceSettings(**{gone: 1})
 
-    def test_resume_missing_directory(self, tmp_path):
-        inference = AnekInference(
-            fresh_program(),
-            settings=make_settings(
-                run_dir=str(tmp_path / "absent"), resume=True
-            ),
-        )
-        with pytest.raises(ResumeError):
-            inference.run()
-
-    def test_resume_different_program_rejected(self, tmp_path):
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=5)],
-        )
-        inference = AnekInference(
-            fresh_program([ITERATOR_API_SOURCE]),
-            settings=make_settings(run_dir=str(tmp_path), resume=True),
-        )
-        with pytest.raises(ResumeError) as excinfo:
-            inference.run()
-        assert "program" in str(excinfo.value)
-
-    def test_resume_under_other_engine_bit_identical(self, tmp_path):
-        """Neither the engine nor the threshold is part of a run's
-        identity: a run crashed under compiled at t = 0.5 resumes under
-        loopy at t = 0.75 and ends where a clean run ends."""
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=5)],
-            engine="compiled",
-        )
-        resumed, results = resume_run(
-            tmp_path, engine="loopy", threshold=0.75
-        )
-        assert results == clean_snap()
-        assert resumed.stats.resumed
-        assert resumed.stats.engine == "loopy"
-
-    def test_resume_different_schedule_rejected(self, tmp_path):
-        crash_run(
-            tmp_path,
-            [FaultSpec(stage="checkpoint", key="", kind="raise", skip=3)],
-            executor="serial",
-        )
-        inference = AnekInference(
-            fresh_program(),
-            settings=make_settings(
-                executor="worklist", run_dir=str(tmp_path), resume=True
-            ),
-        )
-        with pytest.raises(ResumeError):
-            inference.run()
+    def test_resume_under_other_engine_bit_identical(self, tmp_path,
+                                                     monkeypatch):
+        """Neither the engine nor the threshold is part of a visit's
+        identity: a run killed under compiled at t = 0.5 is continued
+        under loopy at t = 0.75 and ends with the clean marginals."""
+        killed_run(monkeypatch, tmp_path, 12, engine="compiled")
+        rerun = run(tmp_path, engine="loopy", threshold=0.75)
+        assert rerun.inference_stats.replays == 12
+        assert rerun.inference_stats.engine == "loopy"
+        marginals = rerun.canonical_payload(include_marginals=True)
+        assert marginals["marginals"] == clean().canonical_payload(
+            include_marginals=True
+        )["marginals"]
 
 
 # ---------------------------------------------------------------------------
-# Resource governance and persistence degradation
+# The RSS budget
 # ---------------------------------------------------------------------------
+
+
+def fake_rss(patch, budget, new_solves):
+    """RSS that starts under ``budget`` and goes over it once a run has
+    cached ``new_solves`` new visits, each reading counting as one.
+    Returns a function that restarts the count for the next run."""
+    readings = {"count": 0}
+
+    def current():
+        # Reading 1 is the floor check; reading k + 1 follows the k-th
+        # newly cached visit, and is over the budget from k = new_solves.
+        readings["count"] += 1
+        return budget - new_solves + readings["count"] - 0.5
+
+    patch.setattr(infer_module, "current_rss_mb", current)
+    return lambda: readings.update(count=0)
 
 
 class TestMemoryBudget:
     @pytest.mark.parametrize("executor", ["worklist", "serial"])
     def test_stop_and_resume_loop_is_bit_identical(self, tmp_path,
-                                                   executor):
-        """Every barrier finds the process over a 1 MiB budget, so each
-        run stops after one unit of work; resuming under the same budget
-        takes one resume per barrier of an unbudgeted run and ends with
-        its marginals."""
-        reference_dir = str(tmp_path / "unbudgeted")
-        unbudgeted = AnekInference(
-            fresh_program(),
-            settings=make_settings(executor, run_dir=reference_dir),
-        )
-        reference = snap(unbudgeted.run())
-        assert reference == clean_snap(executor)
-        records, _, _ = read_journal(
-            os.path.join(reference_dir, JOURNAL_NAME)
-        )
-        barriers = [kind for kind, _ in records].count("barrier")
-        assert barriers > 1
+                                                   monkeypatch, executor):
+        """Each run stops after three newly cached visits (exit 5 at the
+        CLI).  Each rerun replays strictly more than the last, so the
+        loop ends, and it ends with the clean answer."""
+        budget = 1000
+        total = kernel_solves(clean(executor).inference_stats)
+        replays = []
+        real_run = AnekInference.run
 
-        run_dir = str(tmp_path / "budgeted")
-        inference = AnekInference(
-            fresh_program(),
-            settings=make_settings(executor, run_dir=run_dir, max_rss_mb=1),
-        )
-        with pytest.raises(RunInterrupted) as excinfo:
-            inference.run()
-        assert excinfo.value.run_dir == run_dir
-        assert inference.stats.interrupted
-        (record,) = inference.failures
-        assert (record.stage, record.error, record.disposition) == (
-            "resource",
-            "SoftMemoryBudget",
-            "run-interrupted",
-        )
-        assert "over the 1 MiB budget" in record.message
-        records, _, _ = read_journal(os.path.join(run_dir, JOURNAL_NAME))
-        kinds = [kind for kind, _ in records]
-        assert kinds.count("barrier") == 1
-        assert [
-            data["reason"] for kind, data in records if kind == "snapshot"
-        ] == ["memory"]
-        assert kinds[-1] == "interrupt"
-
-        for resumes in itertools.count(1):
-            assert resumes <= barriers, "the budget never let the run end"
-            resumed = AnekInference(
-                fresh_program(),
-                settings=make_settings(
-                    executor, run_dir=run_dir, resume=True, max_rss_mb=1
-                ),
-            )
+        def counting(inference):
             try:
-                results = snap(resumed.run())
-            except RunInterrupted:
-                continue
-            break
-        assert resumes == barriers
-        assert results == reference
-        assert [r.error for r in resumed.failures] == (
-            ["SoftMemoryBudget"] * barriers
-        )
-        assert not resumed.failures.has_degradation
+                return real_run(inference)
+            finally:
+                replays.append(inference.stats.replays)
+
+        with monkeypatch.context() as patch:
+            restart = fake_rss(patch, budget, new_solves=3)
+            patch.setattr(AnekInference, "run", counting)
+            for stops in itertools.count():
+                assert stops <= total, "the budget never let the run end"
+                restart()
+                try:
+                    result = run(tmp_path, executor, max_rss_mb=budget)
+                except RunInterrupted as exc:
+                    (record,) = exc.failures
+                    assert (record.stage, record.error) == (
+                        "resource",
+                        "SoftMemoryBudget",
+                    )
+                    assert "over the %d MiB budget" % budget in str(exc)
+                    continue
+                break
+        assert stops == total // 3
+        assert replays == [3 * index for index in range(stops + 1)]
+        assert answer(result) == answer(clean(executor))
+
+    def test_budget_below_floor_runs_no_visit(self, tmp_path, monkeypatch):
+        """Over the budget right after setup: refused once, before any
+        visit; the parse and PFG artifacts stay cached."""
+        with monkeypatch.context() as patch:
+            patch.setattr(infer_module, "current_rss_mb", lambda: 50.0)
+            cache = AnalysisCache(str(tmp_path))
+            pipeline = AnekPipeline(
+                settings=InferenceSettings(max_rss_mb=10), cache=cache
+            )
+            with pytest.raises(MemoryBudgetError) as excinfo:
+                pipeline.run_on_sources(SOURCES)
+        assert "50 MiB > 10 MiB" in str(excinfo.value)
+        assert cache.stats.solve_hits + cache.stats.solve_misses == 0
+        assert cache.stats.pfg_misses == 14
+        rerun = run(tmp_path)
+        assert rerun.cache_stats.pfg_hits == 14
+        assert rerun.cache_stats.parse_hits == 2
+        assert answer(rerun) == answer(clean())
+
+
+# ---------------------------------------------------------------------------
+# Persistence degradation: a full disk costs durability, not the answer
+# ---------------------------------------------------------------------------
+
+
+def _no_space(source, destination):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class TestPersistenceDegradation:
     def test_enospc_at_start_degrades_to_no_persist(self, tmp_path,
                                                     monkeypatch):
-        def no_space(path, data):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(checkpoint, "_atomic_write", no_space)
-        with pytest.warns(RuntimeWarning, match="not writable"):
-            inference = AnekInference(
-                fresh_program(),
-                settings=make_settings(run_dir=str(tmp_path)),
-            )
-            results = snap(inference.run())
-        assert results == clean_snap()
-        assert inference.stats.persist_errors >= 1
-        assert any(
-            r.disposition == "persistence-disabled"
-            for r in inference.failures
-        )
-        assert not inference.failures.has_degradation
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.cache.store.os.replace", _no_space)
+            with pytest.warns(RuntimeWarning, match="not writable"):
+                result = run(tmp_path)
+        assert result.cache_stats.store_errors == 1
+        assert answer(result) == answer(clean())
+        rerun = run(tmp_path)
+        assert rerun.inference_stats.replays == 0
+        assert rerun.cache_stats.parse_hits == 0
 
     def test_disk_fills_mid_run(self, tmp_path, monkeypatch):
-        """Persistence that dies after a few snapshots disables itself
-        and the analysis still completes with identical results."""
-        real = checkpoint._atomic_write
-        calls = {"count": 0}
+        """The store stops persisting after 20 writes (2 units, 14 PFGs,
+        4 solves); the run completes unchanged, and a rerun replays the
+        four solves that made it to disk."""
+        real = os.replace
+        writes = {"count": 0}
 
-        def flaky(path, data):
-            calls["count"] += 1
-            if calls["count"] > 3:
+        def flaky(source, destination):
+            writes["count"] += 1
+            if writes["count"] > 20:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return real(path, data)
+            return real(source, destination)
 
-        monkeypatch.setattr(checkpoint, "_atomic_write", flaky)
-        with pytest.warns(RuntimeWarning, match="not writable"):
-            inference = AnekInference(
-                fresh_program(),
-                settings=make_settings(run_dir=str(tmp_path)),
-            )
-            results = snap(inference.run())
-        assert results == clean_snap()
-        assert inference.stats.persist_errors >= 1
-        assert inference.stats.checkpoints < 40  # persistence stopped early
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.cache.store.os.replace", flaky)
+            with pytest.warns(RuntimeWarning, match="not writable"):
+                result = run(tmp_path)
+        assert result.cache_stats.store_errors == 1
+        assert answer(result) == answer(clean())
+        rerun = run(tmp_path)
+        assert rerun.inference_stats.replays == 4
+        assert answer(rerun) == answer(clean())
 
     def test_cache_store_errors_are_counted(self, tmp_path, monkeypatch):
-        """Satellite: the analysis cache's write failures surface as a
-        counted ``store_errors`` stat instead of warn-and-forget."""
-        from repro.cache import AnalysisCache
-
-        def no_space(source, destination):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
+        """The analysis cache's write failures surface as a counted
+        ``store_errors`` stat instead of warn-and-forget."""
         cache = AnalysisCache(cache_dir=str(tmp_path / "cache"))
-        monkeypatch.setattr("repro.cache.store.os.replace", no_space)
+        monkeypatch.setattr("repro.cache.store.os.replace", _no_space)
         with pytest.warns(RuntimeWarning, match="not writable"):
             cache.parse(FIGURE3_CLIENT)
         assert cache.store.store_errors == 1
@@ -655,21 +438,17 @@ class TestPersistenceDegradation:
 
     def test_store_error_counter_on_raw_store(self, tmp_path, monkeypatch):
         store = ArtifactStore(str(tmp_path / "store"))
-
-        def no_space(source, destination):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr("repro.cache.store.os.replace", no_space)
+        monkeypatch.setattr("repro.cache.store.os.replace", _no_space)
         with pytest.warns(RuntimeWarning, match="not writable"):
-            store.save("ab" * 20, {"payload": 1})
+            assert not store.save("ab" * 20, {"payload": 1})
         assert store.store_errors == 1
         # Disabled writes stop counting (one incident, one counter bump).
-        store.save("cd" * 20, {"payload": 2})
+        assert not store.save("cd" * 20, {"payload": 2})
         assert store.store_errors == 1
 
 
 # ---------------------------------------------------------------------------
-# CLI chaos: real SIGKILLs at the five required points, then --resume
+# The CLI: real SIGKILL and SIGTERM, then the same command again
 # ---------------------------------------------------------------------------
 
 
@@ -692,10 +471,13 @@ def _cli_env(extra=None):
     return env
 
 
+def _cli_argv(args):
+    return [sys.executable, "-m", "repro.cli", "infer", "--no-api"] + args
+
+
 def _run_cli(args, env=None, timeout=300):
     return subprocess.run(
-        [sys.executable, "-m", "repro.cli", "infer", "--no-cache",
-         "--no-api"] + args,
+        _cli_argv(args),
         capture_output=True,
         text=True,
         env=env or _cli_env(),
@@ -712,8 +494,7 @@ def _run_cli_expecting_kill(args, env, timeout=300):
     outlive the test.
     """
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "infer", "--no-cache",
-         "--no-api"] + args,
+        _cli_argv(args),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         env=env,
@@ -731,7 +512,7 @@ def _run_cli_expecting_kill(args, env, timeout=300):
 
 def _spec_section(stdout):
     """The 'Inferred specifications:' block through the PLURAL warnings —
-    the user-visible result, shared verbatim by clean and resumed runs."""
+    the user-visible result, shared verbatim by clean and rerun runs."""
     start = stdout.index("Inferred specifications:")
     end = stdout.index("\n", stdout.index("PLURAL warnings:"))
     return stdout[start:end]
@@ -741,109 +522,94 @@ _CLI_REFS = {}
 
 
 def _cli_reference(files, *flags):
-    key = flags
-    if key not in _CLI_REFS:
-        completed = _run_cli(list(flags) + files)
+    if flags not in _CLI_REFS:
+        completed = _run_cli(["--no-cache"] + list(flags) + files)
         assert completed.returncode == 0, completed.stderr
-        _CLI_REFS[key] = _spec_section(completed.stdout)
-    return _CLI_REFS[key]
+        _CLI_REFS[flags] = _spec_section(completed.stdout)
+    return _CLI_REFS[flags]
 
 
-# The kill points, as (id, extra CLI flags, fault specs).
+# The kill points, as (id, extra CLI flags, solves before the kill).
 KILL_POINTS = [
-    (
-        "pass1-worklist",
-        [],
-        [{"stage": "checkpoint", "key": "visit", "kind": "killproc",
-          "skip": 5}],
-    ),
-    (
-        "between-scc-barriers",
-        ["--executor", "serial"],
-        [{"stage": "checkpoint", "key": "round", "kind": "killproc",
-          "skip": 2}],
-    ),
-    (
-        "mid-journal-write",
-        [],
-        [{"stage": "journal", "key": "", "kind": "killproc", "skip": 6}],
-    ),
-    (
-        "during-final-persist",
-        [],
-        [{"stage": "checkpoint", "key": "final", "kind": "killproc"}],
-    ),
+    ("pass1-worklist", [], 5),
+    ("between-scc-barriers", ["--executor", "serial"], 20),
 ]
 
 
 class TestCliSigkillChaos:
     @pytest.mark.parametrize(
-        "flags,specs",
-        [(flags, specs) for _, flags, specs in KILL_POINTS],
+        "flags,solves",
+        [(flags, solves) for _, flags, solves in KILL_POINTS],
         ids=[point_id for point_id, _, _ in KILL_POINTS],
     )
-    def test_sigkill_then_resume(self, tmp_path, flags, specs):
+    def test_sigkill_then_resume(self, tmp_path, flags, solves):
         files = _write_corpus(tmp_path)
-        run_dir = str(tmp_path / "run")
-        plan = FaultPlan([FaultSpec(**spec) for spec in specs])
-        returncode = _run_cli_expecting_kill(
-            flags + ["--run-dir", run_dir] + files,
-            env=_cli_env(plan.env()),
+        args = flags + ["--cache-dir", str(tmp_path / "cache")] + files
+        plan = FaultPlan(
+            [FaultSpec(stage="solve", key="", kind="killproc", skip=solves)]
         )
+        returncode = _run_cli_expecting_kill(args, env=_cli_env(plan.env()))
         assert returncode == -signal.SIGKILL
-        # The resume runs in a clean environment — no fault plan re-arms.
-        resumed = _run_cli(
-            flags + ["--resume", run_dir] + files, env=_cli_env()
-        )
-        assert resumed.returncode == 0, (resumed.stdout, resumed.stderr)
-        assert ", resumed" in resumed.stdout
-        assert _spec_section(resumed.stdout) == _cli_reference(
-            files, *flags
-        )
+        # The rerun runs in a clean environment — no fault plan re-arms.
+        rerun = _run_cli(args)
+        assert rerun.returncode == 0, (rerun.stdout, rerun.stderr)
+        assert "%d replayed" % solves in rerun.stdout
+        assert _spec_section(rerun.stdout) == _cli_reference(files, *flags)
 
     def test_resume_nonexistent_dir_is_usage_error(self, tmp_path):
         files = _write_corpus(tmp_path)
-        completed = _run_cli(
-            ["--resume", str(tmp_path / "absent")] + files
-        )
+        completed = _run_cli(["--resume", str(tmp_path / "absent")] + files)
         assert completed.returncode == 3
-        assert "not a run directory" in completed.stderr
+        assert "unrecognized arguments: --resume" in completed.stderr
 
 
 class TestCliMemoryBudget:
-    def test_budget_exits_five_and_resumes_without_it(self, tmp_path):
+    def test_budget_exits_five_and_resumes_without_it(self, tmp_path,
+                                                      monkeypatch):
         files = _write_corpus(tmp_path)
-        run_dir = str(tmp_path / "run")
-        stopped = _run_cli(["--run-dir", run_dir, "--max-rss-mb", "1"] + files)
-        assert stopped.returncode == 5, (stopped.stdout, stopped.stderr)
-        assert "interrupted: resumable checkpoint" in stopped.stdout
-        assert "--resume %s" % run_dir in stopped.stdout
-        assert "SoftMemoryBudget" in stopped.stdout
-        resumed = _run_cli(["--resume", run_dir] + files)
-        assert resumed.returncode == 0, (resumed.stdout, resumed.stderr)
-        assert ", resumed" in resumed.stdout
-        assert _spec_section(resumed.stdout) == _cli_reference(files)
+        argv = ["infer", "--no-api", "--cache-dir", str(tmp_path / "cache")]
+        out = io.StringIO()
+        with monkeypatch.context() as patch:
+            fake_rss(patch, 1000, new_solves=4)
+            code = cli.main(argv + ["--max-rss-mb", "1000"] + files, out)
+        assert code == 5, out.getvalue()
+        assert "rerun the same command to continue" in out.getvalue()
+        assert "SoftMemoryBudget" in out.getvalue()
+        assert "Inferred specifications:" not in out.getvalue()
+        out = io.StringIO()
+        assert cli.main(argv + files, out) == 0
+        assert "4 replayed" in out.getvalue()
+        assert _spec_section(out.getvalue()) == _cli_reference(files)
+
+    def test_budget_below_floor_exits_three(self, tmp_path, capsys):
+        files = _write_corpus(tmp_path)
+        code = cli.main(
+            ["infer", "--no-api", "--cache-dir", str(tmp_path / "cache"),
+             "--max-rss-mb", "1"] + files,
+            io.StringIO(),
+        )
+        assert code == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("repro infer: error: max-rss-mb limit")
+        assert "MiB > 1 MiB (RSS after setup, before the first visit)" in line
 
 
 class TestCliSigterm:
-    def test_sigterm_drains_checkpoints_and_reaps_workers(self, tmp_path):
-        """SIGTERM mid-run: the process finishes its in-flight unit,
-        writes a resumable checkpoint, leaves nothing running in its
-        session, and exits 5; --resume then completes bit-identically."""
+    def test_sigterm_stops_between_visits_then_rerun_finishes(self,
+                                                              tmp_path):
+        """SIGTERM mid-run: the process finishes the visit in flight,
+        exits 5 with the rerun hint, and leaves nothing running in its
+        session; the same command then completes with the clean specs."""
         files = _write_corpus(tmp_path)
-        run_dir = str(tmp_path / "run")
-        flags = ["--executor", "serial"]
-        # Slow every barrier down so the signal reliably lands mid-run.
+        cache_dir = tmp_path / "cache"
+        args = ["--executor", "serial", "--cache-dir", str(cache_dir)] + files
+        # Slow every solve down so the signal reliably lands mid-run.
         plan = FaultPlan(
-            [FaultSpec(stage="checkpoint", key="", kind="delay", count=-1,
+            [FaultSpec(stage="solve", key="", kind="delay", count=-1,
                        seconds=0.4)]
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "infer", "--no-cache",
-             "--no-api"]
-            + flags
-            + ["--run-dir", run_dir, "--fail-report", "-"]
-            + files,
+            _cli_argv(args + ["--fail-report", "-"]),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -851,9 +617,10 @@ class TestCliSigterm:
             cwd=REPO_ROOT,
             start_new_session=True,
         )
-        journal = os.path.join(run_dir, JOURNAL_NAME)
+        # The first cached unit means the handlers are installed.
+        objects = cache_dir / "objects"
         deadline = time.monotonic() + 120
-        while not os.path.exists(journal):
+        while not (objects.exists() and any(objects.iterdir())):
             if time.monotonic() > deadline or proc.poll() is not None:
                 stdout, stderr = proc.communicate()
                 pytest.fail("run never started: %s %s" % (stdout, stderr))
@@ -861,16 +628,8 @@ class TestCliSigterm:
         proc.send_signal(signal.SIGTERM)
         stdout, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 5, (stdout, stderr)
-        assert "interrupted: resumable checkpoint" in stdout
-        assert "--resume" in stdout
+        assert "rerun the same command to continue" in stdout
         assert '"interrupted": true' in stdout  # the --fail-report payload
-        snapshots = [
-            name
-            for name in os.listdir(run_dir)
-            if name.startswith("snapshot-")
-        ]
-        assert snapshots, "no checkpoint written on SIGTERM"
-        # Orphan reap: the whole session is gone.
         deadline = time.monotonic() + 30
         while True:
             try:
@@ -880,10 +639,8 @@ class TestCliSigterm:
             if time.monotonic() > deadline:
                 pytest.fail("process group still alive after exit")
             time.sleep(0.1)
-        resumed = _run_cli(
-            flags + ["--resume", run_dir] + files, env=_cli_env()
-        )
-        assert resumed.returncode == 0, (resumed.stdout, resumed.stderr)
-        assert _spec_section(resumed.stdout) == _cli_reference(
-            files, *flags
+        rerun = _run_cli(args)
+        assert rerun.returncode == 0, (rerun.stdout, rerun.stderr)
+        assert _spec_section(rerun.stdout) == _cli_reference(
+            files, "--executor", "serial"
         )

@@ -331,6 +331,8 @@ class Demo {
             ["infer", demo_file, "--executor", "thread"],
             ["infer", demo_file, "--executor", "process"],
             ["infer", demo_file, "--shards", "2"],
+            ["infer", demo_file, "--run-dir", "runs/a"],
+            ["check", demo_file, "--run-dir", "runs/a"],
             ["client", "--connect", "/nonexistent.sock", "--jobs", "2",
              demo_file],
             ["table", "5", "--jobs", "2"],
@@ -342,38 +344,47 @@ class Demo {
     def test_rss_budget_without_run_dir_is_usage_error(
         self, demo_file, capsys
     ):
+        """Only the cache can continue a stopped run, so a budget with
+        ``--no-cache`` is refused before anything runs."""
         code = cli_main(
             ["infer", demo_file, "--no-cache", "--max-rss-mb", "1"],
             io.StringIO(),
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "--max-rss-mb requires --run-dir" in err
+        assert "--max-rss-mb needs the analysis cache" in err
         assert "fatal" not in err
 
     def test_checkpoint_every_without_run_dir_is_usage_error(
         self, demo_file, capsys
     ):
+        """Checkpoints are gone with the run directory: the flag is an
+        unknown argument."""
         for every in ("1", "5"):
-            code = cli_main(
-                ["infer", demo_file, "--no-cache",
-                 "--checkpoint-every", every],
-                io.StringIO(),
-            )
-            assert code == 3
+            with pytest.raises(SystemExit) as exc:
+                cli_main(
+                    ["infer", demo_file, "--no-cache",
+                     "--checkpoint-every", every],
+                    io.StringIO(),
+                )
+            assert exc.value.code == 3
             err = capsys.readouterr().err
-            assert "--checkpoint-every requires --run-dir or --resume" in err
+            assert "unrecognized arguments: --checkpoint-every" in err
             assert "fatal" not in err
 
     def test_check_threshold_without_run_dir_is_usage_error(
         self, demo_file, capsys
     ):
-        code = cli_main(
-            ["check", demo_file, "--threshold", "0.9"], io.StringIO()
-        )
-        assert code == 3
+        """``check`` re-extracted specs at a threshold only from a run
+        directory; ``infer --threshold`` warm-starts from the cache
+        instead, so ``check --threshold`` is an unknown argument."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(
+                ["check", demo_file, "--threshold", "0.9"], io.StringIO()
+            )
+        assert exc.value.code == 3
         err = capsys.readouterr().err
-        assert "repro check: error: --threshold requires --run-dir" in err
+        assert "unrecognized arguments: --threshold" in err
         assert "fatal" not in err
 
     @pytest.mark.parametrize(

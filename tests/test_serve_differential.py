@@ -243,3 +243,59 @@ def test_sequential_runs_same_sources_identical_results(tmp_path):
     assert not first.inference_stats.warm_start
     assert second.inference_stats.warm_start
     assert second.cache_stats.invalidated_methods == 0
+
+
+def test_two_daemons_in_one_process_repeat_work_and_answers(tmp_path):
+    """Two daemons, one after the other in one process, each on a fresh
+    cache, answer one infer / edit / unchanged / check sequence with the
+    same answers and the same work counts.  State that outlives a daemon
+    or a run (a stop request left set, a memo, an import-time side
+    effect) would break the repeat; a served run is never stopped."""
+    from repro.core.infer import InferenceStats
+    from repro.resilience.shutdown import shutdown_requested
+
+    edited = LEDGER_CLIENT.replace("sum + it.next()", "it.next() + sum")
+    assert edited != LEDGER_CLIENT
+    cache_counts = (
+        "parse_hits", "parse_misses", "pfg_hits", "pfg_misses",
+        "solve_hits", "solve_misses", "final_hits", "final_misses",
+    )
+
+    def session(name):
+        cache_dir = str(tmp_path / name)
+        with running_server(tmp_path, cache_dir=cache_dir) as server:
+            with ServeClient(server.address) as client:
+                responses = [
+                    client.infer([LEDGER_CLIENT], include_marginals=True),
+                    client.infer([edited], include_marginals=True),
+                    client.infer([edited], include_marginals=True),
+                    client.check([edited]),
+                ]
+        assert not shutdown_requested()
+        work = []
+        for response in responses:
+            assert response["status"] == "ok", response
+            stats = response["stats"]
+            assert not [
+                record
+                for record in stats["failures"]["failures"]
+                if record["disposition"] == "run-interrupted"
+            ]
+            inference = stats.get("inference")
+            cache = stats.get("cache")
+            work.append(
+                (
+                    canonical_json(response["result"]),
+                    inference
+                    and {
+                        name: inference[name]
+                        for name in InferenceStats.WORK_COUNTERS
+                    },
+                    cache and {name: cache[name] for name in cache_counts},
+                )
+            )
+        # The unchanged resubmission is a warm start in both daemons.
+        assert responses[2]["stats"]["warm_start"]
+        return work
+
+    assert session("cache-a") == session("cache-b")

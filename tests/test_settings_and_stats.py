@@ -93,6 +93,9 @@ class TestOneKnobSchema:
             InferenceSettings(threshold=2.0)
         with pytest.raises(ValueError, match="max_worklist_iters must be"):
             InferenceSettings(max_worklist_iters=-5)
+        for value in ("5", True, 2.5):
+            with pytest.raises(ValueError, match="max_rss_mb must be"):
+                InferenceSettings(max_rss_mb=value)
         with pytest.raises(ProtocolError, match="max_worklist_iters must be"):
             normalize_request(
                 {"op": "infer", "sources": ["class A {}"], "max_iters": True}

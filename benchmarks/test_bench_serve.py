@@ -1,15 +1,20 @@
 """Serving bench — the analysis-as-a-service latency/throughput claim.
 
-Compares three ways of answering the same inference request:
+Compares four ways of answering the same inference request:
 
 * **cold CLI** — ``python -m repro infer`` as a fresh subprocess with no
   cache: interpreter start, imports, parse, solve, all per request (the
   pre-daemon workflow);
-* **warm served** — the persistent daemon with a hot cache: requests
-  arrive over the socket and warm-start from the content-addressed
-  store;
-* **concurrent served** — 4 client threads hammering the daemon at
-  once, which exercises queueing and cross-request coalescing.
+* **warm served** — each request goes to a fresh daemon on one hot
+  cache directory, so it warm-starts from the content-addressed store
+  (a daemon answers work it finished itself from its completed-work
+  store instead);
+* **replay hit** — the same request resubmitted to one daemon, answered
+  from its completed-work store;
+* **concurrent served** — 4 client threads send each round's new
+  sources together, which exercises queueing and cross-request
+  coalescing.  A round's sources differ from the last only by a
+  trailing comment, so every round has the same answer.
 
 The acceptance bar is warm served p50 latency >= 3x faster than the
 cold CLI, at >= 4 concurrent clients, with every served response
@@ -79,66 +84,76 @@ def test_bench_serve(benchmark):
         cold_cli = min(
             _cold_cli_seconds(source_path) for _ in range(COLD_RUNS)
         )
-        server = AnekServer(
-            port=0, cache_dir=str(workdir / "cache"), workers=CLIENTS
-        )
-        server.start()
+
+        def daemon():
+            return AnekServer(
+                port=0, cache_dir=str(workdir / "cache"), workers=CLIENTS
+            ).start()
+
+        def stop(server):
+            server.initiate_shutdown()
+            server.wait()
+
+        def same_answer(response):
+            return response["status"] == "ok" and (
+                json.dumps(response["result"], sort_keys=True) == golden
+            )
+
+        server = daemon()
         try:
             with ServeClient(server.address) as client:
                 prime = client.infer([program])
                 assert prime["status"] == "ok"
                 golden = json.dumps(prime["result"], sort_keys=True)
 
-            # Warm solo latency: sequential requests, hot cache.
-            warm_solo = []
-            with ServeClient(server.address) as client:
+                # Replay hits: the same request resubmitted, answered
+                # from the completed-work store — no batch planning, no
+                # solve, not even a cache read.
+                replay = []
                 for _ in range(REQUESTS_PER_CLIENT):
                     start = time.perf_counter()
                     response = client.infer([program])
-                    warm_solo.append(time.perf_counter() - start)
-                    assert response["status"] == "ok"
-                    assert (
-                        json.dumps(response["result"], sort_keys=True)
-                        == golden
-                    )
-
-            # Replay hits: the same idempotency key re-asked, answered
-            # verbatim from the completed-response store — no batch
-            # planning, no solve, not even a cache read.
-            replay = []
-            with ServeClient(server.address) as client:
-                seeded = client.infer([program], idem="bench-replay")
-                assert seeded["status"] == "ok"
-                for _ in range(REQUESTS_PER_CLIENT):
-                    start = time.perf_counter()
-                    response = client.infer([program], idem="bench-replay")
                     replay.append(time.perf_counter() - start)
-                    assert (
-                        json.dumps(response["result"], sort_keys=True)
-                        == golden
-                    )
+                    assert response["serve"]["replayed"]
+                    assert same_answer(response)
+        finally:
+            stop(server)
 
-            # Concurrent load: CLIENTS threads, one connection each.
+        # Warm solo latency: one request per fresh daemon, hot cache.
+        warm_solo = []
+        for _ in range(REQUESTS_PER_CLIENT):
+            server = daemon()
+            try:
+                with ServeClient(server.address) as client:
+                    start = time.perf_counter()
+                    response = client.infer([program])
+                    warm_solo.append(time.perf_counter() - start)
+            finally:
+                stop(server)
+            assert response["stats"]["warm_start"]
+            assert same_answer(response)
+
+        # Concurrent load: CLIENTS threads, one connection each, every
+        # round's new sources sent by all of them at once.
+        server = daemon()
+        try:
             latencies = []
             mismatches = []
             lock = threading.Lock()
-            barrier = threading.Barrier(CLIENTS + 1)
+            barrier = threading.Barrier(CLIENTS)
+            wall_start = time.perf_counter()
 
             def hammer():
                 with ServeClient(server.address) as client:
-                    barrier.wait()
-                    for _ in range(REQUESTS_PER_CLIENT):
+                    for round_index in range(REQUESTS_PER_CLIENT):
+                        sources = [program + "// round %d\n" % round_index]
+                        barrier.wait()
                         start = time.perf_counter()
-                        response = client.infer([program])
+                        response = client.infer(sources)
                         elapsed = time.perf_counter() - start
                         with lock:
                             latencies.append(elapsed)
-                            if response["status"] != "ok" or (
-                                json.dumps(
-                                    response["result"], sort_keys=True
-                                )
-                                != golden
-                            ):
+                            if not same_answer(response):
                                 mismatches.append(response["status"])
 
             threads = [
@@ -146,8 +161,6 @@ def test_bench_serve(benchmark):
             ]
             for thread in threads:
                 thread.start()
-            barrier.wait()
-            wall_start = time.perf_counter()
             for thread in threads:
                 thread.join()
             wall = time.perf_counter() - wall_start
@@ -156,8 +169,7 @@ def test_bench_serve(benchmark):
             with ServeClient(server.address) as client:
                 stats = client.stats()
         finally:
-            server.initiate_shutdown()
-            server.wait()
+            stop(server)
         return cold_cli, warm_solo, replay, latencies, wall, stats
 
     try:
@@ -186,7 +198,6 @@ def test_bench_serve(benchmark):
             "p50_seconds": _percentile(replay, 0.5),
             "p99_seconds": _percentile(replay, 0.99),
             "requests": len(replay),
-            "replays": stats["replay"]["replays"],
         },
         "concurrent": {
             "clients": CLIENTS,
@@ -196,6 +207,7 @@ def test_bench_serve(benchmark):
             "throughput_rps": total / max(wall, 1e-9),
             "wall_seconds": wall,
             "coalesced": stats["coalesced"],
+            "replays": stats["replay"]["replays"],
             "waves": stats["waves"],
         },
         "warm_served_speedup_vs_cold_cli": cold_cli / max(solo_p50, 1e-9),
@@ -212,16 +224,15 @@ def test_bench_serve(benchmark):
         )
     )
     print(
-        "  replay hit        p50 %.4fs  p99 %.4fs  (%d replays served)"
+        "  replay hit        p50 %.4fs  p99 %.4fs"
         % (
             report["replay_hit"]["p50_seconds"],
             report["replay_hit"]["p99_seconds"],
-            report["replay_hit"]["replays"],
         )
     )
     print(
         "  %d clients         p50 %.4fs  p99 %.4fs  %.1f req/s "
-        "(%d coalesced in %d waves)"
+        "(%d coalesced in %d waves, %d store hits)"
         % (
             CLIENTS,
             report["concurrent"]["p50_seconds"],
@@ -229,6 +240,7 @@ def test_bench_serve(benchmark):
             report["concurrent"]["throughput_rps"],
             stats["coalesced"],
             stats["waves"],
+            stats["replay"]["replays"],
         )
     )
     # The acceptance bar: a warm served request beats a cold CLI run by

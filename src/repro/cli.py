@@ -18,8 +18,9 @@ disable, ``--cache-stats`` to print hit/miss counters).
 The cache is also how a cached ``infer`` survives a stop or a kill:
 every finished visit is stored as it completes, so running the same
 command again replays those visits (``N replayed`` in the trace) and
-solves on.  SIGTERM/SIGINT, or an RSS reading over ``--max-rss-mb``,
-stop a cached run after the visit in flight.
+solves on.  SIGTERM/SIGINT during the visit loop, or an RSS reading
+over ``--max-rss-mb``, stop a cached run after the visit in flight;
+before and after the loop the signals act at once, as without a cache.
 
 Exit codes: 0 = clean run; 1 = ``check`` found warnings; 2 = the run
 completed but quarantined/degraded some work (see ``--fail-report``);
@@ -152,7 +153,8 @@ def cmd_infer(args, out):
         cache = AnalysisCache(cache_dir=args.cache_dir)
     pipeline = AnekPipeline(settings=settings, cache=cache)
     # Stopping between two visits only helps a run that a rerun can
-    # continue from the cache; without one, default handling stays.
+    # continue from the cache, and only the visit loop waits for a
+    # signal; everywhere else default handling stays.
     shutdown = graceful_shutdown() if cache is not None else nullcontext()
     try:
         with shutdown:
@@ -287,12 +289,19 @@ def _print_served_infer(response, out):
     spec/warning formatting, so eyeballs and diffs agree across modes."""
     serve = response.get("serve", {})
     stats = response.get("stats", {})
-    print(
-        "served: request %s, batch %s (%s coalesced), %.3f s%s"
-        % (
-            serve.get("request_id", "?"),
+    if serve.get("replayed"):
+        # ``stats`` are those of the earlier run that produced the answer.
+        where = "stored answer of an earlier run"
+    else:
+        where = "batch %s (%s coalesced)" % (
             serve.get("batch_size", "?"),
             serve.get("coalesced_with", 0),
+        )
+    print(
+        "served: request %s, %s, %.3f s%s"
+        % (
+            serve.get("request_id", "?"),
+            where,
             stats.get("elapsed_seconds", 0.0),
             ", warm start" if stats.get("warm_start") else "",
         ),
@@ -890,10 +899,10 @@ def build_parser():
     client.add_argument("--retries", metavar="N",
                         type=_nonnegative_count("--retries"), default=0,
                         help="reconnect-and-retry attempts after a "
-                            "connection drop or retryable refusal, with "
-                            "an idempotency key so completed work is "
-                            "replayed, never re-executed (default: "
-                            "%(default)s = single attempt)")
+                            "connection drop or retryable refusal; a "
+                            "retry of work the daemon already finished "
+                            "is answered from its store, not run again "
+                            "(default: %(default)s = single attempt)")
     client.add_argument("--call-deadline", metavar="SECONDS",
                         type=_nonnegative_seconds("--call-deadline"),
                         default=0.0,

@@ -45,7 +45,11 @@ from repro.resilience.faults import maybe_fault
 from repro.resilience.limits import MemoryBudgetError, current_rss_mb
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import FailureRecord, FailureReport
-from repro.resilience.shutdown import RunInterrupted, shutdown_requested
+from repro.resilience.shutdown import (
+    RunInterrupted,
+    shutdown_requested,
+    stoppable_visits,
+)
 
 
 #: Schedules accepted by ``InferenceSettings.executor``: ``worklist`` is
@@ -373,9 +377,10 @@ class AnekInference:
     def run(self):
         """Run inference; returns {method_ref: boundary marginals dict}.
 
-        A cached run may stop between two visits with
-        :class:`RunInterrupted` (see :meth:`_stop_check`); rerunning it
-        against the same cache replays every visit it finished."""
+        A cached run may stop between two visits, or right after the
+        last, with :class:`RunInterrupted` (see :meth:`_stop_check`);
+        rerunning it against the same cache replays every visit it
+        finished."""
         start = time.perf_counter()
         restored = self._restore_final()
         if restored is not None:
@@ -394,10 +399,13 @@ class AnekInference:
                 )
         results = {}
         self.stats.executor = self.settings.executor
-        if self.settings.executor == "worklist":
-            self._run_worklist(methods, results)
-        else:
-            self._run_levels(methods, results)
+        with stoppable_visits():
+            if self.settings.executor == "worklist":
+                self._run_worklist(methods, results)
+            else:
+                self._run_levels(methods, results)
+        # A stop requested after the loop's last check.
+        self._stop_check(None, None)
         self.stats.elapsed_seconds = time.perf_counter() - start
         self._persist_final(results)
         return results
@@ -426,11 +434,12 @@ class AnekInference:
         )
 
     def _stop_check(self, method_ref, visit):
-        """Between two visits of a cached run: stop on a stop request, or
-        on an RSS reading over ``max_rss_mb`` taken right after a visit
-        that wrote a new outcome to the cache.  Replays and skips never
-        read RSS, so every rerun of a stopped run solves at least one
-        more visit than the last."""
+        """Between two visits of a cached run, and once after the last
+        (``method_ref`` None): stop on a stop request, or on an RSS
+        reading over ``max_rss_mb`` taken right after a visit that wrote
+        a new outcome to the cache.  Replays and skips never read RSS,
+        so every rerun of a stopped run solves at least one more visit
+        than the last."""
         if self.cache is None:
             return
         if shutdown_requested():
@@ -448,13 +457,18 @@ class AnekInference:
                 )
 
     def _interrupt(self, method_ref, stage, error, why):
-        """Ledger one ``run-interrupted`` record and raise
-        :class:`RunInterrupted`; nothing final is persisted."""
+        """Ledger one ``run-interrupted`` record (keyed ``worklist``
+        after the loop) and raise :class:`RunInterrupted`; nothing final
+        is persisted."""
         self.failures.interrupted = True
         self.failures.add(
             FailureRecord(
                 stage=stage,
-                key=self.models.site_key(method_ref),
+                key=(
+                    "worklist"
+                    if method_ref is None
+                    else self.models.site_key(method_ref)
+                ),
                 error=error,
                 message="%s after this visit; rerun the same command "
                 "to continue" % why,

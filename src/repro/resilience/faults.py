@@ -62,10 +62,10 @@ KINDS = ("raise", "nan", "delay", "killproc")
 #: The **server-kill** sites arm whole-daemon chaos: ``serve-admit``
 #: fires in the front end after a request is admitted but before any
 #: response exists, and ``serve-respond`` fires after execution, after
-#: the replay store, *before* the response frame is written.  A
-#: ``killproc`` fault at either SIGKILLs the daemon at the two nastiest
-#: points of the request lifecycle; with the supervisor restarting it
-#: and idempotent client retries, both must still converge to every
+#: the completed-work store, *before* the response frame is written.
+#: A ``killproc`` fault at either SIGKILLs the daemon at the two
+#: nastiest points of the request lifecycle; with the supervisor
+#: restarting it and client retries, both must still converge to every
 #: request succeeding (``tests/test_serve_chaos.py``).
 STAGES = (
     "parse",

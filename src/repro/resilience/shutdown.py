@@ -8,10 +8,13 @@ against the same cache replays every stored visit and solves on from
 the first missing one, bit-identically (DESIGN §11).
 
 This module holds what stops such a run: the stop request, set by the
-SIGTERM/SIGINT handler of :func:`graceful_shutdown` (or by
-:func:`request_shutdown`) and read by
-:class:`repro.core.infer.AnekInference` after every visit, and
-:class:`RunInterrupted`, which the CLI maps to exit code 5.
+SIGTERM/SIGINT handler that :func:`stoppable_visits` installs under
+:func:`graceful_shutdown` (or by :func:`request_shutdown`) and read by
+:class:`repro.core.infer.AnekInference` after every visit and once
+after its visit loop, and :class:`RunInterrupted`, which the CLI maps
+to exit code 5.  Only the visit loop waits for a signal: before it
+(parse, set-up, a warm-start restore) and after it (extract, apply,
+check) SIGTERM and SIGINT act at once, as they do without the cache.
 """
 
 import signal
@@ -32,6 +35,8 @@ class RunInterrupted(Exception):
 
 
 _SHUTDOWN = threading.Event()
+#: Set by :func:`graceful_shutdown`: a visit loop may wait for a signal.
+_GRACEFUL = threading.Event()
 
 
 def shutdown_requested():
@@ -50,15 +55,36 @@ def clear_shutdown():
 
 @contextmanager
 def graceful_shutdown():
-    """Install SIGTERM/SIGINT → stop at the next visit for the duration.
+    """Let SIGTERM/SIGINT stop this process's cached run between two
+    visits, for the duration; the stop request is cleared on exit.
 
-    The first signal sets the stop request: the run finishes the visit
-    in flight and raises :class:`RunInterrupted` after it.  A second
-    signal raises ``KeyboardInterrupt`` immediately.  The request is
-    cleared on exit.  Outside the main thread (or on platforms without
-    signals) this is a no-op context.
+    The handlers are installed only while the visit loop runs
+    (:func:`stoppable_visits`); everywhere else the signals keep their
+    previous handling.
     """
-    if threading.current_thread() is not threading.main_thread():
+    _GRACEFUL.set()
+    try:
+        yield
+    finally:
+        _GRACEFUL.clear()
+        _SHUTDOWN.clear()
+
+
+@contextmanager
+def stoppable_visits():
+    """The visit loop of a cached run.
+
+    Under :func:`graceful_shutdown`, in the main thread, the first
+    SIGTERM/SIGINT sets the stop request: the run finishes the visit in
+    flight and raises :class:`RunInterrupted` after it.  A second signal
+    raises ``KeyboardInterrupt`` at once.  On exit the previous handlers
+    come back, so a signal after the loop acts at once.  Anywhere else
+    this is a no-op context.
+    """
+    if (
+        not _GRACEFUL.is_set()
+        or threading.current_thread() is not threading.main_thread()
+    ):
         yield
         return
 
@@ -67,18 +93,12 @@ def graceful_shutdown():
             raise KeyboardInterrupt
         _SHUTDOWN.set()
 
-    previous = {}
-    try:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(signum, handler)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
+    previous = {
+        signum: signal.signal(signum, handler)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
     try:
         yield
     finally:
         for signum, old in previous.items():
-            try:
-                signal.signal(signum, old)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        _SHUTDOWN.clear()
+            signal.signal(signum, old)

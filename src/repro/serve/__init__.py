@@ -5,7 +5,7 @@ The package splits along the request's path through the daemon:
 * :mod:`repro.serve.protocol` — framed-JSON wire format + validation;
 * :mod:`repro.serve.queueing` — bounded admission queue and metrics;
 * :mod:`repro.serve.batching` — coalescing/concurrency batch planner;
-* :mod:`repro.serve.replay` — idempotent completed-response store;
+* :mod:`repro.serve.replay` — completed work by fingerprint;
 * :mod:`repro.serve.server` — the daemon (front end, dispatcher, workers);
 * :mod:`repro.serve.client` — the synchronous client (reconnect, retry,
   circuit breaker);

@@ -8,6 +8,8 @@ The dispatcher pulls a batch of admitted requests and plans it:
   load of a hot program this converts N solves into 1 — the serving
   analogue of the compiled kernel's "build once, sweep many" rule, and
   trivially bit-identical because every member receives the same result.
+  Coalescing shares a run that is still in flight; work that already
+  finished is answered before admission (:mod:`repro.serve.replay`).
 * **disjoint concurrency** — groups with *different* fingerprints touch
   disjoint per-request state (each group re-materializes its program
   from the content-addressed store; no AST, summary store, or model is
@@ -29,19 +31,18 @@ from repro.cache.fingerprints import digest
 from repro.serve.protocol import REQUEST_DEFAULTS
 
 #: Request fields that define the *work*, i.e. participate in the
-#: coalescing fingerprint: every field but two.  ``include_marginals``
-#: only widens the response payload, so a marginal-requesting member can
-#: share a group with one that is not, and ``idem`` names a retry, not
-#: work.  ``deadline`` *is* included even though it does not change the
+#: fingerprint that keys both coalescing and the completed-work store
+#: (:mod:`repro.serve.replay`): every field but ``include_marginals``,
+#: which only widens the response payload, so a marginal-requesting
+#: member can share a group with one that is not.  ``deadline`` *is*
+#: included even though it does not change the
 #: program under analysis: a deadline'd request maps its remaining
 #: budget into the solve deadline of the resilience policy, and letting
 #: it share a solve with a deadline-free request would let one
 #: requester's budget degrade another's result — exactly the
 #: cross-request state bleed the serving layer must not have.
 WORK_FIELDS = tuple(
-    name
-    for name in REQUEST_DEFAULTS
-    if name not in ("include_marginals", "idem")
+    name for name in REQUEST_DEFAULTS if name != "include_marginals"
 )
 
 

@@ -11,10 +11,10 @@ socket — the next call reconnects instead of deadlocking on a desynced
 frame stream — and raises :class:`ServeError`.  With ``retries > 0``
 the client becomes self-healing:
 
-* every ``infer``/``check`` call carries a client-generated
-  **idempotency key**, constant across its retries, so a retried
-  request after a connection drop is *replayed* by the daemon from its
-  completed-response store instead of re-executed (at-most-once);
+* a retry is the same request sent again: if its first attempt
+  completed ``ok`` before the connection dropped, the daemon answers it
+  from its completed-work store by the request's work fingerprint,
+  without running it again;
 * connection failures reconnect and retry under **capped exponential
   backoff with jitter**, bounded by both the attempt budget and an
   optional per-call overall ``call_deadline``;
@@ -27,11 +27,9 @@ the client becomes self-healing:
   between closing it (success) and re-opening it (failure).
 """
 
-import os
 import random
 import socket
 import time
-import uuid
 
 from repro.serve.protocol import (
     RETRYABLE_STATUSES,
@@ -106,8 +104,6 @@ class ServeClient:
         self.breaker_threshold = max(1, int(breaker_threshold))
         self.breaker_cooldown = max(0.0, float(breaker_cooldown))
         self._sock = None
-        self._idem_prefix = "%x-%s" % (os.getpid(), uuid.uuid4().hex[:12])
-        self._idem_seq = 0
         self._consecutive_failures = 0
         self._breaker_open_until = 0.0
         if self.retries == 0:
@@ -155,7 +151,7 @@ class ServeClient:
         """Send one request dict, block for its response.
 
         Single attempt when ``retries == 0``; otherwise the retrying
-        path (idempotency key, backoff, deadline, breaker)."""
+        path (backoff, deadline, breaker)."""
         if self.retries == 0 or request.get("op") not in RETRYABLE_OPS:
             return self._call_once(request)
         return self._call_retrying(request)
@@ -173,17 +169,7 @@ class ServeClient:
                 "daemon at %s hung up: %s" % (self.address, exc)
             )
 
-    def next_idempotency_key(self):
-        """A fresh key, unique to this client instance."""
-        self._idem_seq += 1
-        return "%s-%d" % (self._idem_prefix, self._idem_seq)
-
     def _call_retrying(self, request):
-        request = dict(request)
-        if request.get("op") in ("infer", "check") and not request.get("idem"):
-            # One key per *logical* call, constant across its retries —
-            # this is what lets the daemon replay instead of re-execute.
-            request["idem"] = self.next_idempotency_key()
         self._breaker_gate()
         deadline_at = (
             time.monotonic() + self.call_deadline

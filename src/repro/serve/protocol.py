@@ -10,9 +10,10 @@ problem — results travel as the pipeline's *canonical payload*
 JSON float round-trip is exact.
 
 Requests are normalized and validated by :func:`normalize_request`
-before they enter the queue, so by the time a worker sees one every
-knob is typed, ranged, and defaulted — a malformed request costs one
-``invalid`` response, never a worker crash.
+before the daemon looks them up or queues them, so by the time a
+worker sees one every knob is typed, ranged, and defaulted — a
+malformed request (an unknown field included) costs one ``invalid``
+response, never a worker crash.
 """
 
 import json
@@ -61,12 +62,9 @@ STATUSES = (
 
 #: Statuses that mean "the work was never executed; retrying is safe
 #: and reaches a fresh admission decision".  Execution outcomes
-#: (``ok``/``degraded``/``error``/``expired``) are *final* for a given
-#: idempotency key and are replayed, never re-run.
+#: (``ok``/``degraded``/``error``/``expired``) are returned to the
+#: caller as they are.
 RETRYABLE_STATUSES = ("rejected", "overloaded")
-
-#: Longest accepted idempotency key (it is an LRU key, not a payload).
-MAX_IDEMPOTENCY_KEY = 128
 
 
 class ProtocolError(Exception):
@@ -211,10 +209,6 @@ REQUEST_DEFAULTS = {
     "no_cache": False,
     "deadline": 0.0,
     "include_marginals": False,
-    #: Client-generated idempotency key ("" = none).  A retried request
-    #: carrying the same key and the same work replays the original
-    #: completed response bit-identically instead of re-executing.
-    "idem": "",
 }
 
 
@@ -273,11 +267,4 @@ def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
     for flag in ("api", "no_cache", "include_marginals"):
         if not isinstance(request[flag], bool):
             raise ProtocolError("%s must be a boolean" % flag)
-    if not isinstance(request["idem"], str):
-        raise ProtocolError("idem must be a string")
-    if len(request["idem"]) > MAX_IDEMPOTENCY_KEY:
-        raise ProtocolError(
-            "idem of %d chars exceeds the %d char limit"
-            % (len(request["idem"]), MAX_IDEMPOTENCY_KEY)
-        )
     return request

@@ -1,95 +1,78 @@
-"""Idempotent replay: at-most-once execution for retried requests.
+"""The completed-work store: repeated work is answered, not run again.
 
-A client that loses its connection mid-call cannot know whether the
-daemon executed its request.  Blind retry would re-run the solve; giving
-up would drop the result.  The contract here is the standard one:
-
-* every retryable request carries a client-generated **idempotency
-  key**;
-* the daemon keeps a bounded LRU of **completed responses** keyed by
-  ``(idem key, work fingerprint)`` — the fingerprint is included so a
-  reused key with *different* work is executed, never served someone
-  else's result;
-* a retried request whose key is present is answered with the stored
-  response byte-for-byte (the payload dict is returned as stored and
-  the wire encoding is canonical), and the solve is **not** re-executed.
-
-Only *execution outcomes* (``ok``/``degraded``/``error``/``expired``)
-are stored: admission refusals (``rejected``/``overloaded``) mean the
-work never ran, so a retry must reach a fresh admission decision.
-
-The store is written on completion *before* the response is sent, so a
-connection that dies between execution and delivery still leaves the
-result behind for the retry to collect — the exact window the whole
-mechanism exists for.
+ANEK-INFER runs a fixed visit budget and then thresholds its marginals,
+so a served answer is a pure function of the request's *work
+fingerprint* (:func:`repro.serve.batching.work_fingerprint`).  The
+daemon keeps a bounded LRU of finished outcomes keyed by it alone,
+looks every ``infer``/``check`` request up before admission, and
+stores each executed group's outcome before any member's response is
+sent.  Only an ``ok`` outcome with an empty failure ledger is stored: a
+degraded, failed or expired one depends on more than the fingerprint
+(the fault or the clock may not recur), so its repeat runs again.  An
+outcome is held as compact JSON text and decoded per hit: smaller than
+its dicts, and immutable, so nothing can change a stored answer.
 """
 
+import json
 import threading
 from collections import OrderedDict
 
-#: Default number of completed responses retained.
-DEFAULT_REPLAY_LIMIT = 256
-
-#: Statuses that represent a finished execution and are replayable.
-REPLAYABLE_STATUSES = ("ok", "degraded", "error", "expired")
+#: Completed outcomes retained.
+REPLAY_LIMIT = 256
 
 
 class ReplayCache:
-    """A thread-safe bounded LRU of completed responses.
+    """A thread-safe bounded LRU of completed outcomes by fingerprint.
 
-    Keys are ``(idem, fingerprint)`` tuples; values are the exact
-    response payload dicts the daemon sent (or tried to send).  Counters
-    feed the daemon's ``stats``/``health`` payloads — the chaos suite
-    asserts on ``replays`` to prove a retried key never re-executed.
+    An outcome is the executed group's ``status``, ``result`` and
+    ``stats``, plus ``marginals`` when a member asked for them.
+    Counters feed the daemon's ``stats``/``health`` payloads.
     """
 
-    def __init__(self, limit=DEFAULT_REPLAY_LIMIT):
-        if limit < 1:
-            raise ValueError("replay limit must be >= 1, got %d" % limit)
+    def __init__(self, limit=REPLAY_LIMIT):
         self.limit = limit
+        #: fingerprint -> (outcome JSON text, carries marginals).
         self._entries = OrderedDict()
         self._lock = threading.Lock()
-        #: Completed responses stored.
+        #: Outcomes stored.
         self.stored = 0
         #: Lookups answered from the store (executions avoided).
         self.replays = 0
         #: Entries dropped by the LRU bound.
         self.evicted = 0
 
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
+    def lookup(self, fingerprint, marginals=False):
+        """A fresh copy of the stored outcome for this work, or None.
 
-    def lookup(self, idem, fingerprint):
-        """The stored response for this key, or None.  A hit refreshes
-        the entry's LRU position and counts one replay."""
-        if not idem:
-            return None
-        key = (idem, fingerprint)
+        With ``marginals`` only an outcome that carries them is a hit.
+        A hit refreshes the entry's LRU position and counts one replay.
+        """
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is None:
+            entry = self._entries.get(fingerprint)
+            if entry is None or (marginals and not entry[1]):
                 return None
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(fingerprint)
             self.replays += 1
-            return payload
+        return json.loads(entry[0])
 
-    def store(self, idem, fingerprint, payload):
-        """Retain one completed response; a no-op without a key or for
-        non-replayable (admission-refusal) statuses."""
-        if not idem or payload.get("status") not in REPLAYABLE_STATUSES:
+    def store(self, fingerprint, outcome):
+        """Retain one executed outcome if it depends on nothing but its
+        fingerprint; returns whether it was stored."""
+        if outcome["status"] != "ok" or outcome["stats"]["failures"]["failures"]:
             return False
-        key = (idem, fingerprint)
+        entry = (
+            json.dumps(outcome, separators=(",", ":")),
+            "marginals" in outcome,
+        )
         with self._lock:
-            already = key in self._entries
-            self._entries[key] = payload
-            self._entries.move_to_end(key)
-            if not already:
+            if fingerprint not in self._entries:
                 self.stored += 1
-                while len(self._entries) > self.limit:
-                    self._entries.popitem(last=False)
-                    self.evicted += 1
-            return True
+            self._entries[fingerprint] = entry
+            self._entries.move_to_end(fingerprint)
+            while len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+                self.evicted += 1
+        return True
 
     def to_payload(self):
         with self._lock:

@@ -11,9 +11,9 @@ state):
 
 * the **front end** runs a ``selectors`` loop over *blocking* sockets,
   using readiness only to decide whom to ``recv`` from; it frames,
-  validates, and either answers control ops inline (``ping``,
-  ``stats``, ``shutdown``) or admits work into the
-  :class:`BoundedRequestQueue`.
+  validates, and either answers inline (control ops such as ``ping``,
+  ``stats``, ``shutdown``, and work it already finished) or admits work
+  into the :class:`BoundedRequestQueue`.
 * the **dispatcher** pulls batches from the queue, plans them
   (:func:`plan_batch` — coalesce identical work, run distinct work
   concurrently), and submits one worker task per group.  Waves are
@@ -37,11 +37,9 @@ admitted through normal dispatch, then exits 0.
 
 Self-healing additions (DESIGN §15):
 
-* **idempotent replay** — completed responses are retained in a bounded
-  LRU (:class:`repro.serve.replay.ReplayCache`) keyed by the client's
-  idempotency key and the work fingerprint; a retried request after a
-  connection drop is answered from the store bit-identically, never
-  re-executed.
+* **completed-work store** — a request whose work fingerprint already
+  ran ``ok`` is answered from :class:`repro.serve.replay.ReplayCache`
+  before admission and never runs again.
 * **overload-aware admission** — a ``health`` op reports queue depth,
   worker saturation, and RSS; when ``max_rss_mb`` is set and exceeded,
   new work is shed with a retryable ``overloaded`` status instead of
@@ -81,7 +79,7 @@ from repro.serve.protocol import (
     send_message,
 )
 from repro.serve.queueing import BoundedRequestQueue, PendingRequest
-from repro.serve.replay import DEFAULT_REPLAY_LIMIT, ReplayCache
+from repro.serve.replay import ReplayCache
 
 
 class ServeAddressInUse(RuntimeError):
@@ -168,7 +166,6 @@ class AnekServer:
         batch_max=16,
         policy=None,
         max_rss_mb=0,
-        replay_limit=DEFAULT_REPLAY_LIMIT,
         heartbeat_path=None,
         heartbeat_interval=1.0,
         max_frame_bytes=0,
@@ -196,8 +193,8 @@ class AnekServer:
         self.max_frame_bytes = max(0, int(max_frame_bytes))
         #: Total source bytes one request may carry (0 = unlimited).
         self.max_source_bytes = max(0, int(max_source_bytes))
-        #: Completed responses for idempotent retry replay.
-        self.replay = ReplayCache(limit=replay_limit)
+        #: Completed outcomes by work fingerprint.
+        self.replay = ReplayCache()
         self.heartbeat_path = heartbeat_path
         self.heartbeat_interval = max(0.05, float(heartbeat_interval))
         #: The daemon-lifetime failure ledger (request failures never
@@ -440,12 +437,13 @@ class AnekServer:
         with self._metrics_lock:
             self._request_seq += 1
             request_id = self._request_seq
+        started = time.perf_counter()
         fingerprint = work_fingerprint(request)
         # Chaos site: a ``killproc`` fault here SIGKILLs the daemon
         # while it holds an admitted-but-unanswered request — the
         # client's send succeeded, no response will ever come, and only
-        # reconnect + idempotent retry (against the supervisor's next
-        # incarnation) recovers it.
+        # reconnect + retry (against the supervisor's next incarnation)
+        # recovers it.
         try:
             maybe_fault(
                 "serve-admit", "admit:%d:%s" % (request_id, fingerprint[:12])
@@ -463,12 +461,26 @@ class AnekServer:
                 }
             )
             return
-        replayed = self.replay.lookup(request["idem"], fingerprint)
-        if replayed is not None:
-            # At-most-once: the original execution's exact response —
-            # bit-identical bytes on the wire, zero re-execution.
-            self._count_status("replayed")
-            connection.send(replayed)
+        stored = self.replay.lookup(
+            fingerprint, marginals=request["include_marginals"]
+        )
+        if stored is not None:
+            # Work done before: its answer, under a fresh id, without
+            # entering the queue.
+            self._count_status(stored["status"])
+            connection.send(
+                self._answer(
+                    stored,
+                    request,
+                    request_id,
+                    {
+                        "request_id": request_id,
+                        "queue_wait_seconds": time.perf_counter() - started,
+                        "replayed": True,
+                        "fingerprint": fingerprint,
+                    },
+                )
+            )
             return
         if self._overloaded():
             self._shed_overloaded(connection, request_id)
@@ -621,6 +633,9 @@ class AnekServer:
             return
         with self._metrics_lock:
             self._executed += 1
+        # Stored before any member is answered: a connection that dies
+        # between execution and delivery leaves the answer for its retry.
+        self.replay.store(group.fingerprint, executed)
         now = time.perf_counter()
         for member in live:
             if member.expired(now):
@@ -628,28 +643,38 @@ class AnekServer:
                     member, group, plan, "during execution", executed
                 )
                 continue
-            status = executed["status"]
-            self._count_status(status)
-            payload = {
-                "status": status,
-                "id": member.request_id,
-                "op": group.request["op"],
-                "result": executed["result"],
-                "stats": executed["stats"],
-                "serve": self._serve_meta(member, group, plan),
-            }
-            if member.request["include_marginals"] and "marginals" in executed:
-                payload["result"] = dict(executed["result"])
-                payload["result"]["marginals"] = executed["marginals"]
-            self._finish(member, group.fingerprint, payload)
+            self._count_status(executed["status"])
+            self._finish(
+                member,
+                group.fingerprint,
+                self._answer(
+                    executed,
+                    member.request,
+                    member.request_id,
+                    self._serve_meta(member, group, plan),
+                ),
+            )
+
+    @staticmethod
+    def _answer(outcome, request, request_id, serve):
+        """One requester's response to an executed or stored outcome."""
+        payload = {
+            "status": outcome["status"],
+            "id": request_id,
+            "op": request["op"],
+            "result": outcome["result"],
+            "stats": outcome["stats"],
+            "serve": serve,
+        }
+        if request["include_marginals"] and "marginals" in outcome:
+            payload["result"] = dict(
+                outcome["result"], marginals=outcome["marginals"]
+            )
+        return payload
 
     def _finish(self, member, fingerprint, payload):
-        """Deliver one terminal response: store it for idempotent replay
-        *first*, then send.  Ordering matters — a connection that dies
-        between execution and delivery (or a ``killproc`` fault at the
-        ``serve-respond`` site, which loses both) is exactly the window
-        the retry-with-replay contract covers."""
-        self.replay.store(member.request.get("idem", ""), fingerprint, payload)
+        """Deliver one terminal response, after the ``serve-respond``
+        fault site (executed and stored, frame not yet written)."""
         maybe_fault(
             "serve-respond",
             "respond:%d:%s" % (member.request_id, fingerprint[:12]),

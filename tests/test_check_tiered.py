@@ -472,9 +472,15 @@ class TestCliTiering:
         _, plain = run_cli(["check", demo_file])
         assert "check: tier=" not in plain
 
-    def test_infer_cache_stats_reports_tier_split(self, demo_file):
-        code, output = run_cli(["infer", demo_file, "--cache-stats"])
+    def test_infer_cache_stats_reports_tier_split(self, demo_file, tmp_path):
+        code, output = run_cli(
+            [
+                "infer", demo_file, "--cache-stats",
+                "--cache-dir", str(tmp_path / "cache"),
+            ]
+        )
         assert code == 0
+        assert "warm start" not in output  # a cold run checks every tier
         assert "check: tier=auto" in output
 
 

@@ -594,6 +594,28 @@ class TestCliMemoryBudget:
         assert "MiB > 1 MiB (RSS after setup, before the first visit)" in line
 
 
+def _start_cli_after(args, plan, marker):
+    """Start ``repro infer`` under a fault plan and return once the
+    plan's marker file exists, i.e. once the run reached that fault."""
+    proc = subprocess.Popen(
+        _cli_argv(args),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_cli_env(plan.env()),
+        cwd=REPO_ROOT,
+        start_new_session=True,
+    )
+    deadline = time.monotonic() + 120
+    while not marker.exists():
+        if time.monotonic() > deadline or proc.poll() is not None:
+            stdout, stderr = proc.communicate()
+            pytest.fail("run never reached the fault: %s %s"
+                        % (stdout, stderr))
+        time.sleep(0.05)
+    return proc
+
+
 class TestCliSigterm:
     def test_sigterm_stops_between_visits_then_rerun_finishes(self,
                                                               tmp_path):
@@ -603,28 +625,18 @@ class TestCliSigterm:
         files = _write_corpus(tmp_path)
         cache_dir = tmp_path / "cache"
         args = ["--executor", "serial", "--cache-dir", str(cache_dir)] + files
-        # Slow every solve down so the signal reliably lands mid-run.
+        # Slow every solve down so the signal reliably lands mid-run; the
+        # first solve's marker says the visit loop is running.
+        marker = tmp_path / "first-solve"
         plan = FaultPlan(
-            [FaultSpec(stage="solve", key="", kind="delay", count=-1,
-                       seconds=0.4)]
+            [
+                FaultSpec(stage="solve", key="", kind="delay", count=1,
+                          seconds=0.4, marker=str(marker)),
+                FaultSpec(stage="solve", key="", kind="delay", count=-1,
+                          seconds=0.4),
+            ]
         )
-        proc = subprocess.Popen(
-            _cli_argv(args + ["--fail-report", "-"]),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=_cli_env(plan.env()),
-            cwd=REPO_ROOT,
-            start_new_session=True,
-        )
-        # The first cached unit means the handlers are installed.
-        objects = cache_dir / "objects"
-        deadline = time.monotonic() + 120
-        while not (objects.exists() and any(objects.iterdir())):
-            if time.monotonic() > deadline or proc.poll() is not None:
-                stdout, stderr = proc.communicate()
-                pytest.fail("run never started: %s %s" % (stdout, stderr))
-            time.sleep(0.05)
+        proc = _start_cli_after(args + ["--fail-report", "-"], plan, marker)
         proc.send_signal(signal.SIGTERM)
         stdout, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 5, (stdout, stderr)
@@ -644,3 +656,20 @@ class TestCliSigterm:
         assert _spec_section(rerun.stdout) == _cli_reference(
             files, "--executor", "serial"
         )
+
+    def test_sigterm_after_the_visit_loop_acts_at_once(self, tmp_path):
+        """Only the visit loop waits for a signal: SIGTERM while the
+        checker runs ends the process by SIGTERM, as without a cache,
+        instead of letting the run finish and exit 0."""
+        files = _write_corpus(tmp_path)
+        args = ["--cache-dir", str(tmp_path / "cache")] + files
+        marker = tmp_path / "check"
+        plan = FaultPlan(
+            [FaultSpec(stage="check", key="", kind="delay", count=1,
+                       seconds=3.0, marker=str(marker))]
+        )
+        proc = _start_cli_after(args, plan, marker)
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == -signal.SIGTERM, (stdout, stderr)
+        assert "Inferred specifications:" not in stdout

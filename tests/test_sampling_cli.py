@@ -176,8 +176,14 @@ class TestCli:
         code = cli_main(argv, out=out)
         return code, out.getvalue()
 
-    def test_infer_command(self, demo_file):
-        code, output = self.run_cli(["infer", demo_file])
+    @pytest.fixture
+    def cache_flag(self, tmp_path):
+        """Keeps ``repro infer`` from writing ``.anek-cache/`` into the
+        working directory."""
+        return ["--cache-dir", str(tmp_path / "cache")]
+
+    def test_infer_command(self, demo_file, cache_flag):
+        code, output = self.run_cli(["infer", demo_file] + cache_flag)
         assert code == 0
         assert "Demo.createIter" in output
         assert "unique(result)" in output
@@ -207,13 +213,15 @@ class TestCli:
         assert code == 0
         assert "unique" in output
 
-    def test_infer_emit_source(self, demo_file):
-        code, output = self.run_cli(["infer", demo_file, "--emit-source"])
+    def test_infer_emit_source(self, demo_file, cache_flag):
+        code, output = self.run_cli(
+            ["infer", demo_file, "--emit-source"] + cache_flag
+        )
         assert code == 0
         assert '@Perm(ensures="unique(result)")' in output
 
-    def test_threshold_flag(self, demo_file):
+    def test_threshold_flag(self, demo_file, cache_flag):
         code, output = self.run_cli(
-            ["infer", demo_file, "--threshold", "0.9"]
+            ["infer", demo_file, "--threshold", "0.9"] + cache_flag
         )
         assert code == 0

@@ -43,13 +43,19 @@ def test_served_infer_bit_identical_to_cold(tmp_path, engine):
 
 
 def test_served_warm_cache_bit_identical_to_cold(tmp_path):
-    """The warm-start full-run restore must not change a single bit."""
+    """The warm-start full-run restore must not change a single bit.  A
+    second daemon on the same cache reaches it: the first would answer
+    the resubmission from its completed-work store."""
     cold = cold_result([LEDGER_CLIENT])
     expected = canonical_json(cold.canonical_payload(include_marginals=True))
-    with running_server(tmp_path) as server:
-        with ServeClient(server.address) as client:
-            first = client.infer([LEDGER_CLIENT], include_marginals=True)
-            second = client.infer([LEDGER_CLIENT], include_marginals=True)
+    responses = []
+    for _ in range(2):
+        with running_server(tmp_path) as server:
+            with ServeClient(server.address) as client:
+                responses.append(
+                    client.infer([LEDGER_CLIENT], include_marginals=True)
+                )
+    first, second = responses
     assert first["status"] == second["status"] == "ok"
     assert not first["stats"]["warm_start"]
     assert second["stats"]["warm_start"]
@@ -119,7 +125,9 @@ def test_two_concurrent_clients_same_program(tmp_path):
     for response in responses:
         assert canonical_json(response["result"]) == expected
     assert stats["responses"].get("ok", 0) >= 2
-    assert stats["queue"]["dispatched"] >= 2
+    # Each request ran (coalesced or not) or, arriving after the other
+    # finished, was answered from the completed-work store.
+    assert stats["queue"]["dispatched"] + stats["replay"]["replays"] == 2
 
 
 def test_cli_subprocess_served_bit_identical_to_cold(tmp_path):
@@ -248,7 +256,8 @@ def test_sequential_runs_same_sources_identical_results(tmp_path):
 def test_two_daemons_in_one_process_repeat_work_and_answers(tmp_path):
     """Two daemons, one after the other in one process, each on a fresh
     cache, answer one infer / edit / unchanged / check sequence with the
-    same answers and the same work counts.  State that outlives a daemon
+    same answers, the same work counts and the same store hits.  State
+    that outlives a daemon
     or a run (a stop request left set, a memo, an import-time side
     effect) would break the repeat; a served run is never stopped."""
     from repro.core.infer import InferenceStats
@@ -294,8 +303,10 @@ def test_two_daemons_in_one_process_repeat_work_and_answers(tmp_path):
                     cache and {name: cache[name] for name in cache_counts},
                 )
             )
-        # The unchanged resubmission is a warm start in both daemons.
-        assert responses[2]["stats"]["warm_start"]
+        # The unchanged resubmission is a store hit in both daemons,
+        # with the answer and work counts of the run it repeats.
+        assert responses[2]["serve"]["replayed"] is True
+        assert work[2] == work[1]
         return work
 
     assert session("cache-a") == session("cache-b")

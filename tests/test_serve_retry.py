@@ -1,16 +1,17 @@
-"""Idempotent retries, replay, overload admission, and the breaker.
+"""Retries, the completed-work store, overload admission, the breaker.
 
 The self-healing client/daemon contract (DESIGN §15), bottom-up:
 
-* **units** — the replay LRU, idempotency-key validation, retryable
-  status surface;
+* **units** — the completed-work LRU (keyed by work fingerprint, clean
+  ``ok`` outcomes only), the retryable status surface;
 * **client** — connection hygiene after errors (a failed call never
   leaves a half-sent frame stream behind), backoff-bounded retries,
   per-call deadlines, the circuit breaker's open/half-open/closed walk;
-* **daemon** — at-most-once execution (a retried key replays the stored
-  response bit-identically, asserted via the server's replay/executed
-  counters), RSS overload shedding with retryable refusals, the
-  ``health`` op, and the stale-socket/live-daemon start probe.
+* **daemon** — repeated work answered from the store without running
+  again (asserted via the server's replay/executed counters), failed
+  and expired outcomes run again, RSS overload shedding with retryable
+  refusals, the ``health`` op, and the stale-socket/live-daemon start
+  probe.
 """
 
 import os
@@ -23,6 +24,7 @@ import pytest
 from repro.serve import (
     AnekServer,
     CircuitOpenError,
+    ProtocolError,
     ReplayCache,
     ServeAddressInUse,
     ServeClient,
@@ -31,10 +33,13 @@ from repro.serve import (
     probe_live_daemon,
     wait_for_server,
 )
-from repro.serve.protocol import ProtocolError
+from repro.resilience.faults import (
+    FaultSpec,
+    clear_fault_plan,
+    install_fault_plan,
+)
 from tests.serve_harness import (
     LEDGER_CLIENT,
-    SCANNER_CLIENT,
     canonical_json,
     cold_result,
     running_server,
@@ -46,85 +51,132 @@ from tests.serve_harness import (
 # ---------------------------------------------------------------------------
 
 
+def _outcome(status="ok", failures=(), **extra):
+    outcome = {
+        "status": status,
+        "result": {"n": 1},
+        "stats": {"failures": {"failures": list(failures)}},
+    }
+    outcome.update(extra)
+    return outcome
+
+
 class TestReplayCache:
     def test_store_and_replay(self):
         cache = ReplayCache(limit=4)
-        payload = {"status": "ok", "result": {"n": 1}}
-        assert cache.store("key", "fp", payload)
-        assert cache.lookup("key", "fp") is payload
+        outcome = _outcome()
+        assert cache.store("fp", outcome)
+        assert cache.lookup("fp") == outcome
+        assert cache.lookup("other") is None
         assert cache.replays == 1
         assert cache.stored == 1
 
-    def test_fingerprint_scopes_the_key(self):
-        """A reused key with different work must never serve someone
-        else's result."""
+    def test_a_hit_is_a_fresh_copy(self):
+        """The store holds text: no caller can change a stored answer."""
         cache = ReplayCache()
-        cache.store("key", "fp-a", {"status": "ok", "result": 1})
-        assert cache.lookup("key", "fp-b") is None
-        assert cache.replays == 0
-
-    def test_empty_key_is_never_stored(self):
-        cache = ReplayCache()
-        assert not cache.store("", "fp", {"status": "ok"})
-        assert cache.lookup("", "fp") is None
-        assert len(cache) == 0
+        cache.store("fp", _outcome())
+        cache.lookup("fp")["result"]["n"] = 2
+        assert cache.lookup("fp")["result"] == {"n": 1}
 
     @pytest.mark.parametrize("status", ["rejected", "overloaded", "invalid"])
     def test_admission_refusals_are_not_replayable(self, status):
         cache = ReplayCache()
-        assert not cache.store("key", "fp", {"status": status})
-        assert cache.lookup("key", "fp") is None
+        assert not cache.store("fp", _outcome(status))
+        assert cache.lookup("fp") is None
 
-    @pytest.mark.parametrize("status", ["ok", "degraded", "error", "expired"])
+    @pytest.mark.parametrize("status", ["ok"])
     def test_execution_outcomes_are_replayable(self, status):
+        """A clean execution outcome is the one kind the store keeps."""
         cache = ReplayCache()
-        assert cache.store("key", "fp", {"status": status})
+        assert cache.store("fp", _outcome(status))
+        assert cache.lookup("fp")["status"] == status
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            _outcome("degraded"),
+            _outcome("error"),
+            _outcome("expired"),
+            _outcome(failures=[{"disposition": "recovered"}]),
+        ],
+        ids=["degraded", "error", "expired", "ok-with-failures"],
+    )
+    def test_outcomes_that_may_not_recur_are_not_stored(self, outcome):
+        cache = ReplayCache()
+        assert not cache.store("fp", outcome)
+        assert cache.lookup("fp") is None
+
+    def test_marginals_hit_needs_stored_marginals(self):
+        cache = ReplayCache()
+        cache.store("fp", _outcome())
+        assert cache.lookup("fp", marginals=True) is None
+        cache.store("fp", _outcome(marginals={"m": 1}))
+        assert cache.lookup("fp", marginals=True)["marginals"] == {"m": 1}
+        assert cache.lookup("fp")["marginals"] == {"m": 1}
 
     def test_lru_bound_evicts_oldest(self):
         cache = ReplayCache(limit=2)
-        cache.store("a", "fp", {"status": "ok"})
-        cache.store("b", "fp", {"status": "ok"})
-        cache.lookup("a", "fp")  # refresh a
-        cache.store("c", "fp", {"status": "ok"})  # evicts b
-        assert cache.lookup("b", "fp") is None
-        assert cache.lookup("a", "fp") is not None
-        assert cache.lookup("c", "fp") is not None
+        cache.store("a", _outcome())
+        cache.store("b", _outcome())
+        cache.lookup("a")  # refresh a
+        cache.store("c", _outcome())  # evicts b
+        assert cache.lookup("b") is None
+        assert cache.lookup("a") is not None
+        assert cache.lookup("c") is not None
         assert cache.evicted == 1
 
     def test_restore_same_key_does_not_double_count(self):
         cache = ReplayCache(limit=2)
-        cache.store("a", "fp", {"status": "ok", "v": 1})
-        cache.store("a", "fp", {"status": "ok", "v": 2})
+        cache.store("a", _outcome(result={"v": 1}))
+        cache.store("a", _outcome(result={"v": 2}))
         assert cache.stored == 1
-        assert cache.lookup("a", "fp")["v"] == 2
+        assert cache.lookup("a")["result"]["v"] == 2
+
+    def test_concurrent_stores_and_lookups_keep_counts_exact(self):
+        """The daemon's front end looks up while workers store: no
+        update may be lost, under a short thread switch interval."""
+        import sys
+
+        cache = ReplayCache(limit=64)
+        threads_n, keys_n = 8, 50
+        hits = [0] * threads_n
+
+        def worker(index):
+            for key in range(keys_n):
+                cache.store("fp-%d-%d" % (index, key), _outcome())
+                for owner in (index, (index + 1) % threads_n):
+                    if cache.lookup("fp-%d-%d" % (owner, key)) is not None:
+                        hits[index] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        payload = cache.to_payload()
+        assert payload["stored"] == threads_n * keys_n
+        assert payload["entries"] == 64
+        assert payload["stored"] - payload["evicted"] == payload["entries"]
+        assert payload["replays"] == sum(hits) > 0
 
 
 class TestIdemValidation:
-    def test_idem_defaults_empty(self):
-        request = normalize_request({"op": "ping"})
-        assert request["idem"] == ""
-
-    def test_idem_accepted(self):
-        request = normalize_request(
-            {"op": "infer", "sources": ["class A {}"], "idem": "abc-1"}
-        )
-        assert request["idem"] == "abc-1"
-
     @pytest.mark.parametrize("idem", [17, None, ["k"], "x" * 129])
     def test_bad_idem_rejected(self, idem):
-        with pytest.raises(ProtocolError):
+        """``idem`` is not a request field: any value of it is refused."""
+        with pytest.raises(ProtocolError, match="unknown request field"):
             normalize_request(
                 {"op": "infer", "sources": ["class A {}"], "idem": idem}
             )
-
-    def test_idem_not_in_work_fingerprint(self):
-        from repro.serve import work_fingerprint
-
-        base = normalize_request({"op": "infer", "sources": ["class A {}"]})
-        keyed = normalize_request(
-            {"op": "infer", "sources": ["class A {}"], "idem": "k-1"}
-        )
-        assert work_fingerprint(base) == work_fingerprint(keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -234,44 +286,6 @@ class TestClientConnectionHygiene:
             client.ping()
         assert time.monotonic() - started < 5.0
 
-    def test_idempotency_key_constant_across_retries(self):
-        seen = []
-
-        class _Recorder(_FlakyServer):
-            def _serve(self):
-                from repro.serve.protocol import FrameBuffer, send_message
-
-                for action in self.script:
-                    conn, _ = self.listener.accept()
-                    buffer = FrameBuffer()
-                    data = conn.recv(65536)
-                    for message in buffer.feed(data):
-                        seen.append(message.get("idem"))
-                        if action == "drop":
-                            conn.close()
-                        else:
-                            send_message(conn, action)
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                self.listener.close()
-
-        server = _Recorder(["drop", {"status": "ok", "op": "infer"}])
-        try:
-            client = ServeClient(server.address, retries=3, backoff=0.01)
-            client.infer(["class A {}"])
-            assert len(seen) == 2
-            assert seen[0] and seen[0] == seen[1]
-        finally:
-            server.close()
-
-    def test_distinct_calls_get_distinct_keys(self):
-        client = ServeClient.__new__(ServeClient)
-        client._idem_prefix = "p"
-        client._idem_seq = 0
-        assert client.next_idempotency_key() != client.next_idempotency_key()
-
 
 class TestCircuitBreaker:
     def _dead_client(self, **kwargs):
@@ -321,45 +335,94 @@ class TestCircuitBreaker:
 # ---------------------------------------------------------------------------
 
 
-def test_retried_key_replays_bit_identically_without_reexecution(tmp_path):
+def test_resubmission_is_answered_without_execution(tmp_path):
     with running_server(tmp_path, workers=2) as server:
         with ServeClient(server.address) as client:
-            first = client.infer([LEDGER_CLIENT], idem="chaos-key-1")
-            second = client.infer([LEDGER_CLIENT], idem="chaos-key-1")
+            first = client.infer([LEDGER_CLIENT])
+            second = client.infer([LEDGER_CLIENT])
             stats = client.stats()
-    # Bit-identical replay: the entire payload, not just the result.
-    assert canonical_json(first) == canonical_json(second)
+    assert first["status"] == second["status"] == "ok"
+    assert second["id"] != first["id"]
+    assert second["serve"]["replayed"] is True
+    assert "replayed" not in first["serve"]
+    # The answer and the stats of the run that produced it.
+    assert canonical_json(second["result"]) == canonical_json(first["result"])
+    assert canonical_json(second["stats"]) == canonical_json(first["stats"])
     assert stats["executed"] == 1
+    assert stats["queue"]["enqueued"] == 1
     assert stats["replay"]["replays"] == 1
     assert stats["replay"]["stored"] == 1
-    assert stats["responses"].get("replayed") == 1
+    assert stats["responses"] == {"ok": 2}
 
 
-def test_same_key_different_work_executes_both(tmp_path):
+def test_marginals_request_runs_again_after_a_plain_one(tmp_path):
+    """``include_marginals`` is outside the fingerprint: a stored answer
+    without marginals cannot serve a request for them."""
+    cold = cold_result([LEDGER_CLIENT]).canonical_payload(
+        include_marginals=True
+    )
     with running_server(tmp_path, workers=2) as server:
         with ServeClient(server.address) as client:
-            one = client.infer([LEDGER_CLIENT], idem="shared-key")
-            two = client.infer([SCANNER_CLIENT], idem="shared-key")
+            plain = client.infer([LEDGER_CLIENT])
+            wide = client.infer([LEDGER_CLIENT], include_marginals=True)
+            again = client.infer([LEDGER_CLIENT], include_marginals=True)
             stats = client.stats()
-    assert one["status"] == two["status"] == "ok"
-    assert canonical_json(one["result"]) != canonical_json(two["result"])
+    assert "marginals" not in plain["result"]
+    assert canonical_json(wide["result"]) == canonical_json(cold)
+    assert "replayed" not in wide["serve"]
+    assert again["serve"]["replayed"] is True
+    assert canonical_json(again["result"]) == canonical_json(cold)
     assert stats["executed"] == 2
-    assert stats["replay"]["replays"] == 0
+    assert stats["replay"]["replays"] == 1
 
 
-def test_replayed_expired_outcome_is_final(tmp_path):
+def test_failed_run_runs_again_and_returns_ok(tmp_path):
+    """A failed outcome may not recur, so it is never stored: the same
+    request sent again runs, and only its clean answer is stored."""
+    golden = canonical_json(cold_result([LEDGER_CLIENT]).canonical_payload())
+    install_fault_plan(
+        [FaultSpec(stage="serve", key="", kind="raise", count=1)]
+    )
+    try:
+        with running_server(tmp_path, workers=1) as server:
+            with ServeClient(server.address) as client:
+                failed = client.infer([LEDGER_CLIENT])
+                healthy = client.infer([LEDGER_CLIENT])
+                stored = client.infer([LEDGER_CLIENT])
+                stats = client.stats()
+    finally:
+        clear_fault_plan()
+    assert failed["status"] == "error"
+    assert healthy["status"] == "ok"
+    assert canonical_json(healthy["result"]) == golden
+    assert "replayed" not in healthy["serve"]
+    assert stored["serve"]["replayed"] is True
+    assert stats["queue"]["enqueued"] == 2
+    assert stats["replay"]["replays"] == 1
+
+
+def test_expired_outcome_runs_again(tmp_path):
     with running_server(tmp_path, workers=1) as server:
         with ServeClient(server.address) as client:
-            late = client.infer(
-                [LEDGER_CLIENT], deadline=1e-06, idem="late-key"
-            )
-            again = client.infer(
-                [LEDGER_CLIENT], deadline=1e-06, idem="late-key"
+            late = client.infer([LEDGER_CLIENT], deadline=1e-06)
+            again = client.infer([LEDGER_CLIENT], deadline=1e-06)
+            stats = client.stats()
+    assert late["status"] == again["status"] == "expired"
+    assert stats["queue"]["enqueued"] == 2
+    assert stats["replay"]["replays"] == 0
+    assert stats["replay"]["stored"] == 0
+
+
+def test_request_carrying_idem_is_answered_invalid(tmp_path):
+    with running_server(tmp_path, workers=1) as server:
+        with ServeClient(server.address) as client:
+            refused = client.call(
+                {"op": "infer", "sources": [LEDGER_CLIENT], "idem": "k-1"}
             )
             stats = client.stats()
-    assert late["status"] == "expired"
-    assert canonical_json(late) == canonical_json(again)
-    assert stats["replay"]["replays"] == 1
+    assert refused["status"] == "invalid"
+    assert "unknown request field(s): idem" in refused["error"]
+    assert stats["queue"]["enqueued"] == 0
 
 
 def test_overload_sheds_with_retryable_status(tmp_path):

@@ -17,14 +17,12 @@ the trajectory and therefore the marginals.  Instead each worklist visit
 is treated as a pure function of its fingerprinted inputs and its
 *outcome* is replayed from the store — same trajectory, same floats, no
 BP sweep.  Invalidation is automatic and exact: any changed input
-changes the key, so a stale artifact is simply never addressed again.
-The manifest (a JSON summary of the last run's fingerprints) is purely
-advisory — it powers the invalidated/dirty-cone counters and nothing
-else.
+changes the key, so a stale artifact is simply never addressed again,
+and the per-layer misses count exactly what a run did again.
 """
 
 import warnings
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import repro
 from repro.cache.fingerprints import (
@@ -46,7 +44,8 @@ DEFAULT_CACHE_DIR = ".anek-cache"
 
 @dataclass
 class CacheStats:
-    """Hit/miss/invalidation counters, accumulated across pipeline stages."""
+    """Per-layer hit/miss counters, accumulated across pipeline stages.
+    The misses are the one record of what a run did again."""
 
     #: Layer 1: compilation units served from / missing in the store.
     parse_hits: int = 0
@@ -68,14 +67,6 @@ class CacheStats:
     #: Writes that failed with an OSError (ENOSPC, permissions): each
     #: degraded to a miss on the next read instead of aborting the run.
     store_errors: int = 0
-    #: Methods whose static fingerprint changed since the manifest run.
-    #: Accumulated (like every other counter) so that a process serving
-    #: many sequential runs against one cache reports correct per-run
-    #: deltas — an assignment here would make the second run's delta
-    #: negative whenever it invalidated fewer methods than the first.
-    invalidated_methods: int = 0
-    #: Invalidated methods plus their transitive callers (SCC cone).
-    dirty_cone: int = 0
     #: True when the config cannot be fingerprinted (custom heuristics).
     uncacheable: bool = False
 
@@ -132,11 +123,8 @@ class CacheStats:
             "  final   %5d hit %5d miss" % (self.final_hits, self.final_misses)
         )
         lines.append(
-            "  invalidated %d method(s), dirty cone %d, corrupt %d, "
-            "schema-invalid %d, hit ratio %.1f%%"
+            "  corrupt %d, schema-invalid %d, hit ratio %.1f%%"
             % (
-                self.invalidated_methods,
-                self.dirty_cone,
                 self.corrupt_entries,
                 self.schema_invalid,
                 100.0 * self.hit_ratio(),
@@ -178,10 +166,6 @@ class AnalysisCache:
         saved = self.store.save(key, payload)
         self.stats.store_errors = self.store.store_errors
         return saved
-
-    def save_manifest(self, manifest):
-        self.store.save_manifest(manifest)
-        self.stats.store_errors = self.store.store_errors
 
     # -- layer 1: parsing ------------------------------------------------------
 
@@ -253,7 +237,6 @@ class BoundCache:
         self.env_fp = environment_digest(program)
         self.program_fp = program_digest(program)
         self._method_fps = {}
-        self._manifest = self.store.load_manifest()
 
     def _quarantine_entry(self, key, layer, exc):
         """A payload deserialized but failed shape validation: count it,
@@ -451,70 +434,3 @@ class BoundCache:
             "store": store_payload,
         }
         self.cache.save(self.final_key(schedule_kind), payload)
-
-    # -- the manifest: invalidation accounting + dirty cone --------------------
-
-    def record_invalidation(self, call_graph, methods):
-        """Diff the manifest against current fingerprints.
-
-        Sets ``invalidated_methods`` (methods whose static fingerprint
-        changed since the manifest run) and ``dirty_cone`` (those plus
-        their transitive callers, via SCC condensation — exactly the set
-        a warm re-run must re-solve).  Purely advisory: artifact reuse is
-        content-addressed and needs no diffing.  Returns the cone.
-        """
-        from repro.analysis.callgraph import (
-            dependency_edges,
-            strongly_connected_components,
-        )
-
-        manifest = self._manifest
-        if (
-            manifest is None
-            or manifest.get("schema") != self.cache.schema_tag
-            or manifest.get("config") != self.config_fp
-        ):
-            return None
-        recorded = manifest.get("methods", {})
-        changed = set()
-        for method_ref in methods:
-            key = self.key_of[method_ref]
-            if recorded.get(key) != self.method_fingerprint(method_ref):
-                changed.add(method_ref)
-        self.stats.invalidated_methods += len(changed)
-        edges = dependency_edges(call_graph, methods)
-        components = strongly_connected_components(edges)
-        component_of = {}
-        for component in components:
-            for member in component:
-                component_of[member] = id(component)
-        dirty_components = set()
-        cone = set()
-        # Tarjan emits callees before callers, so one forward pass sees
-        # every callee component's dirtiness before its callers'.
-        for component in components:
-            dirty = any(member in changed for member in component) or any(
-                component_of[callee] in dirty_components
-                for member in component
-                for callee in edges[member]
-            )
-            if dirty:
-                dirty_components.add(id(component))
-                cone.update(component)
-        self.stats.dirty_cone += len(cone)
-        return cone
-
-    def save_manifest(self, methods):
-        self.cache.save_manifest(
-            {
-                "schema": self.cache.schema_tag,
-                "version": repro.__version__,
-                "config": self.config_fp,
-                "environment": self.env_fp,
-                "program": self.program_fp,
-                "methods": {
-                    self.key_of[method_ref]: self.method_fingerprint(method_ref)
-                    for method_ref in methods
-                },
-            }
-        )

@@ -1,8 +1,7 @@
 """On-disk content-addressed artifact store.
 
 Artifacts live under ``<root>/objects/<kk>/<key>.pkl`` (two-level fanout
-by key prefix); the advisory manifest is human-readable JSON at
-``<root>/manifest.json``.  Two durability rules:
+by key prefix).  Two durability rules:
 
 * **writes are atomic** — payloads are pickled into a temp file in the
   destination directory and ``os.replace``\\ d into place, so a reader
@@ -13,7 +12,6 @@ by key prefix); the advisory manifest is human-readable JSON at
   reported as a miss, so the pipeline falls back to a cold build.
 """
 
-import json
 import os
 import pickle
 import tempfile
@@ -81,34 +79,6 @@ class ArtifactStore:
             os.remove(self._path(key))
         except OSError:
             pass
-
-    # -- the manifest ---------------------------------------------------------
-
-    def manifest_path(self):
-        return os.path.join(self.root, "manifest.json")
-
-    def load_manifest(self):
-        """The advisory manifest dict, or None when absent/corrupt."""
-        try:
-            with open(self.manifest_path(), "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception as exc:
-            self.corrupt_count += 1
-            warnings.warn(
-                "discarding corrupt cache manifest (%s: %s)"
-                % (type(exc).__name__, exc),
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-
-    def save_manifest(self, manifest):
-        if self._write_disabled:
-            return
-        data = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        self._atomic_write(self.manifest_path(), data.encode("utf-8"))
 
     # -- plumbing -------------------------------------------------------------
 

@@ -32,6 +32,7 @@ continue; 6 = ``serve --supervise`` gave up on a crash-looping daemon.
 """
 
 import argparse
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -173,25 +174,9 @@ def cmd_infer(args, out):
     if args.cache_stats and cache is not None:
         print("", file=out)
         print(cache.stats.describe(), file=out)
-    if args.cache_stats and result.inference_stats is not None:
-        stats = result.inference_stats
-        if stats.check_tier:
-            print("", file=out)
-            print(
-                "check: tier=%s %.3f s (tier1 %d method(s)/%d site(s) "
-                "%.3f s, tier2 %d method(s)/%d site(s) %.3f s)"
-                % (
-                    stats.check_tier,
-                    stats.check_seconds,
-                    stats.check_tier1_methods,
-                    stats.check_tier1_sites,
-                    stats.check_tier1_seconds,
-                    stats.check_tier2_methods,
-                    stats.check_tier2_sites,
-                    stats.check_tier2_seconds,
-                ),
-                file=out,
-            )
+    if args.cache_stats and result.check is not None:
+        print("", file=out)
+        print(result.check.describe(), file=out)
     print("", file=out)
     print("Inferred specifications:", file=out)
     for ref, spec in sorted(
@@ -647,9 +632,9 @@ def _nonnegative_seconds(flag):
             raise argparse.ArgumentTypeError(
                 "expected a number of seconds, got %r" % text
             )
-        if value < 0:
+        if not math.isfinite(value) or value < 0:
             raise argparse.ArgumentTypeError(
-                "%s must be >= 0 (0 disables it)" % flag
+                "%s must be a finite number >= 0 (0 disables it)" % flag
             )
         return value
 
@@ -767,7 +752,8 @@ def build_parser():
     infer.add_argument("--no-cache", dest="use_cache", action="store_false",
                        help="disable the persistent analysis cache")
     infer.add_argument("--cache-stats", action="store_true",
-                       help="print cache hit/miss/invalidation counters")
+                       help="print cache hit/miss counters and the "
+                            "checker's tier split")
     infer.add_argument("--fail-report", metavar="PATH", default=None,
                        help="write the structured failure report as JSON "
                             "('-' = stdout)")

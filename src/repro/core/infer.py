@@ -173,8 +173,9 @@ class InferenceStats:
     (:data:`WORK_COUNTERS`) are a pure function of the program, config,
     cache contents and schedule: they repeat exactly across reruns.
     **Timings** — ``elapsed_seconds``, ``build_seconds``,
-    ``solve_seconds``, the ``check_*_seconds`` fields and the per-level
-    ``schedule`` seconds — are reported, never asserted.
+    ``solve_seconds`` and the per-level ``schedule`` seconds — are
+    reported, never asserted.  The checker's split lives in the
+    pipeline's :class:`repro.plural.checker.CheckRun`.
     """
 
     WORK_COUNTERS = (
@@ -227,19 +228,6 @@ class InferenceStats:
     quarantined: int = 0
     #: Solves that fell to the prior-only floor of the retry ladder.
     degraded: int = 0
-    #: Checker-stage split (the build/kernel/cache stages above all have
-    #: dedicated timings; the checker gets the same treatment).  ``check_tier``
-    #: is the tier that actually ran ("" when the checker was skipped);
-    #: tier-1 is the vectorized bit-vector pass, tier-2 the full
-    #: fractional-permission checker over the residue.
-    check_tier: str = ""
-    check_seconds: float = 0.0
-    check_tier1_seconds: float = 0.0
-    check_tier2_seconds: float = 0.0
-    check_tier1_methods: int = 0
-    check_tier2_methods: int = 0
-    check_tier1_sites: int = 0
-    check_tier2_sites: int = 0
 
     def work_counters(self):
         """``{name: value}`` of the :data:`WORK_COUNTERS`."""
@@ -362,8 +350,6 @@ class AnekInference:
         # Cached or freshly built, every surviving method's targets are
         # in source order, so the graph never needs a lowering of its own.
         self.call_graph = call_graph_from_targets(callees_of)
-        if self.cache is not None:
-            self.cache.record_invalidation(self.call_graph, methods)
         for method_ref in methods:
             self._callers_of[method_ref] = [
                 caller
@@ -596,7 +582,6 @@ class AnekInference:
             # warm start.
             return
         self.cache.store_final(self._schedule_kind(), results, self.summaries)
-        self.cache.save_manifest(list(self.method_set))
 
     def _solve_level(self, targets, results):
         """Visit every target against the summaries as they stood when the

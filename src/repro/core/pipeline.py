@@ -56,6 +56,10 @@ class PipelineResult:
     #: Persistent-cache counter movement for this run (a CacheStats
     #: delta), or None when the pipeline ran without a cache.
     cache_stats: Optional[object] = None
+    #: The checker's :class:`repro.plural.checker.CheckRun` (tier split,
+    #: sites, seconds), or None when the checker did not run or was
+    #: skipped.
+    check: Optional[object] = None
     #: The resilience ledger: every isolation/retry/degradation event of
     #: this run (empty on a clean run).
     failures: FailureReport = field(default_factory=FailureReport)
@@ -251,13 +255,10 @@ class AnekPipeline:
         )
         return self._run_rest(program, result, run_before)
 
-    def _run_rest(self, program, result, run_before=None):
+    def _run_rest(self, program, result, run_before):
         # Constraint generation + inference (Figure 10's two generators
         # plus INFER.NET are one stage here; stats break them down).
         start = time.perf_counter()
-        cache_before = (
-            self.cache.stats.snapshot() if self.cache is not None else None
-        )
         inference = AnekInference(
             program,
             self.config,
@@ -291,20 +292,14 @@ class AnekPipeline:
                 stats.build_seconds,
                 stats.solve_seconds,
             )
-        if cache_before is not None:
-            moved = self.cache.stats.delta(cache_before)
-            result.cache_stats = self.cache.stats.delta(
-                run_before if run_before is not None else cache_before
-            )
-            detail += (
-                ", cache[pfg %d/%d, solve %d hit/%d miss, invalidated %d]"
-                % (
-                    moved.pfg_hits,
-                    moved.pfg_hits + moved.pfg_misses,
-                    moved.solve_hits,
-                    moved.solve_misses,
-                    moved.invalidated_methods,
-                )
+        if run_before is not None:
+            # Run-wide: parsing moves no pfg or solve counter.
+            moved = result.cache_stats = self.cache.stats.delta(run_before)
+            detail += ", cache[pfg %d/%d, solve %d hit/%d miss]" % (
+                moved.pfg_hits,
+                moved.pfg_hits + moved.pfg_misses,
+                moved.solve_hits,
+                moved.solve_misses,
             )
         if stats.executor != "worklist" and not stats.warm_start:
             detail += ", executor=%s (%d levels, %d rounds)" % (
@@ -366,6 +361,7 @@ class AnekPipeline:
                     tier=self.check_tier,
                     failures=result.failures,
                 )
+                result.check = check
                 result.warnings = check.warnings
                 detail = "%d warnings, tier=%s" % (
                     len(result.warnings),
@@ -381,15 +377,6 @@ class AnekPipeline:
                             check.tier2_sites,
                         )
                     )
-                if stats is not None:
-                    stats.check_tier = check.tier
-                    stats.check_seconds = check.total_seconds
-                    stats.check_tier1_seconds = check.tier1_seconds
-                    stats.check_tier2_seconds = check.tier2_seconds
-                    stats.check_tier1_methods = check.tier1_methods
-                    stats.check_tier2_methods = check.tier2_methods
-                    stats.check_tier1_sites = check.tier1_sites
-                    stats.check_tier2_sites = check.tier2_sites
             except Exception as exc:
                 result.failures.add(
                     policy.quarantine_record(

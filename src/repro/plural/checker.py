@@ -575,6 +575,19 @@ class CheckRun:
         total = self.tier1_sites + self.tier2_sites
         return self.tier1_sites / total if total else 1.0
 
+    def to_payload(self):
+        """The tier split as plain data (a served response's
+        ``stats.check``)."""
+        return {
+            "tier": self.tier,
+            "tier1_methods": self.tier1_methods,
+            "tier2_methods": self.tier2_methods,
+            "tier1_sites": self.tier1_sites,
+            "tier2_sites": self.tier2_sites,
+            "tier1_seconds": self.tier1_seconds,
+            "tier2_seconds": self.tier2_seconds,
+        }
+
     def describe(self):
         if self.tier == "full":
             return "check: tier=full, %d method(s), %.3f s" % (

@@ -122,27 +122,24 @@ class PmdExperiment:
     def run_original(self):
         program = self.fresh_program()
         check = run_check(program, tier=self.check_tier)
-        row = Table2Row(
+        return Table2Row(
             "Original", 0, len(check.warnings), check.total_seconds,
-            annotation_seconds=0.0,
+            annotation_seconds=0.0, check=check,
         )
-        _attach_check(row, check)
-        return row
 
     def run_bierhoff(self):
         program = self.fresh_program()
         annotated = apply_oracle(program, self.bundle)
         check = run_check(program, tier=self.check_tier)
-        row = Table2Row(
+        return Table2Row(
             "Bierhoff (oracle)",
             annotated,
             len(check.warnings),
             check.total_seconds,
             annotation_seconds=MANUAL_ANNOTATION_MINUTES * 60.0,
             note="annotation time simulated per Bierhoff's thesis",
+            check=check,
         )
-        _attach_check(row, check)
-        return row
 
     def run_anek(self):
         program = self.fresh_program()
@@ -155,7 +152,7 @@ class PmdExperiment:
         self._anek_result = result
         self._anek_seconds = elapsed
         stats = result.inference_stats
-        row = Table2Row(
+        return Table2Row(
             "Anek",
             result.inferred_annotation_count,
             len(result.warnings),
@@ -167,13 +164,8 @@ class PmdExperiment:
             ),
             note="(build %.2fs + kernel %.2fs)"
             % (stats.build_seconds, stats.solve_seconds),
+            check=result.check,
         )
-        row.check_tier = stats.check_tier
-        row.tier1_sites = stats.check_tier1_sites
-        row.tier2_sites = stats.check_tier2_sites
-        row.tier1_seconds = stats.check_tier1_seconds
-        row.tier2_seconds = stats.check_tier2_seconds
-        return row
 
     def run_anek_logical(self):
         program = self.fresh_program()
@@ -280,40 +272,26 @@ class Table2Row:
     annotation_seconds: float = 0.0
     dnf: bool = False
     note: str = ""
-    #: Checker dispatch tier and the tier-1/tier-2 split: how many call
-    #: sites the vectorized bit-vector pass proved versus how many fell
+    #: The row's :class:`repro.plural.checker.CheckRun`: how many call
+    #: sites the vectorized tier-1 pass proved versus how many fell
     #: through to the full fractional-permission checker, with the wall
-    #: clock spent in each.  Empty tier means the row never ran a check.
-    check_tier: str = ""
-    tier1_sites: int = 0
-    tier2_sites: int = 0
-    tier1_seconds: float = 0.0
-    tier2_seconds: float = 0.0
+    #: clock spent in each.  None means the row never ran a check.
+    check: Optional[object] = None
 
     @property
     def check_cell(self):
         """The per-tier ``Check (T1/T2)`` table cell for this row."""
-        if not self.check_tier:
+        check = self.check
+        if check is None:
             return "-"
-        if self.check_tier == "full":
+        if check.tier == "full":
             return "full"
         return "%d/%d sites, %s/%s" % (
-            self.tier1_sites,
-            self.tier2_sites,
-            format_seconds(self.tier1_seconds),
-            format_seconds(self.tier2_seconds),
+            check.tier1_sites,
+            check.tier2_sites,
+            format_seconds(check.tier1_seconds),
+            format_seconds(check.tier2_seconds),
         )
-
-
-def _attach_check(row, check):
-    """Copy a :class:`repro.plural.checker.CheckRun`'s tier split onto a
-    Table 2 row."""
-    row.check_tier = check.tier
-    row.tier1_sites = check.tier1_sites
-    row.tier2_sites = check.tier2_sites
-    row.tier1_seconds = check.tier1_seconds
-    row.tier2_seconds = check.tier2_seconds
-    return row
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ response, never a worker crash.
 
 import json
 import struct
+import sys
 
 from repro.core.infer import InferenceSettings
 
@@ -258,12 +259,16 @@ def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
         )
     except ValueError as exc:
         raise ProtocolError(str(exc))
+    deadline = request["deadline"]
+    # The upper bound refuses infinity and an int too large for a float;
+    # NaN fails every comparison.
     if (
-        not isinstance(request["deadline"], (int, float))
-        or request["deadline"] < 0
+        isinstance(deadline, bool)
+        or not isinstance(deadline, (int, float))
+        or not 0 <= deadline <= sys.float_info.max
     ):
-        raise ProtocolError("deadline must be a number of seconds >= 0")
-    request["deadline"] = float(request["deadline"])
+        raise ProtocolError("deadline must be a finite number of seconds >= 0")
+    request["deadline"] = float(deadline)
     for flag in ("api", "no_cache", "include_marginals"):
         if not isinstance(request[flag], bool):
             raise ProtocolError("%s must be a boolean" % flag)

@@ -103,11 +103,6 @@ class BoundedRequestQueue:
             self._closed = True
             self._not_empty.notify_all()
 
-    @property
-    def closed(self):
-        with self._lock:
-            return self._closed
-
     def evict_expired(self, now=None):
         """Remove and return every queued request whose deadline has
         already passed.
@@ -169,10 +164,3 @@ class BoundedRequestQueue:
                 pending.queue_wait(now) for pending in batch
             )
         return batch
-
-    def drain(self):
-        """Remove and return everything still queued (shutdown path)."""
-        with self._lock:
-            items = list(self._items)
-            self._items.clear()
-        return items

@@ -709,15 +709,7 @@ class AnekServer:
                 },
                 "stats": {
                     "elapsed_seconds": time.perf_counter() - started,
-                    "check": {
-                        "tier": check.tier,
-                        "tier1_methods": check.tier1_methods,
-                        "tier2_methods": check.tier2_methods,
-                        "tier1_sites": check.tier1_sites,
-                        "tier2_sites": check.tier2_sites,
-                        "tier1_seconds": check.tier1_seconds,
-                        "tier2_seconds": check.tier2_seconds,
-                    },
+                    "check": check.to_payload(),
                     "failures": failures.to_payload(),
                 },
             }
@@ -741,6 +733,11 @@ class AnekServer:
                 "cache": (
                     result.cache_stats.to_payload()
                     if result.cache_stats is not None
+                    else None
+                ),
+                "check": (
+                    result.check.to_payload()
+                    if result.check is not None
                     else None
                 ),
                 "warm_start": bool(stats is not None and stats.warm_start),

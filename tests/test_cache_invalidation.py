@@ -4,13 +4,16 @@ Content addressing means invalidation is never a guess — an artifact is
 reused iff its inputs' fingerprints match.  Each test here makes one
 kind of change against a warmed cache and asserts the exact layer
 counters (parses, PFG builds, solves) that moved, plus that the specs
-stay bit-identical to an uncached run over the same sources.
+stay bit-identical to an uncached run over the same sources.  The
+misses are exact whatever else ran against the directory before.
 """
 
 import pytest
 
 from repro.cache import AnalysisCache
 from repro.core import AnekPipeline, InferenceSettings
+from repro.corpus.examples import FIGURE3_CLIENT
+from repro.corpus.generator import generate_branchy_program
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 
 CLIENT = """
@@ -96,10 +99,10 @@ def test_edit_method_body(warmed):
     assert moved.parse_misses == 1 and moved.parse_hits == 1
     assert moved.pfg_misses == 1
     assert moved.pfg_hits == cold.cache_stats.pfg_misses - 1
-    assert moved.invalidated_methods == 1
-    # ``total`` calls into the program but nothing calls it: the dirty
-    # cone (changed + transitive callers) is just the method itself.
-    assert moved.dirty_cone == 1
+    # Only ``total``'s own 4 visits solve again: nothing calls it, and
+    # its dead local deposits the same evidence into its callees.
+    assert moved.solve_misses == 4
+    assert moved.solve_hits == cold.cache_stats.solve_misses - 4
     assert warm.inference_stats.builds < cold.inference_stats.builds
     assert spec_map(warm) == spec_map(reference)
 
@@ -115,9 +118,11 @@ def test_edit_callee_only(warmed):
     # are keyed by *its* fingerprint and all hit.
     assert moved.pfg_misses == 1
     assert moved.pfg_hits == cold.cache_stats.pfg_misses - 1
-    assert moved.invalidated_methods == 1
-    # The caller rides in the dirty cone: callee + its caller ``total``.
-    assert moved.dirty_cone == 2
+    # Only the callee's own 5 visits solve again.  Its dead statement
+    # leaves its summary as it was, so the caller ``total``'s input
+    # tokens, and with them its 4 visits, all hit.
+    assert moved.solve_misses == 5
+    assert moved.solve_hits == cold.cache_stats.solve_misses - 5
     assert spec_map(warm) == spec_map(reference)
 
 
@@ -199,15 +204,29 @@ def test_corrupt_entries_fall_back_to_cold(warmed):
     assert spec_map(rewarmed) == spec_map(cold)
 
 
-def test_corrupt_manifest_is_tolerated(warmed):
-    cache_dir, cold = warmed
-    manifest = cache_dir / "manifest.json"
-    assert manifest.exists()
-    manifest.write_text("{ truncated")
-    warm = run_pipeline(
-        [ITERATOR_API_SOURCE, CLIENT], cache=AnalysisCache(cache_dir)
-    )
-    # Content addressing still restores the run; only the advisory
-    # invalidation counters (which need the old manifest) are lost.
-    assert warm.inference_stats.warm_start
-    assert spec_map(warm) == spec_map(cold)
+def test_edit_counts_ignore_another_program_in_between(tmp_path):
+    """Another program run between a program and its edit leaves the
+    edit's counts as they are in a directory of its own: every count
+    comes from the content-addressed store, and the store is all the
+    directory holds."""
+    program = generate_branchy_program(8)
+    a = [ITERATOR_API_SOURCE, program]
+    b = [ITERATOR_API_SOURCE, FIGURE3_CLIENT]
+    # The incremental bench's edit: one method body.
+    a_edited = [
+        ITERATOR_API_SOURCE,
+        program.replace(
+            "int acc = seed;", "int acc = seed;\n        int extra = 0;", 1
+        ),
+    ]
+
+    def edit_misses(runs_before, cache_dir):
+        for sources in runs_before:
+            run_pipeline(sources, cache=AnalysisCache(cache_dir))
+        edited = run_pipeline(a_edited, cache=AnalysisCache(cache_dir))
+        return edited.cache_stats.pfg_misses, edited.cache_stats.solve_misses
+
+    shared = tmp_path / "shared"
+    assert edit_misses([a, b], shared) == (1, 4)
+    assert edit_misses([a], tmp_path / "own") == (1, 4)
+    assert sorted(path.name for path in shared.iterdir()) == ["objects"]

@@ -127,8 +127,9 @@ def test_warm_after_edit_reuses_untouched_units(tmp_path):
     assert moved.parse_hits == 1 and moved.parse_misses == 1
     assert moved.pfg_misses == 1
     assert moved.pfg_hits == cold.cache_stats.pfg_misses - 1
-    # Only the edited method re-enters the constraint pipeline...
-    assert moved.invalidated_methods == 1
+    # Only the edited method's 4 visits solve again...
+    assert moved.solve_misses == 4
+    assert moved.solve_hits == cold.cache_stats.solve_misses - 4
     # ...so strictly fewer models are built than the cold run built,
     # and strictly fewer BP solves actually execute (the rest replay).
     assert warm.inference_stats.builds < cold.inference_stats.builds

@@ -336,6 +336,19 @@ class Demo {
             ["client", "--connect", "/nonexistent.sock", "--jobs", "2",
              demo_file],
             ["table", "5", "--jobs", "2"],
+            ["infer", demo_file, "--solve-deadline", "nan"],
+            ["infer", demo_file, "--solve-deadline", "inf"],
+            ["serve", "--batch-window", "nan"],
+            ["serve", "--restart-window", "inf"],
+            ["serve", "--restart-backoff", "nan"],
+            ["serve", "--restart-backoff-max", "-inf"],
+            ["client", "ping", "--connect", "/nonexistent.sock",
+             "--timeout", "nan"],
+            ["client", "infer", demo_file, "--connect", "/nonexistent.sock",
+             "--deadline", "inf"],
+            ["client", "ping", "--connect", "/nonexistent.sock",
+             "--call-deadline", "nan"],
+            ["fuzz", "--case-deadline", "nan"],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli_main(argv, io.StringIO())
@@ -489,8 +502,7 @@ class TestCacheSchemaValidation:
         with pytest.warns(RuntimeWarning, match="schema-invalid"):
             reran = self._run(cache, sources)
         assert cache.stats.schema_invalid > 0
-        # These were NOT pickle-corrupt: the legacy counter stays put
-        # (the manifest is JSON and is tracked separately from entries).
+        # These were NOT pickle-corrupt: the corrupt counter stays put.
         assert cache.stats.corrupt_entries == 0
         # The run silently fell back to a cold build: same output.
         clean_specs = {

@@ -97,6 +97,26 @@ def test_served_check_matches_cold_check(tmp_path):
     assert response["result"]["count"] > 0
 
 
+def test_served_infer_reports_the_check_split(tmp_path):
+    """A served ``infer`` sends its checker split as ``stats.check``,
+    with the keys a served ``check`` sends.  ``infer`` checks the
+    program after the inferred specs are applied, so its split is
+    compared with a cold pipeline run's, not with a served check's."""
+    cold = cold_result([LEDGER_CLIENT]).check
+    with running_server(tmp_path) as server:
+        with ServeClient(server.address) as client:
+            inferred = client.infer([LEDGER_CLIENT])
+            checked = client.check([LEDGER_CLIENT])
+    assert inferred["status"] == checked["status"] == "ok"
+    split = inferred["stats"]["check"]
+    assert sorted(split) == sorted(checked["stats"]["check"])
+    work = ("tier", "tier1_methods", "tier2_methods", "tier1_sites",
+            "tier2_sites")
+    assert {name: split[name] for name in work} == {
+        name: getattr(cold, name) for name in work
+    }
+
+
 def test_two_concurrent_clients_same_program(tmp_path):
     """Two simultaneous identical requests: both answers bit-identical
     to cold (whether or not the dispatcher coalesced them)."""
@@ -195,14 +215,11 @@ class Trio {
 
 
 def test_sequential_inprocess_runs_report_per_run_cache_stats(tmp_path):
-    """Regression: ``CacheStats`` deltas must stay per-run correct across
-    multiple sequential runs on one cache instance.
-
-    ``record_invalidation`` used to *assign* ``invalidated_methods`` /
-    ``dirty_cone`` instead of accumulating, so the N-th run's delta was
-    "this run minus the previous run" — negative when an earlier run
-    invalidated more than the current one, exactly the shape below.
-    """
+    """``CacheStats`` deltas stay per-run correct across sequential runs
+    on one cache instance: each run's ``pfg_misses`` counts exactly the
+    methods it lowered again, and the cumulative counter is their sum.
+    A counter assigned instead of accumulated would make the third
+    run's delta negative (1 - 2), exactly the shape below."""
     from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 
     walk = "int n = 0; while (it.hasNext()) { it.next(); n = n + 1; } return n;"
@@ -212,27 +229,21 @@ def test_sequential_inprocess_runs_report_per_run_cache_stats(tmp_path):
 
     versions = [
         _three_method_class(walk, walk, walk),
-        # Second run: two method bodies change -> >= 2 invalidations.
+        # Second run: two method bodies change.
         _three_method_class(walk, "return 2;", "return 2;"),
-        # Third run: one method body changes -> >= 1 invalidation, and
-        # strictly fewer than the second run's.
+        # Third run: one method body changes.
         _three_method_class(walk, "return 2;", "return 3;"),
     ]
-    deltas = []
-    for version in versions:
-        result = pipeline.run_on_sources([ITERATOR_API_SOURCE, version])
-        deltas.append(result.cache_stats)
+    results = [
+        pipeline.run_on_sources([ITERATOR_API_SOURCE, version])
+        for version in versions
+    ]
+    deltas = [result.cache_stats for result in results]
 
-    assert deltas[0].invalidated_methods == 0
-    assert deltas[1].invalidated_methods >= 2
-    # The old assignment bug makes this delta negative (1 - 2).
-    assert deltas[2].invalidated_methods >= 1
-    assert deltas[2].invalidated_methods < deltas[1].invalidated_methods
-    for delta in deltas:
-        assert delta.dirty_cone >= 0
-    # The cumulative counter is the sum of the per-run movements.
-    assert cache.stats.invalidated_methods == sum(
-        delta.invalidated_methods for delta in deltas
+    cold = results[0].inference_stats.methods
+    assert [delta.pfg_misses for delta in deltas] == [cold, 2, 1]
+    assert cache.stats.pfg_misses == sum(
+        delta.pfg_misses for delta in deltas
     )
 
 
@@ -250,7 +261,7 @@ def test_sequential_runs_same_sources_identical_results(tmp_path):
     ) == canonical_json(second.canonical_payload(include_marginals=True))
     assert not first.inference_stats.warm_start
     assert second.inference_stats.warm_start
-    assert second.cache_stats.invalidated_methods == 0
+    assert second.cache_stats.misses() == 0
 
 
 def test_two_daemons_in_one_process_repeat_work_and_answers(tmp_path):

@@ -101,6 +101,11 @@ class TestProtocol:
             {"op": "infer", "sources": ["x"], "bogus": True},
             [],
             {"op": "infer", "sources": ["x"], "executor": "thread"},
+            {"op": "infer", "sources": ["x"], "deadline": True},
+            {"op": "infer", "sources": ["x"], "deadline": float("nan")},
+            {"op": "infer", "sources": ["x"], "deadline": float("inf")},
+            {"op": "check", "sources": ["x"], "deadline": False},
+            {"op": "infer", "sources": ["x"], "deadline": 10**400},
         ],
     )
     def test_normalize_rejects(self, payload):

@@ -46,9 +46,9 @@ def counts(monkeypatch):
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_each_stage_lowers_each_method_once(name, counts):
     result = AnekPipeline().run_on_sources(INPUTS[name])
-    stats = result.inference_stats
-    assert stats.check_tier == "auto"
+    methods = result.inference_stats.methods
+    assert result.check.tier == "auto"
     assert not result.failures.records
     # PFG stage + tier-1 plans + the tier-2 residue.
-    per_stage = stats.methods + stats.methods + stats.check_tier2_methods
+    per_stage = methods + methods + result.check.tier2_methods
     assert counts == {"lowerings": per_stage, "cfg_builds": per_stage}

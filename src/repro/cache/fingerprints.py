@@ -40,7 +40,7 @@ from repro.java.symbols import method_key
 #: Bumped whenever the layout of any cached payload changes; combined
 #: with ``repro.__version__`` in every key, so stale artifact formats
 #: are never deserialized.
-SCHEMA_TAG = "anek-cache-v1"
+SCHEMA_TAG = "anek-cache-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +135,12 @@ def _annotation_struct(annotation):
 def _class_interface(decl):
     """Everything about a class *except* its method bodies.
 
-    A method's analysis observes other classes only through signatures,
-    annotations, field declarations, and the type hierarchy (static
-    dispatch, protocol state spaces, parameter names at call sites), so
-    this is the method-external slice of the program that must agree for
-    a cached per-method artifact to be valid.
+    A method's analysis observes other classes only through signatures
+    (type parameters included: they decide whether a return type names
+    a class), annotations, field declarations, and the type hierarchy
+    (static dispatch, protocol state spaces, parameter names at call
+    sites), so this is the method-external slice of the program that
+    must agree for a cached per-method artifact to be valid.
     """
     return (
         decl.name,
@@ -154,6 +155,7 @@ def _class_interface(decl):
             (
                 method.name,
                 method.is_constructor,
+                tuple(method.type_params),
                 str(method.return_type)
                 if method.return_type is not None
                 else None,
@@ -195,6 +197,20 @@ def method_digest(method_ref):
             method_ref.class_decl.name,
             pretty_print_method(method_ref.method_decl),
         )
+    )
+
+
+def spec_token(spec):
+    """A :class:`repro.permissions.spec.MethodSpec` as plain data.
+
+    Every slot the checker reads is kept: ``str(spec)`` drops the state
+    test, and ``to_annotations`` an empty ``@TrueIndicates("")``.
+    """
+    return (
+        tuple((c.kind, c.target, c.state) for c in spec.requires),
+        tuple((c.kind, c.target, c.state) for c in spec.ensures),
+        spec.true_indicates,
+        spec.false_indicates,
     )
 
 

@@ -1,4 +1,4 @@
-"""The persistent analysis cache: three content-addressed layers.
+"""The persistent analysis cache: four content-addressed layers.
 
 Layer 1 — **parsed units**: raw source text → parsed compilation unit.
 Layer 2 — **frontend artifacts**: per-method PFGs (the input to
@@ -10,6 +10,10 @@ Layer 3 — **solver artifacts**: (a) per-visit solve outcomes (boundary
 marginals + evidence deposits) keyed by static fingerprint × config ×
 the canonicalized summary/evidence input token, and (b) whole-run final
 results keyed by program × config × schedule kind.
+Layer 4 — **check verdicts**: each method's tier-1 verdict (residue
+reason or none, plus its site count) keyed by static fingerprint × its
+own spec × its callees' specs, as the checker reads them after the
+applier wrote the inferred specs in.
 
 The bit-identity story: ANEK-INFER runs a *fixed-budget* (non-fixpoint)
 trajectory, so warm-starting it with converged summaries would change
@@ -34,6 +38,7 @@ from repro.cache.fingerprints import (
     method_digest,
     program_digest,
     source_digest,
+    spec_token,
 )
 from repro.cache.pfgser import pfg_from_payload, pfg_to_payload
 from repro.cache.store import ArtifactStore
@@ -59,6 +64,9 @@ class CacheStats:
     #: Layer 3b: whole-run warm starts.
     final_hits: int = 0
     final_misses: int = 0
+    #: Layer 4: tier-1 check verdicts replayed / planned again.
+    verdict_hits: int = 0
+    verdict_misses: int = 0
     #: Entries that existed but failed to deserialize (treated as misses).
     corrupt_entries: int = 0
     #: Entries that deserialized but failed schema/shape validation —
@@ -72,7 +80,11 @@ class CacheStats:
 
     def hits(self):
         return (
-            self.parse_hits + self.pfg_hits + self.solve_hits + self.final_hits
+            self.parse_hits
+            + self.pfg_hits
+            + self.solve_hits
+            + self.final_hits
+            + self.verdict_hits
         )
 
     def misses(self):
@@ -81,6 +93,7 @@ class CacheStats:
             + self.pfg_misses
             + self.solve_misses
             + self.final_misses
+            + self.verdict_misses
         )
 
     def hit_ratio(self):
@@ -121,6 +134,10 @@ class CacheStats:
         )
         lines.append(
             "  final   %5d hit %5d miss" % (self.final_hits, self.final_misses)
+        )
+        lines.append(
+            "  verdict %5d hit %5d miss"
+            % (self.verdict_hits, self.verdict_misses)
         )
         lines.append(
             "  corrupt %d, schema-invalid %d, hit ratio %.1f%%"
@@ -380,7 +397,8 @@ class BoundCache:
         )
 
     def load_final(self, schedule_kind):
-        """(results, summary store payload) for a warm start, or None."""
+        """(results, summary store payload, callees) for a warm start, or
+        None; ``callees`` is what :meth:`store_final` was given."""
         from repro.core.summaries import TargetMarginal
 
         final_key = self.final_key(schedule_kind)
@@ -398,15 +416,21 @@ class BoundCache:
                         for (slot, target), part in boundary
                     }
                 store_payload = payload["store"]
+                callees = {
+                    self.table[key]: tuple(
+                        self.table[callee] for callee in callee_keys
+                    )
+                    for key, callee_keys in payload["callees"]
+                }
             except (KeyError, IndexError, ValueError, TypeError) as exc:
                 self._quarantine_entry(final_key, "final", exc)
             else:
                 self.stats.final_hits += 1
-                return results, store_payload
+                return results, store_payload, callees
         self.stats.final_misses += 1
         return None
 
-    def store_final(self, schedule_kind, results, summary_store):
+    def store_final(self, schedule_kind, results, summary_store, callees):
         from repro.cache.fingerprints import canonical_site_key
 
         store_payload = summary_store.to_payload(self.key_of)
@@ -432,5 +456,78 @@ class BoundCache:
                 for method_ref, boundary in results.items()
             ],
             "store": store_payload,
+            "callees": [
+                (
+                    self.key_of[method_ref],
+                    [self.key_of[callee] for callee in method_callees],
+                )
+                for method_ref, method_callees in callees.items()
+            ],
         }
         self.cache.save(self.final_key(schedule_kind), payload)
+
+
+class CheckVerdicts:
+    """Layer 4 for one check of one program: each method's tier-1
+    verdict, ``(reason, sites)``, replayed by :func:`repro.plural.checker
+    .run_check` instead of planned again.
+
+    The checker reads a method's annotations only through ``spec_of``,
+    on the method itself and on the callees and constructors it
+    resolves, and reads everything else from the method and the class
+    interfaces.  So a verdict is keyed by the method's static
+    fingerprint, its own spec and the specs of its distinct resolved
+    callees (sorted by method key), as ``spec_of`` returns them after
+    the applier wrote the inferred specs in (DESIGN §9).
+    """
+
+    def __init__(self, bound, callees):
+        """``callees`` maps each method whose call targets were resolved
+        to its distinct callees, sorted by method key; a method missing
+        from it (quarantined before its targets were known) has no key
+        and is always planned.  The fingerprints are taken here, so a
+        check after the applier still keys on the sources as written."""
+        self.bound = bound
+        self.callees = callees
+        self.fingerprints = {
+            method_ref: bound.method_fingerprint(method_ref)
+            for method_ref in callees
+        }
+
+    def key(self, method_ref, checker):
+        """The store key of the method's verdict, or None."""
+        callees = self.callees.get(method_ref)
+        if callees is None:
+            return None
+        spec_of = checker.spec_of
+        return self.bound.cache.key(
+            "verdict",
+            (
+                self.fingerprints[method_ref],
+                checker.default_this_kind,
+                spec_token(spec_of(method_ref)),
+                tuple(spec_token(spec_of(callee)) for callee in callees),
+            ),
+        )
+
+    def load(self, key):
+        """The stored ``(reason, sites)``, or None."""
+        bound = self.bound
+        payload = bound.cache.load(key)
+        if payload is not None:
+            try:
+                reason, sites = payload
+                if not (reason is None or isinstance(reason, str)) or not (
+                    isinstance(sites, int) and sites >= 0
+                ):
+                    raise ValueError("malformed verdict %r" % (payload,))
+            except (TypeError, ValueError) as exc:
+                bound._quarantine_entry(key, "verdict", exc)
+            else:
+                bound.stats.verdict_hits += 1
+                return reason, sites
+        bound.stats.verdict_misses += 1
+        return None
+
+    def store(self, key, reason, sites):
+        self.bound.cache.save(key, (reason, sites))

@@ -1,7 +1,10 @@
 """On-disk content-addressed artifact store.
 
-Artifacts live under ``<root>/objects/<kk>/<key>.pkl`` (two-level fanout
-by key prefix).  Two durability rules:
+Artifacts live under ``<root>/objects/<k>/<key>.pkl``, fanned out by the
+key's first hex digit into sixteen directories.  Creating a directory
+costs about as much as creating an entry, and with 256 directories a
+cold fill of a few hundred entries made one for most of them.  Two
+durability rules:
 
 * **writes are atomic** — payloads are pickled into a temp file in the
   destination directory and ``os.replace``\\ d into place, so a reader
@@ -34,7 +37,7 @@ class ArtifactStore:
     # -- keyed artifacts ------------------------------------------------------
 
     def _path(self, key):
-        return os.path.join(self.root, "objects", key[:2], key + ".pkl")
+        return os.path.join(self.root, "objects", key[:1], key + ".pkl")
 
     def load(self, key):
         """The stored payload, or None on miss *or* corruption."""

@@ -289,6 +289,10 @@ class AnekInference:
         self.call_graph = None
         self.method_set = set()
         self._callers_of = {}
+        #: {method_ref: distinct resolved callees, sorted by method key}
+        #: of every method whose call targets are known, kept for the
+        #: check-verdict layer of a bound cache (empty without one).
+        self.callees = {}
 
     # -- error isolation ----------------------------------------------------------
 
@@ -345,6 +349,13 @@ class AnekInference:
             callees_of[method_ref] = callees
             self.pfgs[method_ref] = pfg
             self.stats.pfg_nodes += pfg.node_count()
+            if self.cache is not None:
+                self.callees[method_ref] = tuple(
+                    sorted(
+                        {callee for callee, _line in callees},
+                        key=self.cache.key_of.__getitem__,
+                    )
+                )
         if self.quarantined:
             methods = [m for m in methods if m in self.pfgs]
         # Cached or freshly built, every surviving method's targets are
@@ -562,7 +573,7 @@ class AnekInference:
         stored = self.cache.load_final(self._schedule_kind())
         if stored is None:
             return None
-        results, store_payload = stored
+        results, store_payload, self.callees = stored
         self.summaries = SummaryStore.from_payload(
             store_payload, self.cache.table
         )
@@ -581,7 +592,9 @@ class AnekInference:
             # inputs (the fault may not recur), so it must never seed a
             # warm start.
             return
-        self.cache.store_final(self._schedule_kind(), results, self.summaries)
+        self.cache.store_final(
+            self._schedule_kind(), results, self.summaries, self.callees
+        )
 
     def _solve_level(self, targets, results):
         """Visit every target against the summaries as they stood when the

@@ -53,8 +53,9 @@ class PipelineResult:
     #: the differential harness) can compare runs at float precision
     #: rather than only through thresholded specs.
     boundary_marginals: dict = field(default_factory=dict)
-    #: Persistent-cache counter movement for this run (a CacheStats
-    #: delta), or None when the pipeline ran without a cache.
+    #: Persistent-cache counter movement for this run, check included
+    #: (a CacheStats delta), or None when the pipeline ran without a
+    #: cache.
     cache_stats: Optional[object] = None
     #: The checker's :class:`repro.plural.checker.CheckRun` (tier split,
     #: sites, seconds), or None when the checker did not run or was
@@ -294,7 +295,7 @@ class AnekPipeline:
             )
         if run_before is not None:
             # Run-wide: parsing moves no pfg or solve counter.
-            moved = result.cache_stats = self.cache.stats.delta(run_before)
+            moved = self.cache.stats.delta(run_before)
             detail += ", cache[pfg %d/%d, solve %d hit/%d miss]" % (
                 moved.pfg_hits,
                 moved.pfg_hits + moved.pfg_misses,
@@ -334,6 +335,17 @@ class AnekPipeline:
                 "%d methods annotated" % count_nonempty(result.specs),
             )
         )
+        # Verdicts are keyed by the sources as written, so their
+        # fingerprints are taken before the applier writes specs in.
+        verdicts = None
+        if (
+            self.run_checker
+            and self.check_tier == "auto"
+            and inference.cache is not None
+        ):
+            from repro.cache.manager import CheckVerdicts
+
+            verdicts = CheckVerdicts(inference.cache, inference.callees)
         policy = self.settings.effective_policy()
         if self.apply_annotations:
             start = time.perf_counter()
@@ -360,6 +372,7 @@ class AnekPipeline:
                     program,
                     tier=self.check_tier,
                     failures=result.failures,
+                    verdicts=verdicts,
                 )
                 result.check = check
                 result.warnings = check.warnings
@@ -377,6 +390,12 @@ class AnekPipeline:
                             check.tier2_sites,
                         )
                     )
+                if verdicts is not None:
+                    moved = self.cache.stats.delta(run_before)
+                    detail += ", cache[verdict %d hit/%d miss]" % (
+                        moved.verdict_hits,
+                        moved.verdict_misses,
+                    )
             except Exception as exc:
                 result.failures.add(
                     policy.quarantine_record(
@@ -387,6 +406,8 @@ class AnekPipeline:
             result.stages.append(
                 StageTrace("plural-check", time.perf_counter() - start, detail)
             )
+        if run_before is not None:
+            result.cache_stats = self.cache.stats.delta(run_before)
         return result
 
 

@@ -30,6 +30,12 @@ rebound locals, >64 interned states) or whose plan has any failing site
 is *residue* and is re-checked by the unmodified full checker, so the
 tiered warning set is bit-identical to the full checker's by
 construction (see DESIGN §14 for the exactness argument).
+
+A method's verdict depends on that method alone: each plan interns
+states in machines of its own, so no other method of the partition can
+push it past 64 states or renumber its states, and plans are shared
+only between methods with equal signatures.  That is what lets the
+persistent cache replay a verdict (DESIGN §9).
 """
 
 from collections import deque
@@ -203,6 +209,16 @@ class _PlanBuilder:
         self.checker = host.checker
         self.ref = method_ref
         self.site_count = 0
+        self._machines = {}
+
+    def machine(self, class_name):
+        """This plan's machine for ``class_name`` (never shared with
+        another method's plan)."""
+        machine = self._machines.get(class_name)
+        if machine is None:
+            machine = Machine(class_name, self.checker.state_space(class_name))
+            self._machines[class_name] = machine
+        return machine
 
     # -- classification ------------------------------------------------------
 
@@ -288,7 +304,7 @@ class _PlanBuilder:
                 lane = lane_for(alias[var])
             else:
                 lane = len(lanes)
-                lanes.append(self.host.machine(klass[var]))
+                lanes.append(self.machine(klass[var]))
             lane_of[var] = lane
             return lane
 
@@ -1068,26 +1084,30 @@ _KSAT_FLAT = [KSAT[h][r] for h in range(NKIND) for r in range(NREQ)]
 
 
 class TierOneOutcome:
-    """Partition of a program's methods after the tier-1 sweep."""
+    """Each method's tier-1 verdict, in the order the methods were given.
 
-    __slots__ = (
-        "proven",
-        "residue",  # list of (method_ref, reason), program order
-        "tier1_sites",
-        "tier2_sites",
-        "residue_reasons",
-        "plans_built",
-        "plans_shared",
-    )
+    ``verdicts`` holds ``(method_ref, reason, sites)``: ``reason`` is
+    None for a proven method and the residue reason otherwise, and
+    ``sites`` counts the method's tier-1 sites.  ``proven`` and
+    ``residue`` are the two sides; perfbench's tier-1 counters read them.
+    """
+
+    __slots__ = ("verdicts",)
 
     def __init__(self):
-        self.proven = []
-        self.residue = []
-        self.tier1_sites = 0
-        self.tier2_sites = 0
-        self.residue_reasons = {}
-        self.plans_built = 0
-        self.plans_shared = 0
+        self.verdicts = []
+
+    @property
+    def proven(self):
+        return [ref for ref, reason, _sites in self.verdicts if reason is None]
+
+    @property
+    def residue(self):
+        return [
+            (ref, reason)
+            for ref, reason, _sites in self.verdicts
+            if reason is not None
+        ]
 
 
 class BitVectorChecker:
@@ -1095,15 +1115,7 @@ class BitVectorChecker:
 
     def __init__(self, checker):
         self.checker = checker
-        self._machines = {}
         self._machine_sig_ids = {}
-
-    def machine(self, class_name):
-        machine = self._machines.get(class_name)
-        if machine is None:
-            machine = Machine(class_name, self.checker.state_space(class_name))
-            self._machines[class_name] = machine
-        return machine
 
     def machine_sig_id(self, machine):
         sig = machine.signature()
@@ -1117,25 +1129,22 @@ class BitVectorChecker:
         """Prove methods safe in bulk; everything else is residue.
 
         ``methods`` is an ordered iterable of method refs (program
-        order); the residue list preserves that order so the caller's
-        warning concatenation matches the full checker's.
+        order); the verdicts keep that order so the caller's warning
+        concatenation matches the full checker's.  A crash while
+        planning one method makes it residue (``fault:*``) with a
+        ``tier-fallback`` record in ``failures``.
         """
         from repro.java.symbols import method_key
-        from repro.resilience.faults import maybe_fault
 
-        outcome = TierOneOutcome()
         entries = []  # (ref, plan | None, reason | None, site_count)
         plan_of_sig = {}
         rep_plans = []  # unique plans, in first-seen order
         for ref in methods:
-            builder = None
+            builder = _PlanBuilder(self, ref)
             try:
-                maybe_fault("check", method_key(ref))
-                builder = _PlanBuilder(self, ref)
                 plan = builder.build()
             except Residue as residue:
-                sites = builder.site_count if builder is not None else 0
-                entries.append((ref, None, residue.reason, sites))
+                entries.append((ref, None, residue.reason, builder.site_count))
                 continue
             except Exception as exc:
                 if failures is not None:
@@ -1146,15 +1155,10 @@ class BitVectorChecker:
                     (ref, None, "fault:%s" % type(exc).__name__, 0)
                 )
                 continue
-            rep = plan_of_sig.get(plan.signature)
-            if rep is None:
-                plan_of_sig[plan.signature] = plan
+            rep = plan_of_sig.setdefault(plan.signature, plan)
+            if rep is plan:
                 rep_plans.append(plan)
-                outcome.plans_built += 1
-            else:
-                plan = rep
-                outcome.plans_shared += 1
-            entries.append((ref, plan, None, plan.site_count))
+            entries.append((ref, rep, None, plan.site_count))
 
         # Fixpoint each unique plan once; batch all site records.
         held_col = []
@@ -1184,23 +1188,14 @@ class BitVectorChecker:
             len(rep_plans), held_col, bits_col, req_col, mask_col, plan_col
         )
 
-        for entry in entries:
-            ref, plan, reason, sites = entry
+        outcome = TierOneOutcome()
+        for ref, plan, reason, sites in entries:
             if plan is not None:
-                pid = plan_ids[id(plan)]
                 if id(plan) in failed_plan:
                     reason = failed_plan[id(plan)]
-                elif unsafe[pid]:
+                elif unsafe[plan_ids[id(plan)]]:
                     reason = "unproven-site"
-            if reason is None:
-                outcome.proven.append(ref)
-                outcome.tier1_sites += sites
-            else:
-                outcome.residue.append((ref, reason))
-                outcome.tier2_sites += sites
-                outcome.residue_reasons[reason] = (
-                    outcome.residue_reasons.get(reason, 0) + 1
-                )
+            outcome.verdicts.append((ref, reason, sites))
         return outcome
 
     @staticmethod

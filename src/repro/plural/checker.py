@@ -615,7 +615,11 @@ class CheckRun:
 
 
 def run_check(
-    program, tier="auto", default_this_kind=kinds.FULL, failures=None
+    program,
+    tier="auto",
+    default_this_kind=kinds.FULL,
+    failures=None,
+    verdicts=None,
 ):
     """Check the program through the requested tier; returns a CheckRun.
 
@@ -630,6 +634,12 @@ def run_check(
     optional :class:`repro.resilience.report.FailureReport`; tier-1
     faults (injected or real) degrade the affected methods to the full
     checker and are recorded there with a ``tier-fallback`` disposition.
+
+    ``verdicts`` (``auto`` only) is a store of tier-1 verdicts, a
+    :class:`repro.cache.manager.CheckVerdicts`: a method whose verdict
+    it holds is not planned, and every planned method's verdict is
+    stored, except a ``fault:*`` one.  The ``check`` fault stage fires
+    once per method, before the lookup.
     """
     if tier not in CHECK_TIERS:
         raise ValueError(
@@ -649,47 +659,69 @@ def run_check(
             tier2_seconds=time.perf_counter() - start,
         )
 
+    from repro.java.symbols import method_key
     from repro.plural import bitvector
+    from repro.resilience.faults import maybe_fault
 
     tier1_start = time.perf_counter()
-    outcome = None
+    verdict_of = {}  # method_ref -> (reason | None, sites)
+    planned = {}  # method_ref -> its verdict's store key, or None
+    for method_ref in methods:
+        try:
+            maybe_fault("check", method_key(method_ref))
+            key = (
+                verdicts.key(method_ref, checker)
+                if verdicts is not None
+                else None
+            )
+            verdict = verdicts.load(key) if key is not None else None
+        except Exception as exc:
+            if failures is not None:
+                failures.record(
+                    "check", method_key(method_ref), exc, "tier-fallback"
+                )
+            verdict_of[method_ref] = ("fault:%s" % type(exc).__name__, 0)
+            continue
+        if verdict is not None:
+            verdict_of[method_ref] = verdict
+            continue
+        planned[method_ref] = key
+    outcome = bitvector.TierOneOutcome()
     try:
-        engine = bitvector.BitVectorChecker(checker)
-        outcome = engine.partition(methods, failures=failures)
+        if planned:
+            outcome = bitvector.BitVectorChecker(checker).partition(
+                list(planned), failures=failures
+            )
     except Exception as exc:
-        # A whole-tier crash degrades every method to the full checker;
-        # the run stays bit-identical to a full-tier run.
+        # A whole-tier crash degrades every method to the full checker
+        # and stores nothing; the run stays bit-identical to a full-tier
+        # run.
         if failures is not None:
             failures.record("check", "tier1", exc, "tier-fallback")
-    tier1_seconds = time.perf_counter() - tier1_start
-
-    tier2_start = time.perf_counter()
-    warnings = []
-    if outcome is None:
-        residue_refs = methods
-        run = CheckRun(
-            warnings=warnings,
-            tier=tier,
-            tier2_methods=len(methods),
-            residue_reasons={"tier1-crash": len(methods)},
-            tier1_seconds=tier1_seconds,
-        )
+        verdict_of = {ref: ("tier1-crash", 0) for ref in methods}
     else:
-        residue_refs = [ref for ref, _reason in outcome.residue]
-        run = CheckRun(
-            warnings=warnings,
-            tier=tier,
-            tier1_methods=len(outcome.proven),
-            tier2_methods=len(residue_refs),
-            tier1_sites=outcome.tier1_sites,
-            tier2_sites=outcome.tier2_sites,
-            tier1_seconds=tier1_seconds,
-            residue_reasons=dict(outcome.residue_reasons),
-        )
+        for method_ref, reason, sites in outcome.verdicts:
+            verdict_of[method_ref] = (reason, sites)
+            key = planned[method_ref]
+            if key is not None and not (reason or "").startswith("fault:"):
+                verdicts.store(key, reason, sites)
+    run = CheckRun(
+        warnings=[], tier=tier, tier1_seconds=time.perf_counter() - tier1_start
+    )
+
     # Tier-1-proven methods contribute zero warnings; the residue is
     # re-checked in program order, so concatenation preserves the full
     # checker's warning order exactly.
-    for method_ref in residue_refs:
-        warnings.extend(checker.check_method(method_ref))
+    tier2_start = time.perf_counter()
+    for method_ref in methods:
+        reason, sites = verdict_of[method_ref]
+        if reason is None:
+            run.tier1_methods += 1
+            run.tier1_sites += sites
+            continue
+        run.tier2_methods += 1
+        run.tier2_sites += sites
+        run.residue_reasons[reason] = run.residue_reasons.get(reason, 0) + 1
+        run.warnings.extend(checker.check_method(method_ref))
     run.tier2_seconds = time.perf_counter() - tier2_start
     return run

@@ -194,7 +194,7 @@ class TestEdgeCases:
         outcome = bitvector.BitVectorChecker(checker).partition(
             list(program.methods_with_bodies())
         )
-        assert "state-overflow" in outcome.residue_reasons
+        assert "state-overflow" in dict(outcome.residue).values()
         assert_tiers_identical(program)
 
     def test_state_test_through_scalar_on_back_edge(self):
@@ -245,6 +245,128 @@ class TestEdgeCases:
         )
         auto = assert_tiers_identical(program)
         assert auto.warnings == []
+
+
+# ---------------------------------------------------------------------------
+# Per-method verdicts: what the persistent cache replays
+# ---------------------------------------------------------------------------
+
+
+def verdicts_alone_and_together(program):
+    """Each method's ``(reason, sites)`` from a partition of that method
+    alone and from one partition of all methods."""
+    checker = PluralChecker(program)
+    methods = list(program.methods_with_bodies())
+    together = {
+        ref: (reason, sites)
+        for ref, reason, sites in bitvector.BitVectorChecker(checker)
+        .partition(methods)
+        .verdicts
+    }
+    alone = {}
+    for ref in methods:
+        ((_ref, reason, sites),) = (
+            bitvector.BitVectorChecker(checker).partition([ref]).verdicts
+        )
+        alone[ref] = (reason, sites)
+    return alone, together
+
+
+def inferred_program(sources):
+    """``sources`` resolved, inferred and annotated, as the pipeline's
+    checker sees them; None when inference degraded."""
+    result = AnekPipeline(run_checker=False).run_on_sources(sources)
+    return None if result.degraded else result.program
+
+
+def golden_programs():
+    from tests.test_golden_specs import PROGRAMS
+    from tests.test_parallel_differential import CORPUS
+
+    named = {name: make() for name, make in PROGRAMS.items()}
+    named.update(CORPUS)
+    return named
+
+
+class TestVerdictIndependence:
+    """A method's tier-1 verdict depends on that method alone, never on
+    which other methods share its partition: a warm run plans only the
+    methods an edit can change and must reach the verdicts of a cold run
+    that planned every method."""
+
+    @pytest.mark.parametrize("name", sorted(golden_programs()))
+    def test_golden_programs(self, name):
+        program = inferred_program(golden_programs()[name])
+        alone, together = verdicts_alone_and_together(program)
+        assert alone == together
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_scaled_corpus(self, oracle):
+        alone, together = verdicts_alone_and_together(
+            corpus_program(CorpusSpec().scaled(0.05), oracle=oracle)
+        )
+        assert alone == together
+        assert any(reason is None for reason, _sites in together.values())
+
+    def test_inferred_scaled_corpus(self):
+        bundle = generate_pmd_corpus(
+            CorpusSpec(seed=100, filler_call_density=0.12).scaled(0.03)
+        )
+        alone, together = verdicts_alone_and_together(
+            inferred_program(bundle.all_sources())
+        )
+        assert alone == together
+
+    def test_fuzz_valid_survivors(self):
+        from repro.fuzz.generator import FAMILIES, generate_case
+
+        checked = 0
+        for index in range(0, 12 * len(FAMILIES), len(FAMILIES)):
+            case = generate_case(7, index)
+            assert case.family == "valid"
+            program = inferred_program(list(case.pipeline_sources()))
+            if program is None:
+                continue
+            alone, together = verdicts_alone_and_together(program)
+            assert alone == together, case.index
+            checked += 1
+        assert checked >= 10
+
+    def test_states_of_other_methods_do_not_overflow(self):
+        """A 61-state protocol whose two clients each name states it
+        never declared: 63 and 64 states, one client at a time.  One
+        machine per class for the whole partition would hold 65, and
+        the second client would read ``state-overflow``.  Each plan
+        interns into machines of its own."""
+        states = ", ".join("S%d" % i for i in range(60))
+        program = build_program(
+            """
+            @States("%s")
+            interface Wide {
+                @Perm(requires="full(this) in U1", ensures="full(this) in U2")
+                void a();
+                @Perm(requires="full(this) in V1", ensures="full(this) in V2")
+                void b();
+            }
+            interface WideSource {
+                @Perm(ensures="unique(result) in U1")
+                Wide make();
+            }
+            class First {
+                void go(WideSource src) { Wide w = src.make(); w.a(); }
+            }
+            class Second {
+                void go(WideSource src) { Wide w = src.make(); w.b(); }
+            }
+            """ % states,
+            include_api=False,
+        )
+        alone, together = verdicts_alone_and_together(program)
+        assert alone == together
+        assert "state-overflow" not in {
+            reason for reason, _sites in together.values()
+        }
+        assert_tiers_identical(program)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +547,65 @@ class TestCheckFaults:
         assert check_records
         assert all(r.disposition == "tier-fallback" for r in check_records)
         assert not result.failures.has_degradation
+
+
+    def test_check_fault_on_a_warm_cache(self, tmp_path):
+        """The ``check`` fault fires before the verdict lookup, so with
+        every verdict stored it still moves its method, and only that
+        method, to tier 2; a fault verdict is never stored, so the next
+        clean run plans that method again and stores its real verdict."""
+        from repro.cache import AnalysisCache
+
+        sources = [ITERATOR_API_SOURCE, FIGURE3_CLIENT_SOURCE()]
+
+        def run(cache_dir, fault=False):
+            install_fault_plan(
+                [FaultSpec(stage="check", key="Row.countRow#", kind="raise",
+                           count=1)]
+                if fault
+                else []
+            )
+            try:
+                return AnekPipeline(
+                    cache=AnalysisCache(tmp_path / cache_dir)
+                ).run_on_sources(sources)
+            finally:
+                clear_fault_plan()
+
+        def split(result):
+            return (
+                result.check.tier1_methods,
+                result.check.tier2_methods,
+                result.check.residue_reasons,
+            )
+
+        clean = run("warm")
+        methods = clean.check.tier1_methods + clean.check.tier2_methods
+        assert clean.cache_stats.verdict_misses == methods
+        tier1, tier2, reasons = split(clean)
+        faulted_split = (
+            tier1 - 1, tier2 + 1, dict(reasons, **{"fault:InjectedFault": 1})
+        )
+
+        faulted = run("warm", fault=True)
+        (record,) = [r for r in faulted.failures if r.stage == "check"]
+        assert record.key == "Row.countRow#4"
+        assert record.disposition == "tier-fallback"
+        assert not faulted.failures.has_degradation
+        assert split(faulted) == faulted_split
+        assert fmt(faulted.warnings) == fmt(clean.warnings)
+        assert faulted.cache_stats.verdict_hits == methods - 1
+        assert faulted.cache_stats.verdict_misses == 0
+
+        # A cold fill with the fault stores every verdict but the
+        # faulted method's; the next clean run plans exactly that one.
+        assert split(run("cold", fault=True)) == faulted_split
+        refilled = run("cold")
+        assert refilled.cache_stats.verdict_misses == 1
+        assert refilled.cache_stats.verdict_hits == methods - 1
+        rerun = run("cold")
+        assert rerun.cache_stats.verdict_misses == 0
+        assert split(refilled) == split(rerun) == split(clean)
 
 
 def FIGURE3_CLIENT_SOURCE():

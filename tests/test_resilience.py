@@ -518,6 +518,42 @@ class TestCacheSchemaValidation:
         assert cache3.stats.schema_invalid == 0
         assert cache3.stats.hits() > 0
 
+    def test_schema_invalid_verdicts_are_planned_again(self, tmp_path):
+        from repro.cache import AnalysisCache
+
+        cache_dir = tmp_path / "cache"
+        sources = [ITERATOR_API_SOURCE, FIGURE3_CLIENT]
+        self._run(AnalysisCache(cache_dir=str(cache_dir)), sources)
+        before = set(self._entry_paths(cache_dir))
+
+        def checked():
+            cache = AnalysisCache(cache_dir=str(cache_dir))
+            result = AnekPipeline(cache=cache).run_on_sources(sources)
+            return cache.stats, result
+
+        _, clean = checked()
+        verdicts = sorted(set(self._entry_paths(cache_dir)) - before)
+        assert len(verdicts) == clean.check.tier1_methods + (
+            clean.check.tier2_methods
+        )
+        for path in verdicts:
+            with open(path, "wb") as handle:
+                pickle.dump({"wrong": "shape"}, handle)
+        with pytest.warns(RuntimeWarning, match="schema-invalid verdict"):
+            stats, reran = checked()
+        assert stats.schema_invalid == len(verdicts)
+        assert stats.verdict_misses == len(verdicts)
+        assert reran.check.to_payload() == dict(
+            clean.check.to_payload(),
+            tier1_seconds=reran.check.tier1_seconds,
+            tier2_seconds=reran.check.tier2_seconds,
+        )
+        assert [w.format() for w in reran.warnings] == [
+            w.format() for w in clean.warnings
+        ]
+        stats, _ = checked()
+        assert (stats.verdict_hits, stats.schema_invalid) == (len(verdicts), 0)
+
     def test_cache_stats_describe_mentions_schema_counter(self):
         from repro.cache.manager import CacheStats
 

@@ -279,6 +279,7 @@ def test_two_daemons_in_one_process_repeat_work_and_answers(tmp_path):
     cache_counts = (
         "parse_hits", "parse_misses", "pfg_hits", "pfg_misses",
         "solve_hits", "solve_misses", "final_hits", "final_misses",
+        "verdict_hits", "verdict_misses",
     )
 
     def session(name):
@@ -318,6 +319,9 @@ def test_two_daemons_in_one_process_repeat_work_and_answers(tmp_path):
         # with the answer and work counts of the run it repeats.
         assert responses[2]["serve"]["replayed"] is True
         assert work[2] == work[1]
+        # The edit plans only the edited method; the rest replay.
+        assert work[1][2]["verdict_misses"] == 1
+        assert work[1][2]["verdict_hits"] == work[0][2]["verdict_misses"] - 1
         return work
 
     assert session("cache-a") == session("cache-b")

@@ -8,7 +8,7 @@ and expression forms that appear in iterator-style client code.
 """
 
 from repro.java.errors import JavaSyntaxError, LexError
-from repro.java.lexer import Lexer, tokenize
+from repro.java.lexer import tokenize
 from repro.java.parser import Parser, parse_compilation_unit, parse_program
 from repro.java.pretty import pretty_print
 from repro.java.symbols import Program, resolve_program
@@ -16,7 +16,6 @@ from repro.java.symbols import Program, resolve_program
 __all__ = [
     "JavaSyntaxError",
     "LexError",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_compilation_unit",

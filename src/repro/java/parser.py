@@ -26,7 +26,23 @@ from repro.java.tokens import (
     STRING_LIT,
 )
 
+#: Literal token kinds other than INT_LIT, and their ``Literal.kind``.
+_LITERAL_KINDS = {STRING_LIT: "string", CHAR_LIT: "char", BOOL_LIT: "bool", NULL_LIT: "null"}
+
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
+
+#: Binary operators, one level per group, loosest first; ``instanceof``
+#: binds at the relational level.
+_BINARY_LEVELS = [
+    "||", "&&", "|", "^", "&", "== !=", "< > <= >= instanceof", "<< >> >>>", "+ -", "* / %"
+]
+
+#: Binary operator -> its level's precedence, 1 (loosest) to 10.
+_BINARY_PRECEDENCE = {
+    op: precedence
+    for precedence, ops in enumerate(_BINARY_LEVELS, start=1)
+    for op in ops.split()
+}
 
 
 class Parser:
@@ -58,9 +74,14 @@ class Parser:
 
     # -- token stream helpers ----------------------------------------------
 
+    # The token list ends with EOF and ``pos`` never passes it, so
+    # ``self.tokens[self.pos]`` is always the current token; a matched
+    # punctuator or keyword is never EOF, so accepting it is ``pos += 1``.
+
     def _peek(self, offset=0):
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        index = self.pos + offset
+        tokens = self.tokens
+        return tokens[index] if index < len(tokens) else tokens[-1]
 
     def _advance(self):
         token = self.tokens[self.pos]
@@ -69,43 +90,46 @@ class Parser:
         return token
 
     def _at_punct(self, value):
-        return self._peek().is_punct(value)
+        return self.tokens[self.pos].is_punct(value)
 
     def _at_keyword(self, value):
-        return self._peek().is_keyword(value)
+        return self.tokens[self.pos].is_keyword(value)
 
     def _accept_punct(self, value):
-        if self._at_punct(value):
-            self._advance()
+        if self.tokens[self.pos].is_punct(value):
+            self.pos += 1
             return True
         return False
 
     def _accept_keyword(self, value):
-        if self._at_keyword(value):
-            self._advance()
+        if self.tokens[self.pos].is_keyword(value):
+            self.pos += 1
             return True
         return False
 
     def _expect_punct(self, value):
-        token = self._peek()
+        token = self.tokens[self.pos]
         if not token.is_punct(value):
             self._error("expected %r but found %r" % (value, token.value))
-        return self._advance()
+        self.pos += 1
+        return token
 
     def _expect_keyword(self, value):
-        token = self._peek()
+        token = self.tokens[self.pos]
         if not token.is_keyword(value):
             self._error("expected keyword %r but found %r" % (value, token.value))
-        return self._advance()
+        self.pos += 1
+        return token
 
     def _expect_ident(self):
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind != IDENT:
             self._error("expected identifier but found %r" % (token.value,))
-        return self._advance()
+        self.pos += 1
+        return token
 
     def _error(self, message):
-        token = self._peek()
+        token = self.tokens[self.pos]
         raise JavaSyntaxError(message, token.line, token.column)
 
     def _pos_of(self, token):
@@ -402,13 +426,14 @@ class Parser:
             self.depth -= 1
 
     def _parse_statement(self):
-        token = self._peek()
-        if token.is_punct("{"):
-            return self.parse_block()
-        if token.is_punct(";"):
-            self._advance()
-            return ast.EmptyStmt(**self._pos_of(token))
-        if token.kind == KEYWORD:
+        token = self.tokens[self.pos]
+        if token.kind == PUNCT:
+            if token.value == "{":
+                return self.parse_block()
+            if token.value == ";":
+                self.pos += 1
+                return ast.EmptyStmt(**self._pos_of(token))
+        elif token.kind == KEYWORD:
             keyword = token.value
             if keyword == "if":
                 return self._parse_if()
@@ -599,7 +624,7 @@ class Parser:
 
     def _try_parse_local_var_decl(self, consume_semicolon=True):
         """Speculatively parse ``Type name [= init] ;`` — rewind on failure."""
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind != IDENT and not (
             token.kind == KEYWORD and token.value in PRIMITIVE_TYPES
         ):
@@ -607,11 +632,14 @@ class Parser:
         saved = self.pos
         try:
             var_type = self._parse_type_ref()
-            name_token = self._peek()
-            if name_token.kind != IDENT:
-                raise JavaSyntaxError("not a declaration")
-            self._advance()
-            if self._at_punct("=") or self._at_punct(";") or self._at_punct(","):
+            name_token = self.tokens[self.pos]
+            following = self._peek(1)
+            if (
+                name_token.kind == IDENT
+                and following.kind == PUNCT
+                and following.value in ("=", ";", ",")
+            ):
+                self.pos += 1
                 decl = ast.LocalVarDecl(
                     type=var_type, name=name_token.value, **self._pos_of(name_token)
                 )
@@ -620,10 +648,10 @@ class Parser:
                 if consume_semicolon:
                     self._expect_punct(";")
                 return decl
-            raise JavaSyntaxError("not a declaration")
         except JavaSyntaxError:
-            self.pos = saved
-            return None
+            pass
+        self.pos = saved
+        return None
 
     def _parse_local_var_decl_known(self):
         var_type = self._parse_type_ref()
@@ -652,7 +680,7 @@ class Parser:
 
     def _parse_assignment(self):
         left = self._parse_conditional()
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind == PUNCT and token.value in _ASSIGN_OPS:
             if not isinstance(left, self._ASSIGN_TARGETS):
                 raise JavaSyntaxError(
@@ -669,7 +697,7 @@ class Parser:
         return left
 
     def _parse_conditional(self):
-        condition = self._parse_binary(0)
+        condition = self._parse_binary()
         if self._accept_punct("?"):
             then_expr = self.parse_expression()
             self._expect_punct(":")
@@ -683,58 +711,56 @@ class Parser:
             )
         return condition
 
-    _BINARY_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">=", "instanceof"],
-        ["<<", ">>", ">>>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
-    def _parse_binary(self, level):
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_precedence=1):
+        """Precedence climbing over every binary level at once.  The right
+        operand of an operator binds one level tighter, which makes each
+        level left-associative, as a ladder of one method per level does.
+        Like the ladder, an operator never follows a looser one in the same
+        loop: the right operand has already taken every tighter operator,
+        except after ``instanceof``, whose operand is a type, so
+        ``x instanceof T + 1`` stops at ``+``."""
+        left = self._parse_unary()
+        ceiling = len(_BINARY_LEVELS)
         while True:
-            token = self._peek()
-            if "instanceof" in ops and token.is_keyword("instanceof"):
-                self._advance()
+            token = self.tokens[self.pos]
+            precedence = (
+                _BINARY_PRECEDENCE.get(token.value, 0)
+                if token.kind == PUNCT or token.kind == KEYWORD
+                else 0
+            )
+            if not min_precedence <= precedence <= ceiling:
+                return left
+            ceiling = precedence
+            self.pos += 1
+            if token.kind == KEYWORD:  # instanceof
                 target_type = self._parse_type_ref()
                 left = ast.InstanceOf(
                     expr=left, type=target_type, line=left.line, column=left.column
                 )
-                continue
-            if token.kind == PUNCT and token.value in ops:
-                op = self._advance().value
-                right = self._parse_binary(level + 1)
+            else:
+                right = self._parse_binary(precedence + 1)
                 left = ast.Binary(
-                    op=op, left=left, right=right, line=left.line, column=left.column
+                    op=token.value, left=left, right=right, line=left.line, column=left.column
                 )
-                continue
-            return left
 
     def _parse_unary(self):
-        token = self._peek()
-        if token.kind == PUNCT and token.value in ("!", "-", "+", "~", "++", "--"):
-            self._advance()
+        token = self.tokens[self.pos]
+        if token.kind != PUNCT:
+            return self._parse_postfix()
+        if token.value in ("!", "-", "+", "~", "++", "--"):
+            self.pos += 1
             operand = self._parse_unary()
             return ast.Unary(
                 op=token.value, operand=operand, prefix=True, **self._pos_of(token)
             )
         # Cast: '(' Type ')' unary — speculative.
-        if token.is_punct("("):
+        if token.value == "(":
             saved = self.pos
             try:
-                self._advance()
+                self.pos += 1
                 cast_type = self._parse_type_ref()
                 if self._accept_punct(")"):
-                    next_token = self._peek()
+                    next_token = self.tokens[self.pos]
                     castable = (
                         next_token.kind in (IDENT, INT_LIT, STRING_LIT, CHAR_LIT)
                         or next_token.is_punct("(")
@@ -747,17 +773,19 @@ class Parser:
                         return ast.Cast(
                             type=cast_type, expr=expr, **self._pos_of(token)
                         )
-                raise JavaSyntaxError("not a cast")
             except JavaSyntaxError:
-                self.pos = saved
+                pass
+            self.pos = saved
         return self._parse_postfix()
 
     def _parse_postfix(self):
         expr = self._parse_primary()
         while True:
-            token = self._peek()
-            if token.is_punct("."):
-                self._advance()
+            token = self.tokens[self.pos]
+            if token.kind != PUNCT:
+                return expr
+            if token.value == ".":
+                self.pos += 1
                 name_token = self._expect_ident()
                 if self._at_punct("("):
                     arguments = self._parse_arguments()
@@ -771,15 +799,15 @@ class Parser:
                     expr = ast.FieldAccess(
                         receiver=expr, name=name_token.value, **self._pos_of(name_token)
                     )
-            elif token.is_punct("["):
-                self._advance()
+            elif token.value == "[":
+                self.pos += 1
                 index = self.parse_expression()
                 self._expect_punct("]")
                 expr = ast.ArrayAccess(
                     array=expr, index=index, line=expr.line, column=expr.column
                 )
-            elif token.is_punct("++") or token.is_punct("--"):
-                self._advance()
+            elif token.value == "++" or token.value == "--":
+                self.pos += 1
                 expr = ast.Unary(
                     op=token.value,
                     operand=expr,
@@ -801,70 +829,10 @@ class Parser:
         return arguments
 
     def _parse_primary(self):
-        token = self._peek()
-        if token.kind == INT_LIT:
-            self._advance()
-            text = token.value.rstrip("lL").replace("_", "")
-            value = int(text, 16) if text.lower().startswith("0x") else int(text)
-            return ast.Literal(kind="int", value=value, **self._pos_of(token))
-        if token.kind == STRING_LIT:
-            self._advance()
-            return ast.Literal(kind="string", value=token.value, **self._pos_of(token))
-        if token.kind == CHAR_LIT:
-            self._advance()
-            return ast.Literal(kind="char", value=token.value, **self._pos_of(token))
-        if token.kind == BOOL_LIT:
-            self._advance()
-            return ast.Literal(
-                kind="bool", value=(token.value == "true"), **self._pos_of(token)
-            )
-        if token.kind == NULL_LIT:
-            self._advance()
-            return ast.Literal(kind="null", value=None, **self._pos_of(token))
-        if token.is_keyword("this"):
-            self._advance()
-            if self._at_punct("("):
-                arguments = self._parse_arguments()
-                return ast.MethodCall(
-                    receiver=None, name="this", arguments=arguments, **self._pos_of(token)
-                )
-            return ast.ThisRef(**self._pos_of(token))
-        if token.is_keyword("super"):
-            self._advance()
-            if self._at_punct("("):
-                arguments = self._parse_arguments()
-                return ast.MethodCall(
-                    receiver=None, name="super", arguments=arguments, **self._pos_of(token)
-                )
-            self._expect_punct(".")
-            name_token = self._expect_ident()
-            if self._at_punct("("):
-                arguments = self._parse_arguments()
-                return ast.MethodCall(
-                    receiver=ast.VarRef(name="super", **self._pos_of(token)),
-                    name=name_token.value,
-                    arguments=arguments,
-                    **self._pos_of(name_token),
-                )
-            return ast.FieldAccess(
-                receiver=ast.VarRef(name="super", **self._pos_of(token)),
-                name=name_token.value,
-                **self._pos_of(name_token),
-            )
-        if token.is_keyword("new"):
-            self._advance()
-            new_type = self._parse_type_ref()
-            arguments = self._parse_arguments()
-            return ast.NewObject(
-                type=new_type, arguments=arguments, **self._pos_of(token)
-            )
-        if token.is_punct("("):
-            self._advance()
-            expr = self.parse_expression()
-            self._expect_punct(")")
-            return expr
-        if token.kind == IDENT:
-            self._advance()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == IDENT:
+            self.pos += 1
             if self._at_punct("("):
                 arguments = self._parse_arguments()
                 return ast.MethodCall(
@@ -874,6 +842,62 @@ class Parser:
                     **self._pos_of(token),
                 )
             return ast.VarRef(name=token.value, **self._pos_of(token))
+        if kind == INT_LIT:
+            self.pos += 1
+            text = token.value.rstrip("lL").replace("_", "")
+            value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            return ast.Literal(kind="int", value=value, **self._pos_of(token))
+        if kind in _LITERAL_KINDS:
+            self.pos += 1
+            if kind == BOOL_LIT:
+                value = token.value == "true"
+            else:
+                value = None if kind == NULL_LIT else token.value
+            return ast.Literal(kind=_LITERAL_KINDS[kind], value=value, **self._pos_of(token))
+        if kind == KEYWORD:
+            keyword = token.value
+            if keyword == "this":
+                self.pos += 1
+                if self._at_punct("("):
+                    arguments = self._parse_arguments()
+                    return ast.MethodCall(
+                        receiver=None, name="this", arguments=arguments, **self._pos_of(token)
+                    )
+                return ast.ThisRef(**self._pos_of(token))
+            if keyword == "super":
+                self.pos += 1
+                if self._at_punct("("):
+                    arguments = self._parse_arguments()
+                    return ast.MethodCall(
+                        receiver=None, name="super", arguments=arguments, **self._pos_of(token)
+                    )
+                self._expect_punct(".")
+                name_token = self._expect_ident()
+                if self._at_punct("("):
+                    arguments = self._parse_arguments()
+                    return ast.MethodCall(
+                        receiver=ast.VarRef(name="super", **self._pos_of(token)),
+                        name=name_token.value,
+                        arguments=arguments,
+                        **self._pos_of(name_token),
+                    )
+                return ast.FieldAccess(
+                    receiver=ast.VarRef(name="super", **self._pos_of(token)),
+                    name=name_token.value,
+                    **self._pos_of(name_token),
+                )
+            if keyword == "new":
+                self.pos += 1
+                new_type = self._parse_type_ref()
+                arguments = self._parse_arguments()
+                return ast.NewObject(
+                    type=new_type, arguments=arguments, **self._pos_of(token)
+                )
+        elif token.is_punct("("):
+            self.pos += 1
+            expr = self.parse_expression()
+            self._expect_punct(")")
+            return expr
         self._error("unexpected token %r in expression" % (token.value,))
 
 

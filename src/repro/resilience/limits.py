@@ -29,12 +29,14 @@ from dataclasses import dataclass
 DEFAULT_MAX_SOURCE_CHARS = 4 * 1024 * 1024
 DEFAULT_MAX_TOKENS = 1_000_000
 DEFAULT_MAX_LITERAL_CHARS = 64 * 1024
-#: One nesting level of a parenthesized expression costs ~16 interpreter
-#: frames in the recursive-descent parser; 48 levels ≈ 770 frames, which
-#: stays under CPython's default 1000-frame recursion limit with room
-#: for ambient stack (pytest, serve worker threads).  The counter is
-#: therefore what fires on recursion bombs — the ``RecursionError``
-#: backstop only covers exotic stacks that start already deep.
+#: One nesting level of a parenthesized expression costs 7 interpreter
+#: frames in the recursive-descent parser (``parse_expression`` down to
+#: ``_parse_primary``; ``tests/test_resource_limits.py`` measures it), so
+#: 48 levels come to 336 frames, far under CPython's default 1000-frame
+#: recursion limit with room for ambient stack (pytest, serve worker
+#: threads).  The counter is therefore what fires on recursion bombs —
+#: the ``RecursionError`` backstop only covers exotic stacks that start
+#: already deep.
 DEFAULT_MAX_PARSE_DEPTH = 48
 DEFAULT_MAX_PFG_NODES = 250_000
 DEFAULT_MAX_GRAPH_FACTORS = 500_000

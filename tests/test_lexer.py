@@ -3,7 +3,7 @@
 import pytest
 
 from repro.java.errors import LexError
-from repro.java.lexer import Lexer, tokenize
+from repro.java.lexer import tokenize
 from repro.java.tokens import (
     BOOL_LIT,
     CHAR_LIT,
@@ -62,6 +62,28 @@ class TestBasicTokens:
 
     def test_underscore_in_number(self):
         assert values_of("1_000") == ["1_000"]
+
+    @pytest.mark.parametrize(
+        "source, message, column",
+        [
+            ("0x", "malformed number literal '0x'", 1),
+            ("0x_", "malformed number literal '0x_'", 1),
+            ("0xL", "malformed number literal '0xL'", 1),
+            ("x = 0X;", "malformed number literal '0X'", 5),
+            ("\u00b2", "unexpected character '\u00b2'", 1),
+            ("1\u00b2", "unexpected character '\u00b2'", 2),
+            ("x = \u2460;", "unexpected character '\u2460'", 5),
+        ],
+    )
+    def test_literal_int_cannot_read_is_a_lex_error(self, source, message, column):
+        # Every INT_LIT must be readable by int(): these used to lex and
+        # then crash the parser with an untyped ValueError.
+        with pytest.raises(LexError) as excinfo:
+            tokenize(source)
+        error = excinfo.value
+        assert (type(error), error.message, error.line, error.column) == (
+            LexError, message, 1, column,
+        )
 
 
 class TestStringsAndChars:
@@ -149,12 +171,6 @@ class TestPositions:
     def test_columns_after_tabs_count_characters(self):
         tokens = tokenize("\tx")
         assert tokens[0].column == 2
-
-    def test_lexer_is_reusable_per_instance(self):
-        lexer = Lexer("x y")
-        first = lexer.next_token()
-        second = lexer.next_token()
-        assert (first.value, second.value) == ("x", "y")
 
 
 class TestRealisticSnippet:

@@ -3,10 +3,12 @@
 Every case runs through the full pipeline under the default policy and
 is held to the same two assertions: ``run_on_sources`` returns (no
 exception escapes), and every resulting ledger record uses the
-documented stage/disposition vocabularies.  The matrix covers the
+documented stage/disposition vocabularies, and every parse-stage record
+carries a typed frontend error (``LexError``, ``JavaSyntaxError`` or
+``ResourceLimitError``), never an untyped crash.  The matrix covers the
 classic lexer/parser trouble spots — unterminated strings and comments,
-NUL bytes, non-ASCII text, and truncation at every token boundary of a
-valid program.
+NUL bytes, non-ASCII text, malformed number literals, inputs of hostile
+size, and truncation at every token boundary of a valid program.
 """
 
 import pytest
@@ -48,6 +50,87 @@ MALFORMED = {
     "whitespace-only": "   \n\t\r\n   ",
 }
 
+#: Number literals ``int()`` cannot read, each with the exact
+#: ``(error type, message)`` of its parse record.
+NUMBER_LITERALS = {
+    "hex-without-digits": (
+        "class A { int f() { return 0x; } }",
+        "LexError",
+        "malformed number literal '0x' (line 1, column 28)",
+    ),
+    "hex-underscore-only": (
+        "class A { int f() { return 0x_; } }",
+        "LexError",
+        "malformed number literal '0x_' (line 1, column 28)",
+    ),
+    "hex-long-suffix-only": (
+        "class A { long f() { return 0XL; } }",
+        "LexError",
+        "malformed number literal '0XL' (line 1, column 29)",
+    ),
+    "superscript-digit": (
+        "class A { int f() { return \u00b2; } }",
+        "LexError",
+        "unexpected character '\u00b2' (line 1, column 28)",
+    ),
+    "superscript-after-digit": (
+        "class A { int f() { return 1\u00b2; } }",
+        "LexError",
+        "unexpected character '\u00b2' (line 1, column 29)",
+    ),
+}
+
+#: Inputs of hostile size, each with the exact ``(error type, message)``
+#: of its parse record.  Each must be rejected in time linear in its
+#: length: a scanner that retried every ``/*`` opener would take hours on
+#: the comment row.
+HOSTILE = {
+    "mib-of-comment-openers": (
+        "class A { " + "/*a " * (256 * 1024),
+        "LexError",
+        "unterminated block comment (line 1, column 1048587)",
+    ),
+    "unterminated-long-string": (
+        'class A { String s = "' + "a" * 70_000,
+        "ResourceLimitError",
+        "literal-chars limit exceeded: 65537 > 65536 (string literal at line 1)",
+    ),
+    "string-of-newline-escapes": (
+        'class A { String s = "' + "\\n" * (512 * 1024) + '"; }',
+        "ResourceLimitError",
+        "literal-chars limit exceeded: 65537 > 65536 (string literal at line 1)",
+    ),
+    "mib-of-spaces-then-nul": (
+        " " * (1024 * 1024) + "\x00",
+        "LexError",
+        "unexpected character '\\x00' (line 1, column 1048577)",
+    ),
+}
+
+#: Operators that bind tighter than ``instanceof`` cannot follow its type
+#: operand, each with the exact ``(error type, message)`` of its parse
+#: record.
+TIGHTER_AFTER_INSTANCEOF = {
+    "instanceof-then-plus": (
+        "class A { void m() { boolean b = x instanceof T + 1; } }",
+        "JavaSyntaxError",
+        "expected ';' but found '+' (line 1, column 49)",
+    ),
+    "instanceof-then-times": (
+        "class A { void m() { boolean b = x instanceof T * 2; } }",
+        "JavaSyntaxError",
+        "expected ';' but found '*' (line 1, column 49)",
+    ),
+    "equality-instanceof-then-shift": (
+        "class A { void m() { boolean b = y == x instanceof T << 1; } }",
+        "JavaSyntaxError",
+        "expected ';' but found '<<' (line 1, column 54)",
+    ),
+}
+
+#: The only errors a parse-stage record may carry.
+PARSE_ERRORS = ("LexError", "JavaSyntaxError", "ResourceLimitError")
+
 
 def _run(source):
     pipeline = AnekPipeline(settings=InferenceSettings(), cache=None)
@@ -58,6 +141,8 @@ def _assert_ledger_clean_vocab(result):
     for record in result.failures:
         assert record.stage in STAGES, record.format()
         assert record.disposition in DISPOSITIONS, record.format()
+        if record.stage == "parse":
+            assert record.error in PARSE_ERRORS, record.format()
 
 
 class TestMalformedMatrix:
@@ -65,6 +150,20 @@ class TestMalformedMatrix:
     def test_quarantine_not_crash(self, name):
         result = _run(MALFORMED[name])
         _assert_ledger_clean_vocab(result)
+
+    @pytest.mark.parametrize(
+        "name", sorted(NUMBER_LITERALS) + sorted(HOSTILE) + sorted(TIGHTER_AFTER_INSTANCEOF)
+    )
+    def test_exact_parse_error(self, name):
+        source, error, message = {**NUMBER_LITERALS, **HOSTILE, **TIGHTER_AFTER_INSTANCEOF}[name]
+        result = _run(source)
+        _assert_ledger_clean_vocab(result)
+        parse_records = [
+            (record.error, record.message)
+            for record in result.failures
+            if record.stage == "parse"
+        ]
+        assert parse_records == [(error, message)]
 
     def test_malformed_beside_valid_unit(self):
         # A hostile unit must not take a valid sibling down with it.

@@ -11,6 +11,7 @@ governance on or off.
 import io
 import socket
 import struct
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.core.infer import InferenceSettings
 from repro.corpus.examples import FIGURE3_CLIENT
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.lexer import tokenize
-from repro.java.parser import parse_compilation_unit
+from repro.java.parser import Parser, parse_compilation_unit
 from repro.resilience.limits import (
     ResourceLimitError,
     ResourceLimits,
@@ -47,11 +48,35 @@ def _deep_nesting_source(depth=120):
 
 
 def _deep_blocks_source(depth):
-    # Block nesting costs far fewer interpreter frames per level than
-    # parenthesized expressions, so depths just past the 48-level budget
-    # stay parseable with governance off.
+    # Block nesting costs 3 interpreter frames per level, fewer than a
+    # parenthesized expression's 7, so depths just past the 48-level
+    # budget stay parseable with governance off.
     body = "{" * depth + "int x = 1;" + "}" * depth
     return "class Deep { void m() { %s } }" % body
+
+
+def _deepest_stack_at(method, source):
+    """The deepest interpreter stack on entry to ``Parser.<method>`` while
+    parsing ``source``; a profile hook adds no frame of its own."""
+    code = getattr(Parser, method).__code__
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if event == "call" and frame.f_code is code:
+            depth = 0
+            while frame is not None:
+                depth += 1
+                frame = frame.f_back
+            deepest = max(deepest, depth)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        parse_compilation_unit(source, limits=ResourceLimits())
+    finally:
+        sys.setprofile(previous)
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +175,19 @@ class TestStageBudgets:
                 _deep_blocks_source(100), limits=ResourceLimits()
             )
         assert excinfo.value.limit == "parse-depth"
+
+    @pytest.mark.parametrize(
+        "make_source, method, frames",
+        [(_deep_nesting_source, "_parse_primary", 7), (_deep_blocks_source, "parse_block", 3)],
+        ids=["parenthesized", "blocks"],
+    )
+    def test_frames_per_nesting_level(self, make_source, method, frames):
+        # The figures the DEFAULT_MAX_PARSE_DEPTH comment and
+        # _deep_blocks_source state: 48 levels must stay far under
+        # CPython's 1000-frame recursion limit.
+        ten = _deepest_stack_at(method, make_source(10))
+        twenty = _deepest_stack_at(method, make_source(20))
+        assert twenty - ten == 10 * frames
 
     def test_parser_accepts_normal_nesting_under_default(self):
         source = _deep_nesting_source(10)

@@ -6,10 +6,10 @@ branchy call-graph corpus):
 * **kernel micro** — per-method factor graphs solved by the loopy
   reference engine vs the compiled flat-array kernel, with the one-time
   lowering (build) cost split out from the sweep cost;
-* **end to end** — full ANEK-INFER with the legacy configuration
-  (loopy engine, model rebuilt every visit) vs the default configuration
-  (compiled engine, incremental model reuse).  The default must be at
-  least 3x faster while producing the same number of annotations.
+* **end to end** — full ANEK-INFER on the loopy reference engine vs
+  the compiled kernel, both reusing each method's model across visits.
+  The compiled run must be at least 3x faster while producing the same
+  number of annotations.
 
 Results are written to ``BENCH_bp.json`` at the repo root.  Set
 ``REPRO_BENCH_QUICK=1`` (the CI smoke job does) for a smaller program.
@@ -32,7 +32,6 @@ from repro.core.infer import (
 from repro.core.model import MethodModel
 from repro.core.pfg_builder import build_pfg
 from repro.core.priors import SpecEnvironment
-from repro.core.summaries import SummaryStore
 from repro.corpus.generator import generate_branchy_program
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.factorgraph.compiled import CompiledGraph
@@ -68,7 +67,6 @@ def _method_graphs(program):
             build_pfg(program, method_ref),
             config,
             spec_env=spec_env,
-            summary_store=SummaryStore(),
         ).build()
         graphs.append(model.graph)
     return graphs
@@ -109,11 +107,10 @@ def _bench_kernel(program):
     }
 
 
-def _run_infer(engine, reuse_models):
+def _run_infer(engine):
     program = _build_program()
     inference = AnekInference(
-        program,
-        settings=InferenceSettings(engine=engine, reuse_models=reuse_models),
+        program, settings=InferenceSettings(engine=engine)
     )
     start = time.perf_counter()
     marginals = inference.run()
@@ -136,21 +133,21 @@ def test_bench_bp_kernel_and_infer(benchmark):
     def run():
         program = _build_program()
         kernel = _bench_kernel(program)
-        legacy = _run_infer("loopy", reuse_models=False)
-        default = _run_infer("compiled", reuse_models=True)
-        return kernel, legacy, default
+        loopy = _run_infer("loopy")
+        compiled = _run_infer("compiled")
+        return kernel, loopy, compiled
 
-    kernel, legacy, default = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = legacy["seconds"] / max(default["seconds"], 1e-9)
+    kernel, loopy, compiled = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = loopy["seconds"] / max(compiled["seconds"], 1e-9)
     report = {
         "program": {"methods": METHOD_COUNT, "quick": QUICK},
         "kernel": kernel,
         "end_to_end": {
-            "loopy_rebuild_seconds": legacy["seconds"],
-            "compiled_reuse_seconds": default["seconds"],
+            "loopy_seconds": loopy["seconds"],
+            "compiled_seconds": compiled["seconds"],
             "speedup": speedup,
-            "legacy": legacy,
-            "default": default,
+            "loopy": loopy,
+            "compiled": compiled,
         },
     }
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -168,21 +165,24 @@ def test_bench_bp_kernel_and_infer(benchmark):
         )
     )
     print(
-        "  infer     loopy+rebuild %.2fs -> compiled+reuse %.2fs (%.1fx; "
+        "  infer     loopy %.2fs -> compiled %.2fs (%.1fx; "
         "%d builds, %d reuses, %d skips)"
         % (
-            legacy["seconds"],
-            default["seconds"],
+            loopy["seconds"],
+            compiled["seconds"],
             speedup,
-            default["builds"],
-            default["reuses"],
-            default["skips"],
+            compiled["builds"],
+            compiled["reuses"],
+            compiled["skips"],
         )
     )
     print("  wrote     %s" % RESULT_PATH)
     # Equal output quality: the speedup is not bought with lost specs.
-    assert default["annotations"] == legacy["annotations"]
+    assert compiled["annotations"] == loopy["annotations"]
+    # Bit-identical engines walk the same trajectory.
+    for counter in ("solves", "builds", "reuses", "skips"):
+        assert compiled[counter] == loopy[counter], counter
     # A reused model regenerates nothing: one build per method, ever.
-    assert default["builds"] < default["solves"]
+    assert compiled["builds"] < compiled["solves"]
     # The acceptance bar: >= 3x end-to-end on the largest generated program.
     assert speedup >= 3.0, "end-to-end speedup %.2fx below 3x" % speedup

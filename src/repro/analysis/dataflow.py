@@ -19,9 +19,6 @@ class DataflowResult:
     def entry_fact(self, node):
         return self.in_facts[node.node_id]
 
-    def exit_fact(self, node):
-        return self.out_facts[node.node_id]
-
 
 class ForwardAnalysis:
     """Forward may/must dataflow via a worklist fixpoint."""

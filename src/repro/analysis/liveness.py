@@ -42,7 +42,3 @@ def analyze_liveness(cfg):
 
 def live_before(result, node):
     return result.in_facts[node.node_id]
-
-
-def live_after(result, node):
-    return result.out_facts[node.node_id]

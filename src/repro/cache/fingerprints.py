@@ -35,12 +35,11 @@ from repro.java.pretty import (
     pretty_print_field,
     pretty_print_method,
 )
-from repro.java.symbols import method_key
 
 #: Bumped whenever the layout of any cached payload changes; combined
 #: with ``repro.__version__`` in every key, so stale artifact formats
 #: are never deserialized.
-SCHEMA_TAG = "anek-cache-v2"
+SCHEMA_TAG = "anek-cache-v3"
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,6 @@ def config_digest(config, settings):
         ("BP_DAMPING", BP_DAMPING),
         ("BP_TOLERANCE", BP_TOLERANCE),
         ("SUMMARY_CHANGE_THRESHOLD", SUMMARY_CHANGE_THRESHOLD),
-        ("reuse_models", settings.reuse_models),
     )
     return digest(("config", tuple(config_items), settings_items))
 
@@ -264,17 +262,10 @@ def _canonical_marginal_token(token):
 
 
 def canonical_site_key(site_key, key_of):
-    """A site key with its MethodRef (if any) replaced by its stable key.
-
-    A live store keys evidence by ``(MethodRef, index)``, a store
-    restored from a snapshot or the cache by ``(method key, index)``;
-    canonicalized they coincide, so both address the same persistent
-    artifacts.
-    """
+    """A ``(MethodRef, index)`` site key with its owner replaced by the
+    owner's stable method key, so the key survives a process boundary."""
     owner, index = site_key
-    if not isinstance(owner, str):
-        owner = key_of.get(owner) or method_key(owner)
-    return (owner, index)
+    return (key_of[owner], index)
 
 
 def canonical_input_token(token, key_of):

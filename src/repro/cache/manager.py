@@ -32,6 +32,7 @@ import repro
 from repro.cache.fingerprints import (
     SCHEMA_TAG,
     canonical_input_token,
+    canonical_site_key,
     config_digest,
     digest,
     environment_digest,
@@ -369,8 +370,6 @@ class BoundCache:
         return None
 
     def store_solve(self, key, boundary, deposits):
-        from repro.cache.fingerprints import canonical_site_key
-
         payload = {
             "boundary": [
                 (slot_target, marginal.to_payload())
@@ -397,8 +396,8 @@ class BoundCache:
         )
 
     def load_final(self, schedule_kind):
-        """(results, summary store payload, callees) for a warm start, or
-        None; ``callees`` is what :meth:`store_final` was given."""
+        """(results, callees) for a warm start, or None; ``callees`` is
+        what :meth:`store_final` was given."""
         from repro.core.summaries import TargetMarginal
 
         final_key = self.final_key(schedule_kind)
@@ -415,7 +414,6 @@ class BoundCache:
                         (slot, target): TargetMarginal.from_payload(part)
                         for (slot, target), part in boundary
                     }
-                store_payload = payload["store"]
                 callees = {
                     self.table[key]: tuple(
                         self.table[callee] for callee in callee_keys
@@ -426,24 +424,11 @@ class BoundCache:
                 self._quarantine_entry(final_key, "final", exc)
             else:
                 self.stats.final_hits += 1
-                return results, store_payload, callees
+                return results, callees
         self.stats.final_misses += 1
         return None
 
-    def store_final(self, schedule_kind, results, summary_store, callees):
-        from repro.cache.fingerprints import canonical_site_key
-
-        store_payload = summary_store.to_payload(self.key_of)
-        store_payload["evidence"] = [
-            (
-                header,
-                [
-                    (canonical_site_key(site_key, self.key_of), part)
-                    for site_key, part in bucket
-                ],
-            )
-            for header, bucket in store_payload["evidence"]
-        ]
+    def store_final(self, schedule_kind, results, callees):
         payload = {
             "results": [
                 (
@@ -455,7 +440,6 @@ class BoundCache:
                 )
                 for method_ref, boundary in results.items()
             ],
-            "store": store_payload,
             "callees": [
                 (
                     self.key_of[method_ref],

@@ -68,24 +68,19 @@ def _read_sources(paths, include_api):
 
 
 def _build_limits(args):
-    """Resource budgets from the ``--max-*`` governance flags."""
+    """Resource budgets from the ``--max-*`` governance flags, one per
+    :class:`ResourceLimits` field."""
+    from dataclasses import fields
+
     from repro.resilience.limits import ResourceLimits
 
     if not getattr(args, "governance", True):
         return ResourceLimits.disabled()
     overrides = {}
-    for name in (
-        "max_source_chars",
-        "max_tokens",
-        "max_literal_chars",
-        "max_parse_depth",
-        "max_pfg_nodes",
-        "max_graph_factors",
-        "max_worklist_visits",
-    ):
-        value = getattr(args, name, None)
+    for budget in fields(ResourceLimits):
+        value = getattr(args, budget.name, None)
         if value is not None:
-            overrides[name] = value
+            overrides[budget.name] = value
     return ResourceLimits(**overrides)
 
 

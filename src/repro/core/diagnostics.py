@@ -82,19 +82,12 @@ class MethodDiagnostics:
         return "\n".join(lines)
 
 
-def explain_method(program, method_ref, config=None, threshold=0.5,
-                   summary_store=None):
-    """Solve one method's model in isolation and explain the outcome.
-
-    With ``summary_store`` the explanation includes whatever summaries /
-    caller evidence an ongoing inference has accumulated; without it the
-    method is explained standalone (annotated-API priors only).
-    """
+def explain_method(program, method_ref, config=None, threshold=0.5):
+    """Solve one method's model in isolation and explain the outcome:
+    the method standalone, with annotated-API priors only."""
     config = config or HeuristicConfig()
     pfg = build_pfg(program, method_ref)
-    model = MethodModel(
-        program, pfg, config, summary_store=summary_store
-    ).build()
+    model = MethodModel(program, pfg, config).build()
     result = model.solve()
     diagnostics = MethodDiagnostics(
         qualified_name=method_ref.qualified_name,

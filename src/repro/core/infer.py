@@ -5,9 +5,9 @@ then repeatedly picks a method, applies the current callee summaries at
 its call sites, SOLVEs the model with BP (the compiled flat-array kernel
 by default, or the loopy reference engine via ``engine="loopy"``), and —
 if the method's summary changed — re-enqueues its dependents.  Built
-models are cached across visits (``reuse_models``): a revisit rewrites
-only the prior/evidence slots whose inputs changed, and skips the solve
-outright when the input fingerprint is identical.  The loop runs for at most
+models are cached across visits: a revisit rewrites only the
+prior/evidence slots whose inputs changed, and skips the solve outright
+when the input fingerprint is identical.  The loop runs for at most
 ``max_worklist_iters`` model solves (the paper: "it suffices to run the
 inference algorithm for a fixed number of iterations without reaching a
 fixpoint"), trading accuracy against scalability.
@@ -91,10 +91,6 @@ class InferenceSettings:
     #: bit-identical.  An API-only switch for tests and benchmarks;
     #: identity leaves it out, like ``threshold``.
     engine: str = "compiled"
-    #: Reuse each method's built model across worklist visits, rewriting
-    #: only mutated prior/evidence slots and skipping solves whose input
-    #: fingerprint is unchanged.  False rebuilds every visit.
-    reuse_models: bool = True
     #: The fault-tolerance policy (:class:`repro.resilience.policy.
     #: ResiliencePolicy`), or None for the default (enabled) policy.
     #: ``ResiliencePolicy.disabled()`` restores the legacy all-or-nothing
@@ -283,7 +279,6 @@ class AnekInference:
             self.config,
             self.spec_env,
             engine=self.settings.engine,
-            reuse=self.settings.reuse_models,
             cache=self.cache,
         )
         self.call_graph = None
@@ -573,10 +568,7 @@ class AnekInference:
         stored = self.cache.load_final(self._schedule_kind())
         if stored is None:
             return None
-        results, store_payload, self.callees = stored
-        self.summaries = SummaryStore.from_payload(
-            store_payload, self.cache.table
-        )
+        results, self.callees = stored
         self.stats.methods = len(
             list(self.program.methods_with_bodies())
         )
@@ -592,9 +584,7 @@ class AnekInference:
             # inputs (the fault may not recur), so it must never seed a
             # warm start.
             return
-        self.cache.store_final(
-            self._schedule_kind(), results, self.summaries, self.callees
-        )
+        self.cache.store_final(self._schedule_kind(), results, self.callees)
 
     def _solve_level(self, targets, results):
         """Visit every target against the summaries as they stood when the

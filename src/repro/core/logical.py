@@ -38,10 +38,6 @@ class DidNotFinish(Exception):
         )
 
 
-class Unsatisfiable(Exception):
-    """Raised when the hard logical constraints admit no assignment."""
-
-
 class LogicalInference:
     """Global, deterministic inference over hard logical constraints."""
 

@@ -8,9 +8,9 @@ method's own boundary nodes.
 
 The worklist revisits each method many times with only its *inputs*
 (callee summaries, deposited caller evidence) changed, so a model built
-once can be reused: ``build(reserve_evidence_slots=True)`` pre-allocates
-one (initially uniform, hence neutral) evidence factor per boundary
-node, ``refresh`` rewrites just the summary-derived priors and evidence
+once can be reused: ``build`` with a summary store pre-allocates one
+(initially uniform, hence neutral) evidence factor per boundary node,
+``refresh`` rewrites just the summary-derived priors and evidence
 tables that changed, and ``solve(engine="compiled")`` pushes those
 mutated slots into the flat-array kernel and re-sweeps — no constraint
 regeneration, no graph reconstruction.  :class:`ModelCache` packages
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.constraints import ConstraintGenerator
-from repro.core.pfg import PFGNodeKind
 from repro.core.priors import (
     KIND_DOMAIN,
     SpecEnvironment,
@@ -119,15 +118,16 @@ class MethodModel:
 
     # -- assembly -------------------------------------------------------------------
 
-    def build(self, reserve_evidence_slots=False):
+    def build(self):
         """Assemble the factor graph.
 
-        With ``reserve_evidence_slots`` every boundary node gets a
-        pre-allocated unary evidence factor (uniform until real evidence
-        arrives — a uniform unary factor is the multiplicative identity
-        under BP's per-message normalization).  That fixes the graph
-        *structure* across worklist visits, so later visits only rewrite
-        prior vectors and evidence tables in place.
+        With a summary store every boundary node gets a pre-allocated
+        unary evidence factor (uniform until real evidence arrives — a
+        uniform unary factor is the multiplicative identity under BP's
+        per-message normalization).  That fixes the graph *structure*
+        across worklist visits, so later visits only rewrite prior
+        vectors and evidence tables in place.  Without one the method
+        is modelled standalone, with no evidence factors.
         """
         # Materialize variables for every node first.
         for node in self.pfg.nodes:
@@ -135,26 +135,23 @@ class MethodModel:
             self.vars.state(node)
         self._apply_own_spec_priors()
         self._apply_callee_summaries()
-        if reserve_evidence_slots:
+        if self.summary_store is not None:
             self._reserve_evidence_slots()
             self._refresh_evidence()
-        else:
-            self._apply_caller_evidence()
         self.generator.add_logical()
         self.generator.add_heuristics()
         return self
 
-    def refresh(self, summary_store=None):
+    def refresh(self, summary_store):
         """Reapply the mutable inputs of a built model.
 
         Re-runs APPLYSUMMARY (callee summaries → call-node priors) and
         the caller-evidence aggregation against the current summary
         store, recording exactly which prior vectors and evidence tables
         changed so the compiled kernel can be patched instead of
-        rebuilt.  Requires ``build(reserve_evidence_slots=True)``.
+        rebuilt.  Requires a model built with a summary store.
         """
-        if summary_store is not None:
-            self.summary_store = summary_store
+        self.summary_store = summary_store
         self._apply_callee_summaries()
         self._refresh_evidence()
         return self
@@ -254,16 +251,6 @@ class MethodModel:
             slots.append(("result", "result", self.pfg.result_node))
         return slots
 
-    def _apply_caller_evidence(self):
-        """Evidence factors on our boundary nodes from callers' demands."""
-        if self.summary_store is None:
-            return
-        method_ref = self.pfg.method_ref
-        for slot, target, node in self._boundary_slots():
-            evidence = self.summary_store.evidence_for(method_ref, slot, target)
-            if evidence:
-                self._add_evidence_factor(node, evidence, slot, target)
-
     def _reserve_evidence_slots(self):
         """Pre-allocate one evidence factor per boundary variable.
 
@@ -294,9 +281,7 @@ class MethodModel:
         store = self.summary_store
         method_ref = self.pfg.method_ref
         for slot, target, node in self._boundary_slots():
-            evidence = (
-                store.evidence_for(method_ref, slot, target) if store else []
-            )
+            evidence = store.evidence_for(method_ref, slot, target)
             kind_table, state_table = self._evidence_tables(node, evidence)
             self._write_evidence(slot, target, "kind", kind_table)
             self._write_evidence(slot, target, "state", state_table)
@@ -339,23 +324,6 @@ class MethodModel:
                 if state_votes:
                     state_table = self._geometric_mean(variable, state_votes)
         return kind_table, state_table
-
-    def _add_evidence_factor(self, node, evidence, slot, target):
-        """One aggregated evidence factor per boundary node (legacy
-        non-reserved path: factors exist only where evidence does)."""
-        kind_table, state_table = self._evidence_tables(node, evidence)
-        if kind_table is not None:
-            variable = self.vars.kind(node)
-            self.graph.add_factor(
-                Factor("ev/%s/%s/kind" % (slot, target), [variable], kind_table)
-            )
-        if state_table is not None:
-            variable = self.vars.state(node)
-            self.graph.add_factor(
-                Factor(
-                    "ev/%s/%s/state" % (slot, target), [variable], state_table
-                )
-            )
 
     @staticmethod
     def _geometric_mean(variable, votes):
@@ -496,19 +464,16 @@ class MethodModel:
 class ModelVisit:
     """What one worklist visit to a method's model actually did.
 
-    Every consumer reads the visit's ``boundary`` marginals and
-    ``deposits`` rather than touching the model/result directly, so a
-    visit *replayed* from the persistent cache (``model`` and ``result``
-    are then None — no graph was ever materialized) is indistinguishable
-    downstream from a solved one.
+    A visit reaches the rest of the program only through its
+    ``boundary`` marginals and its ``deposits`` (paper §3.4), so a visit
+    *replayed* from the persistent cache — no graph was ever
+    materialized — is indistinguishable downstream from a solved one.
     """
 
-    model: object
-    result: object
     #: True when constraint generation + graph construction ran.
     built: bool
     #: True when the input fingerprint matched and the solve was skipped
-    #: entirely (``result`` is the cached previous solve).
+    #: entirely (``boundary`` and ``deposits`` are the previous solve's).
     skipped: bool
     build_seconds: float
     solve_seconds: float
@@ -533,11 +498,6 @@ class ModelVisit:
     #: persistent store, so a rerun replays it instead of solving.
     stored: bool = False
 
-    @property
-    def reused(self):
-        """Solved on a reused model (slot rewrites only, no rebuild)."""
-        return not self.built and not self.skipped and not self.replayed
-
 
 class ModelCache:
     """Caches built MethodModels (plus their compiled kernels) per method.
@@ -549,13 +509,14 @@ class ModelCache:
     * builds each method's model (and compiles its kernel) exactly once;
     * on a revisit, fingerprints the store-derived inputs
       (:func:`repro.core.summaries.method_input_fingerprint`) — if the
-      fingerprint is unchanged the previous solve is returned without
-      touching the graph at all;
+      fingerprint is unchanged the previous visit's boundary and
+      deposits are returned without touching the graph at all;
     * otherwise it ``refresh``\\ es the cached model (rewriting only the
       mutated prior/evidence slots) and re-solves.
 
-    With ``reuse=False`` every visit builds a fresh model — the
-    pre-cache behaviour, kept for benchmarking and as a bisection aid.
+    An entry keeps the model, the fingerprint of its last outcome and
+    that outcome's boundary and deposits; no variable marginal outlives
+    its visit.
 
     A bound persistent cache (``cache``, see
     :class:`repro.cache.manager.BoundCache`) adds a third tier: before
@@ -567,13 +528,15 @@ class ModelCache:
     """
 
     def __init__(self, program, config, spec_env, engine="compiled",
-                 reuse=True, cache=None):
+                 cache=None):
         self.program = program
         self.config = config
         self.spec_env = spec_env
         self.engine = engine
-        self.reuse = reuse
         self.cache = cache
+        #: {method_ref: {"model", "fingerprint", "boundary", "deposits"}};
+        #: ``boundary`` and ``deposits`` are read only while
+        #: ``fingerprint``, None until a reusable outcome, matches.
         self._entries = {}
         #: Stable method-key memo for fault sites and failure records.
         self._site_keys = {}
@@ -590,53 +553,32 @@ class ModelCache:
         """Run one worklist visit; returns a :class:`ModelVisit`."""
         from repro.core.summaries import method_input_fingerprint
 
-        fingerprint = None
-        entry = None
-        if self.reuse or self.cache is not None:
-            fingerprint = method_input_fingerprint(
-                summary_store, self.spec_env, pfg
+        fingerprint = method_input_fingerprint(
+            summary_store, self.spec_env, pfg
+        )
+        entry = self._entries.get(method_ref)
+        if entry is not None and entry["fingerprint"] == fingerprint:
+            return ModelVisit(
+                built=False,
+                skipped=True,
+                build_seconds=0.0,
+                solve_seconds=0.0,
+                boundary=entry["boundary"],
+                deposits=entry["deposits"],
             )
-        if self.reuse:
-            entry = self._entries.get(method_ref)
-            if (
-                entry is not None
-                and entry["boundary"] is not None
-                and entry["fingerprint"] == fingerprint
-            ):
-                return ModelVisit(
-                    model=entry["model"],
-                    result=entry["result"],
-                    built=False,
-                    skipped=True,
-                    build_seconds=0.0,
-                    solve_seconds=0.0,
-                    boundary=entry["boundary"],
-                    deposits=entry["deposits"],
-                )
         solve_key = None
         if self.cache is not None:
             solve_key = self.cache.solve_key(method_ref, fingerprint)
             stored = self.cache.load_solve(solve_key)
             if stored is not None:
                 boundary, deposits = stored
-                if entry is not None:
-                    # Keep the built model for later refreshes, but mark
-                    # the in-memory result stale: it predates this input.
-                    entry["fingerprint"] = fingerprint
-                    entry["result"] = None
-                    entry["boundary"] = boundary
-                    entry["deposits"] = deposits
-                elif self.reuse:
-                    self._entries[method_ref] = {
-                        "model": None,
-                        "fingerprint": fingerprint,
-                        "result": None,
-                        "boundary": boundary,
-                        "deposits": deposits,
-                    }
+                # A built model stays for later refreshes.
+                if entry is None:
+                    entry = self._entries[method_ref] = {"model": None}
+                entry.update(
+                    fingerprint=fingerprint, boundary=boundary, deposits=deposits
+                )
                 return ModelVisit(
-                    model=None,
-                    result=None,
                     built=False,
                     skipped=False,
                     build_seconds=0.0,
@@ -664,7 +606,7 @@ class ModelCache:
                 self.config,
                 spec_env=self.spec_env,
                 summary_store=summary_store,
-            ).build(reserve_evidence_slots=self.reuse)
+            ).build()
             # Factor-graph ceiling: a degenerate method (giant body,
             # dense protocol use) whose graph would swamp the BP engines
             # is quarantined before any sweep runs.
@@ -674,17 +616,9 @@ class ModelCache:
                 model.graph.factor_count + model.graph.variable_count,
                 site_key,
             )
-            if self.reuse:
-                if entry is None:
-                    entry = self._entries[method_ref] = {
-                        "model": model,
-                        "fingerprint": None,
-                        "result": None,
-                        "boundary": None,
-                        "deposits": None,
-                    }
-                else:
-                    entry["model"] = model
+            if entry is None:
+                entry = self._entries[method_ref] = {"fingerprint": None}
+            entry["model"] = model
         else:
             model = entry["model"]
             model.refresh(summary_store)
@@ -696,26 +630,19 @@ class ModelCache:
         solve_seconds = time.perf_counter() - start
         boundary = model.boundary_marginals(result)
         deposits = list(model.callsite_marginals(result))
-        if entry is not None:
-            if degraded:
-                # A degraded outcome is not a pure function of the
-                # visit's fingerprinted inputs (the fault may not refire)
-                # — never serve it from the skip path.
-                entry["fingerprint"] = None
-                entry["result"] = None
-                entry["boundary"] = None
-                entry["deposits"] = None
-            else:
-                entry["fingerprint"] = fingerprint
-                entry["result"] = result
-                entry["boundary"] = boundary
-                entry["deposits"] = deposits
+        if degraded:
+            # A degraded outcome is not a pure function of the visit's
+            # fingerprinted inputs (the fault may not refire) — never
+            # serve it from the skip path.
+            entry.update(fingerprint=None, boundary=None, deposits=None)
+        else:
+            entry.update(
+                fingerprint=fingerprint, boundary=boundary, deposits=deposits
+            )
         stored = False
         if solve_key is not None and not degraded:
             stored = self.cache.store_solve(solve_key, boundary, deposits)
         return ModelVisit(
-            model=model,
-            result=result,
             built=built,
             skipped=False,
             build_seconds=build_seconds,

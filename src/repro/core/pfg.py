@@ -61,14 +61,6 @@ class PFGNode:
         self.out_edges = []
         self.in_edges = []
 
-    @property
-    def is_split(self):
-        return self.kind == PFGNodeKind.SPLIT
-
-    @property
-    def is_merge(self):
-        return self.kind == PFGNodeKind.MERGE
-
     def __repr__(self):
         return "PFGNode(%d, %s, %s)" % (self.node_id, self.kind, self.label)
 
@@ -122,15 +114,6 @@ class PFG:
         return edge
 
     # -- queries ----------------------------------------------------------------
-
-    def boundary_nodes(self):
-        """Nodes participating in this method's summary."""
-        nodes = []
-        nodes.extend(self.param_pre.values())
-        nodes.extend(self.param_post.values())
-        if self.result_node is not None:
-            nodes.append(self.result_node)
-        return nodes
 
     def node_count(self):
         return len(self.nodes)

@@ -18,11 +18,6 @@ from repro.permissions.states import ALIVE
 KIND_DOMAIN = kinds.ALL_KINDS + ("none",)
 
 
-def uniform_kind_prior():
-    share = 1.0 / len(KIND_DOMAIN)
-    return {value: share for value in KIND_DOMAIN}
-
-
 def concentrated_prior(domain, value, strength):
     """``strength`` mass on ``value``, remainder spread over the rest."""
     rest = (1.0 - strength) / (len(domain) - 1)
@@ -34,12 +29,6 @@ def concentrated_prior(domain, value, strength):
 def kind_prior_from_clause(clause, strength):
     """B(0.9)-style prior for a node covered by a spec clause."""
     return concentrated_prior(KIND_DOMAIN, clause.kind, strength)
-
-
-def state_prior_from_clause(clause, state_domain, strength):
-    if clause.state not in state_domain:
-        return None
-    return concentrated_prior(tuple(state_domain), clause.state, strength)
 
 
 def absent_permission_prior(strength):

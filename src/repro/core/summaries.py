@@ -164,80 +164,6 @@ class SummaryStore:
     def evidence_count(self):
         return sum(len(bucket) for bucket in self._evidence.values())
 
-    # -- picklable exchange (the final-results cache artifact) -----------------
-
-    def to_payload(self, key_of):
-        """Serialize the store into plain picklable data.
-
-        ``key_of`` maps MethodRefs to stable string keys (see
-        :func:`repro.java.symbols.method_key`); site keys are passed
-        through unchanged (callers canonicalize them with
-        :func:`repro.cache.fingerprints.canonical_site_key`).  Entries
-        are emitted in insertion order, keeping the payload — and
-        everything rebuilt from it — deterministic.
-        """
-        summaries = []
-        for method_ref, summary in self._summaries.items():
-            summaries.append(
-                (
-                    key_of[method_ref],
-                    (
-                        [
-                            (target, marginal.to_payload())
-                            for target, marginal in summary.pre.items()
-                        ],
-                        [
-                            (target, marginal.to_payload())
-                            for target, marginal in summary.post.items()
-                        ],
-                        summary.result.to_payload()
-                        if summary.result is not None
-                        else None,
-                    ),
-                )
-            )
-        evidence = []
-        for (callee, slot, target), bucket in self._evidence.items():
-            evidence.append(
-                (
-                    (key_of[callee], slot, target),
-                    [
-                        (site_key, marginal.to_payload())
-                        for site_key, marginal in bucket.items()
-                    ],
-                )
-            )
-        return {
-            "change_threshold": self.change_threshold,
-            "summaries": summaries,
-            "evidence": evidence,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, ref_of):
-        """Rebuild a store from :meth:`to_payload` data.
-
-        ``ref_of`` maps string keys back to MethodRefs in the *current*
-        process (e.g. ``program.method_key_table()``), so a payload can
-        cross a process boundary and re-attach to that process's ASTs.
-        """
-        store = cls(change_threshold=payload["change_threshold"])
-        for key, (pre, post, result) in payload["summaries"]:
-            summary = store.summary_of(ref_of[key])
-            for target, marginal in pre:
-                summary.pre[target] = TargetMarginal.from_payload(marginal)
-            for target, marginal in post:
-                summary.post[target] = TargetMarginal.from_payload(marginal)
-            if result is not None:
-                summary.result = TargetMarginal.from_payload(result)
-        for (callee_key, slot, target), bucket in payload["evidence"]:
-            dest = store._evidence.setdefault(
-                (ref_of[callee_key], slot, target), {}
-            )
-            for site_key, marginal in bucket:
-                dest[site_key] = TargetMarginal.from_payload(marginal)
-        return store
-
 
 def _dist_token(dist):
     if dist is None:

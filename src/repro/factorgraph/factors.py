@@ -92,25 +92,6 @@ def table_signature(factor):
     return tuple(var.cardinality for var in factor.variables)
 
 
-def export_tables(factors):
-    """Group factor tables by :func:`table_signature`.
-
-    Returns ``{shape: (factor_indices, stacked_tables)}`` where
-    ``stacked_tables[i]`` is the table of ``factors[factor_indices[i]]``.
-    This is the flat layout the compiled BP kernel sweeps over.
-    """
-    grouped = {}
-    for index, factor in enumerate(factors):
-        grouped.setdefault(table_signature(factor), []).append(index)
-    return {
-        shape: (
-            tuple(indices),
-            np.stack([factors[index].table for index in indices]),
-        )
-        for shape, indices in grouped.items()
-    }
-
-
 #: Cache of predicate tables keyed by (predicate id, domains, h, axes).
 #: The same constraint shape recurs at every PFG edge of every method, so
 #: memoizing the table build is a large constant-factor win.
@@ -199,17 +180,6 @@ def soft_equality(name, var_a, var_b, high_probability):
     return predicate_factor(
         name, [var_a, var_b], _equal_values, high_probability
     )
-
-
-def prior_factor(name, variable, weights=None):
-    """A unary factor carrying a prior (value -> weight mapping)."""
-    if weights is None:
-        table = variable.prior.copy()
-    else:
-        table = np.zeros(variable.cardinality)
-        for value, weight in weights.items():
-            table[variable.index_of(value)] = weight
-    return Factor(name, [variable], table)
 
 
 def evidence_factor(name, variable, value, confidence):

@@ -3,10 +3,10 @@
 The paper (§3.4): "the specifications for the program can be easily
 derived from the marginal functions of Φ_P via *sampling*."  This module
 provides that route: a Gibbs sampler over the factor graph whose sample
-frequencies estimate the same marginals sum-product computes.  It serves
-as a second, independent implementation of SOLVE used by the test suite
-to cross-validate BP, and as a fallback for graphs where loopy BP
-oscillates.
+frequencies estimate the same marginals sum-product computes.  It is a
+second, independent implementation of SOLVE that the test suite uses to
+cross-validate BP; no inference path calls it (the solve guard's ladder
+ends at prior-only marginals, DESIGN §10).
 
 The chain resamples one variable at a time from its full conditional
 (the product of its prior and the adjacent factors' rows), which is

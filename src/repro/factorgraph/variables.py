@@ -50,11 +50,6 @@ class Variable:
         return "Variable(%s, |domain|=%d)" % (self.name, len(self.domain))
 
 
-def bernoulli_domain():
-    """The classic two-valued domain (False, True)."""
-    return (False, True)
-
-
 def make_prior(domain, weights):
     """Build a normalized prior vector from a value->weight mapping.
 

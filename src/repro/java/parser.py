@@ -58,6 +58,9 @@ class Parser:
     def __init__(self, tokens, limits=None):
         self.tokens = tokens
         self.pos = 0
+        #: Indices of the '>' tokens ``_close_type_args`` pushed into
+        #: ``tokens``, in push order, so a rewind can take them out.
+        self._pushed = []
         self.depth = 0
         self._max_depth = limits.cap("max_parse_depth") if limits else 0
 
@@ -131,6 +134,19 @@ class Parser:
     def _error(self, message):
         token = self.tokens[self.pos]
         raise JavaSyntaxError(message, token.line, token.column)
+
+    # A speculative parse takes a mark and rewinds to it on failure.  A
+    # rewind also takes out every '>' pushed since the mark: the probe
+    # may have read ``a < b >> 2`` as type arguments, and the parse
+    # that follows must see the ``>>`` it was given.
+
+    def _mark(self):
+        return self.pos, len(self._pushed)
+
+    def _rewind(self, mark):
+        self.pos, pushed = mark
+        while len(self._pushed) > pushed:
+            del self.tokens[self._pushed.pop()]
 
     def _pos_of(self, token):
         return {"line": token.line, "column": token.column}
@@ -406,6 +422,7 @@ class Parser:
             self._advance()
             pushed = token._replace(value=rest, column=token.column + 1)
             self.tokens.insert(self.pos, pushed)
+            self._pushed.append(self.pos)
             return
         self._error("expected '>' to close type arguments")
 
@@ -511,7 +528,7 @@ class Parser:
         start = self._expect_keyword("for")
         self._expect_punct("(")
         # For-each: 'Type ident :' — detect by speculative type parse.
-        saved = self.pos
+        mark = self._mark()
         try:
             var_type = self._parse_type_ref()
             name_token = self._expect_ident()
@@ -528,7 +545,7 @@ class Parser:
                 )
         except JavaSyntaxError:
             pass
-        self.pos = saved
+        self._rewind(mark)
         init = []
         if not self._at_punct(";"):
             decl = self._try_parse_local_var_decl(consume_semicolon=False)
@@ -629,7 +646,7 @@ class Parser:
             token.kind == KEYWORD and token.value in PRIMITIVE_TYPES
         ):
             return None
-        saved = self.pos
+        mark = self._mark()
         try:
             var_type = self._parse_type_ref()
             name_token = self.tokens[self.pos]
@@ -650,7 +667,7 @@ class Parser:
                 return decl
         except JavaSyntaxError:
             pass
-        self.pos = saved
+        self._rewind(mark)
         return None
 
     def _parse_local_var_decl_known(self):
@@ -755,7 +772,7 @@ class Parser:
             )
         # Cast: '(' Type ')' unary — speculative.
         if token.value == "(":
-            saved = self.pos
+            mark = self._mark()
             try:
                 self.pos += 1
                 cast_type = self._parse_type_ref()
@@ -775,7 +792,7 @@ class Parser:
                         )
             except JavaSyntaxError:
                 pass
-            self.pos = saved
+            self._rewind(mark)
         return self._parse_postfix()
 
     def _parse_postfix(self):
@@ -845,7 +862,16 @@ class Parser:
         if kind == INT_LIT:
             self.pos += 1
             text = token.value.rstrip("lL").replace("_", "")
-            value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            try:
+                value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            except ValueError:
+                # A decimal literal past CPython's string-conversion
+                # digit limit (``sys.get_int_max_str_digits()``).
+                raise JavaSyntaxError(
+                    "integer literal too long (%d digits)" % len(text),
+                    token.line,
+                    token.column,
+                ) from None
             return ast.Literal(kind="int", value=value, **self._pos_of(token))
         if kind in _LITERAL_KINDS:
             self.pos += 1

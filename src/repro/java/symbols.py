@@ -189,12 +189,6 @@ class Program:
         """Map :func:`method_key` strings to MethodRefs for all methods."""
         return {method_key(ref): ref for ref in self.all_methods()}
 
-    def source_lines(self):
-        """Total pretty-printed source line count across all units."""
-        from repro.java.pretty import pretty_print
-
-        return sum(len(pretty_print(unit).splitlines()) for unit in self.units)
-
 
 def resolve_program(units):
     """Build a :class:`Program` from parsed compilation units."""

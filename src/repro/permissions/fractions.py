@@ -29,12 +29,6 @@ class FractionalPermission:
         self.fraction = fraction
         self.state = state
 
-    def with_state(self, state):
-        return FractionalPermission(self.kind, self.fraction, state)
-
-    def with_kind(self, kind):
-        return FractionalPermission(kind, self.fraction, self.state)
-
     def __eq__(self, other):
         return (
             isinstance(other, FractionalPermission)

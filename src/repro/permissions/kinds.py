@@ -88,20 +88,9 @@ def kind_info(kind):
     return _KIND_TABLE[kind]
 
 
-def is_kind(name):
-    return name in _KIND_TABLE
-
-
 def satisfies(held, required):
     """True if holding ``held`` satisfies a requirement of ``required``."""
     return required in _SATISFIES[held]
-
-
-def satisfying_kinds(required):
-    """All kinds that can satisfy a requirement of ``required``."""
-    return frozenset(
-        held for held in ALL_KINDS if required in _SATISFIES[held]
-    )
 
 
 def satisfying_common(kind_a, kind_b):
@@ -120,27 +109,6 @@ def satisfying_common(kind_a, kind_b):
 def split_targets(held):
     """Kinds each piece may take when splitting a held permission."""
     return _SPLIT_TARGETS[held]
-
-
-def legal_split(held, piece_a, piece_b):
-    """True if a permission of kind ``held`` may split into the two pieces.
-
-    Both pieces must be reachable split targets and at most one piece may
-    carry an exclusive claim; two exclusive pieces would each assume the
-    other cannot write, violating one another.
-    """
-    targets = _SPLIT_TARGETS[held]
-    if piece_a not in targets or piece_b not in targets:
-        return False
-    if piece_a in EXCLUSIVE_KINDS and piece_b in EXCLUSIVE_KINDS:
-        return False
-    # A unique piece asserts *no* other references at all, so the co-piece
-    # must be the vanished (no-permission) case — not expressible here;
-    # treat unique as splittable only from unique with a non-exclusive,
-    # droppable co-piece.
-    if UNIQUE in (piece_a, piece_b) and held is not UNIQUE and held != UNIQUE:
-        return False
-    return True
 
 
 def strength_rank(kind):

@@ -21,7 +21,7 @@ above anything the in-repo corpus generator produces.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 #: Default budgets.  Chosen so the clean corpus (and any plausible real
 #: program) never trips them, while recursion bombs, memory bombs, and
@@ -75,8 +75,6 @@ class ResourceLimits:
     results, so artifacts are shared across limit settings).
     """
 
-    #: Master switch for all stage budgets.
-    enabled: bool = True
     #: Source text length (characters) accepted by the lexer.
     max_source_chars: int = DEFAULT_MAX_SOURCE_CHARS
     #: Tokens produced per compilation unit.
@@ -97,32 +95,22 @@ class ResourceLimits:
     max_worklist_visits: int = DEFAULT_MAX_WORKLIST_VISITS
 
     def __post_init__(self):
-        for name in (
-            "max_source_chars",
-            "max_tokens",
-            "max_literal_chars",
-            "max_parse_depth",
-            "max_pfg_nodes",
-            "max_graph_factors",
-            "max_worklist_visits",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be >= 0" % name)
+        for budget in fields(self):
+            if getattr(self, budget.name) < 0:
+                raise ValueError("%s must be >= 0" % budget.name)
 
     @classmethod
     def disabled(cls):
-        """No budgets anywhere (legacy behaviour, kept for bisection)."""
-        return cls(enabled=False)
+        """No budgets anywhere: every cap 0 (``--no-governance``)."""
+        return cls(**{budget.name: 0 for budget in fields(cls)})
 
     def cap(self, name):
-        """The effective ceiling for budget ``name`` (0 = unlimited)."""
-        if not self.enabled:
-            return 0
+        """The ceiling for budget ``name`` (0 = unlimited)."""
         return getattr(self, name)
 
     def check(self, name, limit, observed, detail=""):
         """Raise :class:`ResourceLimitError` when ``observed`` exceeds
-        the ``name`` budget (no-op when disabled or unlimited)."""
+        the ``name`` budget (no-op when unlimited)."""
         ceiling = self.cap(name)
         if ceiling and observed > ceiling:
             raise ResourceLimitError(limit, observed, ceiling, detail)

@@ -102,9 +102,6 @@ def test_config_digest_ignores_schedule_settings(monkeypatch):
     assert base != config_digest(
         config, InferenceSettings(max_worklist_iters=5)
     )
-    assert base != config_digest(
-        config, InferenceSettings(reuse_models=False)
-    )
     monkeypatch.setattr(fingerprints, "BP_DAMPING", 0.3)
     assert base != config_digest(config, InferenceSettings())
 

@@ -15,7 +15,10 @@ import pytest
 
 from repro.core.infer import InferenceSettings
 from repro.core.pipeline import AnekPipeline
+from repro.java.errors import JavaSyntaxError
 from repro.java.lexer import tokenize
+from repro.java.parser import parse_compilation_unit
+from repro.resilience.limits import ResourceLimits
 from repro.resilience.report import DISPOSITIONS, STAGES
 
 #: A small but representative protocol client.
@@ -77,6 +80,11 @@ NUMBER_LITERALS = {
         "class A { int f() { return 1\u00b2; } }",
         "LexError",
         "unexpected character '\u00b2' (line 1, column 29)",
+    ),
+    "decimal-past-int-digit-limit": (
+        "class A { int f() { return %s; } }" % ("1" * 5000),
+        "JavaSyntaxError",
+        "integer literal too long (5000 digits) (line 1, column 28)",
     ),
 }
 
@@ -164,6 +172,15 @@ class TestMalformedMatrix:
             if record.stage == "parse"
         ]
         assert parse_records == [(error, message)]
+
+    def test_overlong_decimal_literal_is_a_syntax_error(self):
+        # CPython's int() refuses decimal strings past 4,300 digits; the
+        # parser reports that as a positioned syntax error.
+        source = NUMBER_LITERALS["decimal-past-int-digit-limit"][0]
+        with pytest.raises(JavaSyntaxError) as excinfo:
+            parse_compilation_unit(source, limits=ResourceLimits())
+        assert (excinfo.value.line, excinfo.value.column) == (1, 28)
+        assert excinfo.value.message == "integer literal too long (5000 digits)"
 
     def test_malformed_beside_valid_unit(self):
         # A hostile unit must not take a valid sibling down with it.

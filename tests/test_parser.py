@@ -4,7 +4,8 @@ import pytest
 
 from repro.java import ast
 from repro.java.errors import JavaSyntaxError
-from repro.java.parser import parse_compilation_unit
+from repro.java.lexer import tokenize
+from repro.java.parser import Parser, parse_compilation_unit
 
 
 def parse_class(source):
@@ -293,6 +294,51 @@ class TestExpressions:
     def test_string_literal_argument(self):
         stmt = first_stmt('parse("1,2,3");')
         assert stmt.expr.arguments[0].value == "1,2,3"
+
+
+class TestRewoundSpeculation:
+    """A probe that reads ``a < b >> 2`` as type arguments splits the
+    ``>>``; its rewind must give the next parse the tokens it was given.
+    One test per rewind site."""
+
+    SHIFTED = ast.Binary(
+        op="<",
+        left=ast.VarRef(name="a"),
+        right=ast.Binary(
+            op=">>", left=ast.VarRef(name="b"), right=ast.Literal(kind="int", value=2)
+        ),
+    )
+
+    @staticmethod
+    def parse_leaves_tokens(body):
+        """Parse ``body`` in a method; assert no split outlived a rewind."""
+        source = "class T { void m() { %s } }" % body
+        tokens = tokenize(source)
+        parser = Parser(list(tokens))
+        unit = parser.parse_compilation_unit()
+        assert parser.tokens == tokens
+        return unit.types[0].methods[0].body.statements[0]
+
+    def test_cast_probe(self):
+        stmt = self.parse_leaves_tokens("boolean x = (a < b >> 2);")
+        assert stmt.initializer == self.SHIFTED
+        stmt = self.parse_leaves_tokens("if ((a < b >>> 1) == c) {}")
+        assert stmt.condition.left.right.op == ">>>"
+
+    def test_local_var_decl_probe(self):
+        stmt = self.parse_leaves_tokens("a < b >> 2;")
+        assert isinstance(stmt, ast.ExprStmt)
+        assert stmt.expr == self.SHIFTED
+
+    def test_for_each_probe(self):
+        stmt = self.parse_leaves_tokens("for (a < b >> 2; ; ) {}")
+        assert isinstance(stmt, ast.ForStmt)
+        assert stmt.init[0].expr == self.SHIFTED
+
+    def test_type_arguments_still_split(self):
+        stmt = first_stmt("Map<String, List<Integer>> m = (List<List<Integer>>) o;")
+        assert str(stmt.type) == "Map<String, List<Integer>>"
+        assert str(stmt.initializer.type) == "List<List<Integer>>"
 
 
 class TestWalk:

@@ -12,6 +12,7 @@ import io
 import socket
 import struct
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -91,13 +92,12 @@ class TestResourceLimits:
 
     def test_defaults_enabled(self):
         limits = ResourceLimits()
-        assert limits.enabled
+        assert all(limits.cap(budget.name) > 0 for budget in fields(limits))
         assert limits.cap("max_parse_depth") == limits.max_parse_depth
 
     def test_disabled_caps_are_zero(self):
         limits = ResourceLimits.disabled()
-        assert not limits.enabled
-        assert limits.cap("max_tokens") == 0
+        assert all(limits.cap(budget.name) == 0 for budget in fields(limits))
         # check() is a no-op when disabled.
         limits.check("max_tokens", "token-count", 10**12)
 

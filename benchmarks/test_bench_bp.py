@@ -31,13 +31,13 @@ from repro.core.infer import (
 )
 from repro.core.model import MethodModel
 from repro.core.pfg_builder import build_pfg
-from repro.core.priors import SpecEnvironment
 from repro.corpus.generator import generate_branchy_program
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.factorgraph.compiled import CompiledGraph
 from repro.factorgraph.sumproduct import run_sum_product
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import resolve_program
+from repro.permissions.spec import SpecEnvironment
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 METHOD_COUNT = 8 if QUICK else 24

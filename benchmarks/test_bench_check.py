@@ -3,8 +3,8 @@
 The guarded-iterator-heavy shape is the paper's *inlined* configuration
 (Table 3): one method, N sequential guarded-iterator loops, so the
 number of protocol call sites grows linearly while the full
-fractional-permission checker's per-site cost grows with the live
-context it drags through every transfer.  The bit-vector tier compiles
+permission checker's per-site cost grows with the live context it
+drags through every transfer.  The bit-vector tier compiles
 the method once and sweeps all sites as flat numpy arrays, so its
 per-site cost stays flat — the per-callsite speedup therefore *grows*
 with N.

@@ -2,9 +2,8 @@
 
 * ``ir``        — three-address intermediate representation + AST lowering
 * ``cfg``       — control-flow graphs over the IR
-* ``dataflow``  — generic worklist dataflow framework
+* ``dataflow``  — generic forward worklist dataflow framework
 * ``alias``     — local must-alias analysis (paper §3.1)
-* ``liveness``  — backward live-variable analysis
 * ``callgraph`` — whole-program call graph
 """
 

@@ -1,9 +1,9 @@
 """A generic worklist dataflow framework over CFGs.
 
-Analyses subclass :class:`ForwardAnalysis` or :class:`BackwardAnalysis`,
-providing the lattice operations (``initial``, ``boundary``, ``join``,
-``equals``) and the ``transfer`` function.  ``run`` returns per-node
-IN/OUT maps keyed by ``node_id``.
+Analyses subclass :class:`ForwardAnalysis`, providing the lattice
+operations (``initial``, ``boundary``, ``join``, ``equals``) and the
+``transfer`` function.  ``run`` returns per-node IN/OUT maps keyed by
+``node_id``.
 """
 
 from collections import deque
@@ -15,9 +15,6 @@ class DataflowResult:
     def __init__(self, in_facts, out_facts):
         self.in_facts = in_facts
         self.out_facts = out_facts
-
-    def entry_fact(self, node):
-        return self.in_facts[node.node_id]
 
 
 class ForwardAnalysis:
@@ -84,57 +81,4 @@ class ForwardAnalysis:
                     if succ.node_id not in queued:
                         queued.add(succ.node_id)
                         worklist.append(succ)
-        return DataflowResult(in_facts, out_facts)
-
-
-class BackwardAnalysis:
-    """Backward dataflow (e.g. liveness)."""
-
-    def initial(self):
-        raise NotImplementedError
-
-    def boundary(self):
-        raise NotImplementedError
-
-    def join(self, left, right):
-        raise NotImplementedError
-
-    def equals(self, left, right):
-        return left == right
-
-    def transfer(self, node, fact):
-        """Fact before executing ``node`` given ``fact`` after it."""
-        raise NotImplementedError
-
-    def run(self, cfg, max_steps=None):
-        in_facts = {}
-        out_facts = {}
-        for node in cfg.nodes:
-            in_facts[node.node_id] = self.initial()
-            out_facts[node.node_id] = self.initial()
-        out_facts[cfg.exit.node_id] = self.boundary()
-        worklist = deque(reversed(cfg.reverse_postorder()))
-        queued = {node.node_id for node in worklist}
-        steps = 0
-        while worklist:
-            if max_steps is not None and steps > max_steps:
-                raise RuntimeError("dataflow did not converge in %d steps" % max_steps)
-            steps += 1
-            node = worklist.popleft()
-            queued.discard(node.node_id)
-            if node.node_id != cfg.exit.node_id:
-                outgoing = self.initial()
-                first = True
-                for succ, _ in node.succs:
-                    fact = in_facts[succ.node_id]
-                    outgoing = fact if first else self.join(outgoing, fact)
-                    first = False
-                out_facts[node.node_id] = outgoing
-            new_in = self.transfer(node, out_facts[node.node_id])
-            if not self.equals(new_in, in_facts[node.node_id]):
-                in_facts[node.node_id] = new_in
-                for pred, _ in node.preds:
-                    if pred.node_id not in queued:
-                        queued.add(pred.node_id)
-                        worklist.append(pred)
         return DataflowResult(in_facts, out_facts)

@@ -762,7 +762,7 @@ def build_parser():
                        help="per-method solve deadline (0 = none)")
     infer.add_argument("--solve-retries", metavar="N",
                        type=_nonnegative_count("--solve-retries"), default=2,
-                       help="solve retries before the engine fallback "
+                       help="solve retries before the prior-only floor "
                             "(default: %(default)s)")
     infer.add_argument("--max-rss-mb", metavar="MB",
                        type=_setting("max_rss_mb", int), default=0,

@@ -11,7 +11,6 @@ piece means nothing moved along that edge.
 """
 
 from repro.core.pfg import PFGNodeKind
-from repro.core.priors import KIND_DOMAIN
 from repro.factorgraph.compile import add_soft_one_of
 from repro.factorgraph.factors import (
     conditional_predicate_factor,

@@ -13,7 +13,7 @@ PFG nodes, a predicate over kinds scores them, and the constraint is
 emitted with the usual soft strength.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CustomHeuristic:

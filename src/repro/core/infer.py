@@ -35,12 +35,12 @@ from repro.analysis.callgraph import (
 from repro.core.heuristics import HeuristicConfig
 from repro.core.model import ENGINES, ModelCache
 from repro.core.pfg_builder import build_pfg, method_cfg
-from repro.core.priors import SpecEnvironment
 from repro.core.summaries import (
     SummaryStore,
     clip_marginal,
     satisfaction_evidence,
 )
+from repro.permissions.spec import SpecEnvironment
 from repro.resilience.faults import maybe_fault
 from repro.resilience.limits import MemoryBudgetError, current_rss_mb
 from repro.resilience.policy import ResiliencePolicy

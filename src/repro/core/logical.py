@@ -17,10 +17,10 @@ rather than producing a spec — the contrast the paper draws with ANEK.
 from repro.core.heuristics import HeuristicConfig
 from repro.core.model import MethodModel
 from repro.core.pfg_builder import build_pfg
-from repro.core.priors import SpecEnvironment
 from repro.factorgraph.exact import assignment_space_size, run_exact
 from repro.factorgraph.factors import soft_equality
 from repro.factorgraph.graph import FactorGraph
+from repro.permissions.spec import SpecEnvironment
 
 #: Assignment-space budget standing in for the paper's 2 GB memory limit.
 DEFAULT_BUDGET = 50_000_000

@@ -25,14 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.constraints import ConstraintGenerator
-from repro.core.priors import (
-    KIND_DOMAIN,
-    SpecEnvironment,
-    boundary_priors,
-)
+from repro.core.priors import KIND_DOMAIN, boundary_priors
 from repro.factorgraph.compiled import CompiledGraph
 from repro.factorgraph.factors import Factor
 from repro.factorgraph.graph import FactorGraph
+from repro.factorgraph.sumproduct import run_sum_product
+from repro.permissions.spec import SpecEnvironment
 from repro.permissions.states import state_space_of_class
 
 #: Engines accepted by ``MethodModel.solve`` / ``InferenceSettings.engine``.
@@ -345,11 +343,11 @@ class MethodModel:
         ``compiled`` (default) lowers the graph once into the flat-array
         kernel and re-sweeps it, patching only the prior/evidence slots
         mutated since the last solve; ``loopy`` runs the per-message
-        reference engine.  Both produce identical marginals.
+        reference engine.  Both produce identical marginals, so when the
+        kernel cannot be built or its run raises, this solve falls back
+        to loopy with a ``RuntimeWarning``.
         """
         if engine == "loopy":
-            from repro.factorgraph.sumproduct import run_sum_product
-
             return run_sum_product(
                 self.graph,
                 max_iters=max_iters,
@@ -361,40 +359,38 @@ class MethodModel:
                 "unknown engine %r (expected one of %s)"
                 % (engine, ", ".join(ENGINES))
             )
-        if self._compiled is None:
-            try:
+        try:
+            if self._compiled is None:
                 self._compiled = CompiledGraph(self.graph)
-            except ValueError as exc:
-                warnings.warn(
-                    "compiled engine unavailable for %s (%s); using loopy"
-                    % (self.graph.name, exc),
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return self.solve(
-                    max_iters=max_iters,
-                    damping=damping,
-                    tolerance=tolerance,
-                    engine="loopy",
-                )
+            else:
+                for name in sorted(self._dirty_priors):
+                    self._compiled.set_prior(
+                        name, self.graph.variables[name].prior
+                    )
+                for index in sorted(self._dirty_factors):
+                    self._compiled.set_table(
+                        index, self._dirty_factors[index].table
+                    )
             self._dirty_priors.clear()
             self._dirty_factors.clear()
-        else:
-            for name in sorted(self._dirty_priors):
-                self._compiled.set_prior(
-                    name, self.graph.variables[name].prior
-                )
-            for index in sorted(self._dirty_factors):
-                self._compiled.set_table(
-                    index, self._dirty_factors[index].table
-                )
-            self._dirty_priors.clear()
-            self._dirty_factors.clear()
-        return self._compiled.run(
-            max_iters=max_iters,
-            tolerance=tolerance,
-            damping=damping,
-        )
+            return self._compiled.run(
+                max_iters=max_iters,
+                tolerance=tolerance,
+                damping=damping,
+            )
+        except Exception as exc:
+            warnings.warn(
+                "compiled engine failed for %s (%s: %s); using loopy"
+                % (self.graph.name, type(exc).__name__, exc),
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return run_sum_product(
+                self.graph,
+                max_iters=max_iters,
+                damping=damping,
+                tolerance=tolerance,
+            )
 
     def boundary_marginals(self, result):
         """Extract TargetMarginals for this method's boundary nodes."""

@@ -11,7 +11,6 @@ overridden by overwhelming evidence.
 """
 
 from repro.permissions import kinds
-from repro.permissions.spec import spec_of_method
 from repro.permissions.states import ALIVE
 
 #: The categorical kind domain (paper: five Bernoullis per node).
@@ -35,51 +34,6 @@ def absent_permission_prior(strength):
     """Prior for a boundary node whose spec has no clause: permission is
     absent (nothing required / nothing returned) with high probability."""
     return concentrated_prior(KIND_DOMAIN, "none", strength)
-
-
-class SpecEnvironment:
-    """Resolves the declared spec (if any) governing a method.
-
-    Mirrors the checker: an unannotated override inherits the supertype's
-    spec, matching how PLURAL applies supertype specs at use sites.
-    """
-
-    def __init__(self, program):
-        self.program = program
-        self._cache = {}
-
-    def spec_of(self, method_ref):
-        if method_ref in self._cache:
-            return self._cache[method_ref]
-        spec = spec_of_method(method_ref.method_decl)
-        if spec.is_empty:
-            for super_decl in self.program.supertypes(method_ref.class_decl):
-                for method in super_decl.find_method(method_ref.method_decl.name):
-                    super_spec = spec_of_method(method)
-                    if not super_spec.is_empty:
-                        spec = super_spec
-                        break
-                if not spec.is_empty:
-                    break
-        self._cache[method_ref] = spec
-        return spec
-
-    def is_annotated(self, method_ref):
-        """Annotated directly or through an overridden supertype method."""
-        return not self.spec_of(method_ref).is_empty
-
-    def is_directly_annotated(self, method_ref):
-        """Annotated on the declaration itself (not inherited).
-
-        Extraction keeps only *direct* annotations: for overrides that
-        merely inherit a supertype spec ANEK still emits its own inferred
-        spec — notably without ``@TrueIndicates`` (the paper: ANEK "does
-        not attempt to infer" dynamic state test specs; the supertype
-        spec takes precedence at use sites anyway).
-        """
-        from repro.permissions.spec import spec_of_method
-
-        return not spec_of_method(method_ref.method_decl).is_empty
 
 
 def boundary_priors(spec, target, is_pre, state_domain, strength):

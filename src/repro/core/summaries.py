@@ -104,11 +104,6 @@ class SummaryStore:
             self._summaries[method_ref] = MethodSummary(method_ref)
         return self._summaries[method_ref]
 
-    def peek(self, method_ref):
-        """Like :meth:`summary_of` but never creates an entry — safe for
-        read-only passes (fingerprinting) that must not mutate the store."""
-        return self._summaries.get(method_ref)
-
     def update(self, method_ref, slot, target, marginal):
         """UPDATESUMMARY: store and report whether it changed materially."""
         summary = self.summary_of(method_ref)

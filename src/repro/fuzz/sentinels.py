@@ -9,9 +9,7 @@ properties the rest of the repo treats as contracts:
 * **ledger** — every failure record uses the documented stage and
   disposition vocabularies;
 * **marginals** — every reported boundary marginal is finite, within
-  [0, 1], and normalized (sums to 1);  fraction soundness rides on the
-  same check plus :class:`FractionalPermission`'s own (0, 1] guard,
-  which would otherwise surface as a crash or quarantine;
+  [0, 1], and normalized (sums to 1);
 * **engine-differential** — loopy ≡ compiled, bit-identically;
 * **tier-differential** — full ≡ auto checker tiers, bit-identically.
 

@@ -6,7 +6,7 @@ implements double-dispatch visiting in the classic style.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass

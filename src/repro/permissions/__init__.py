@@ -1,12 +1,11 @@
-"""Access permissions: kinds, fractions, abstract states, specifications.
+"""Access permissions: kinds, abstract states, specifications.
 
 Implements the PLURAL permission methodology the paper builds on:
 
 * ``kinds``     — the five permission kinds of Figure 4 and their ordering
-* ``fractions`` — fractional permissions (Boyland) for sound split/merge
 * ``states``    — abstract state hierarchies (Figure 1)
 * ``spec``      — the ``@Perm(requires=..., ensures=...)`` spec language
-* ``splitting`` — sound permission splitting/merging tables (paper L1)
+* ``splitting`` — sound permission splitting (paper L1)
 """
 
 from repro.permissions.kinds import (

@@ -16,7 +16,7 @@ pure          read-only       read/write
 ``satisfies`` encodes the weakening order (a held kind can stand in for a
 required kind); ``split_targets`` encodes which kinds a permission can be
 split into when a new alias is introduced (the legality core of the
-paper's L1 constraint — fraction bookkeeping lives in ``fractions``).
+paper's L1 constraint).
 """
 
 from collections import namedtuple

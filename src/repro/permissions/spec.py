@@ -170,3 +170,48 @@ def spec_of_method(method_decl):
         elif annotation.name == "FalseIndicates":
             spec.false_indicates = annotation.argument("value")
     return spec
+
+
+class SpecEnvironment:
+    """Resolves the declared spec (if any) governing a method.
+
+    The one spec-inheritance rule, shared by inference and the checker:
+    an unannotated override inherits the first non-empty spec of a
+    same-named supertype method, matching how PLURAL applies supertype
+    specs at use sites.
+    """
+
+    def __init__(self, program):
+        self.program = program
+        self._cache = {}
+
+    def spec_of(self, method_ref):
+        if method_ref in self._cache:
+            return self._cache[method_ref]
+        spec = spec_of_method(method_ref.method_decl)
+        if spec.is_empty:
+            for super_decl in self.program.supertypes(method_ref.class_decl):
+                for method in super_decl.find_method(method_ref.method_decl.name):
+                    super_spec = spec_of_method(method)
+                    if not super_spec.is_empty:
+                        spec = super_spec
+                        break
+                if not spec.is_empty:
+                    break
+        self._cache[method_ref] = spec
+        return spec
+
+    def is_annotated(self, method_ref):
+        """Annotated directly or through an overridden supertype method."""
+        return not self.spec_of(method_ref).is_empty
+
+    def is_directly_annotated(self, method_ref):
+        """Annotated on the declaration itself (not inherited).
+
+        Extraction keeps only *direct* annotations: for overrides that
+        merely inherit a supertype spec ANEK still emits its own inferred
+        spec — notably without ``@TrueIndicates`` (the paper: ANEK "does
+        not attempt to infer" dynamic state test specs; the supertype
+        spec takes precedence at use sites anyway).
+        """
+        return not spec_of_method(method_ref.method_decl).is_empty

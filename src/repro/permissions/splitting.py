@@ -1,4 +1,4 @@
-"""Sound permission splitting and merging (paper constraint L1, Eq. 2).
+"""Sound permission splitting (paper constraint L1, Eq. 2).
 
 This module centralizes the *legality* relation used by both the PLURAL
 checker (when it actually performs splits) and ANEK's constraint
@@ -49,18 +49,6 @@ def legal_edge_pair(held, given, retained):
     return True
 
 
-def legal_pairs(held):
-    """All (given, retained) pairs legal for a split of ``held``."""
-    pairs = []
-    for given in kinds.ALL_KINDS:
-        if legal_edge_pair(held, given, None):
-            pairs.append((given, None))
-        for retained in kinds.ALL_KINDS:
-            if legal_edge_pair(held, given, retained):
-                pairs.append((given, retained))
-    return pairs
-
-
 def best_retained(held, given):
     """Strongest kind the splitter can keep after giving ``given`` away.
 
@@ -74,23 +62,3 @@ def best_retained(held, given):
     if not candidates:
         return None
     return kinds.strongest(candidates)
-
-
-def mergeable(kind_a, kind_b):
-    """May permissions of these kinds (to one object) be merged at a node?"""
-    if kind_a == kind_b:
-        return True
-    pair = frozenset([kind_a, kind_b])
-    return pair == frozenset([kinds.FULL, kinds.PURE]) or not (
-        pair & kinds.EXCLUSIVE_KINDS
-    )
-
-
-def merged_kind(kind_a, kind_b):
-    """Resulting kind of merging (ignoring fractions; see ``fractions``)."""
-    if kind_a == kind_b:
-        return kind_a
-    pair = frozenset([kind_a, kind_b])
-    if pair == frozenset([kinds.FULL, kinds.PURE]):
-        return kinds.FULL
-    return kinds.weakest([kind_a, kind_b])

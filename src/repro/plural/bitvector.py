@@ -953,29 +953,32 @@ def _cycle_nodes(rpo, tin, tout):
 # ---------------------------------------------------------------------------
 
 
+def _step(values, op):
+    """Apply one non-site op to a fact's lane list, in place."""
+    tag = op[0]
+    if tag == "update":
+        lane, rows = op[1], op[2]
+        kind_id, state_id = values[lane]
+        new_kind, keep, const = rows[kind_id]
+        values[lane] = (new_kind, state_id if keep else const)
+    elif tag == "bindc":
+        values[op[1]] = (op[2], op[3])
+    elif tag == "weaken":
+        lane = op[1]
+        kind_id, state_id = values[lane]
+        if ID_KIND[kind_id] in kinds.EXCLUSIVE_KINDS:
+            values[lane] = (KIND_ID[kinds.SHARE], state_id)
+
+
 def _transfer(fact, ops):
     """Apply a node's non-site ops to a fact tuple."""
-    if not ops:
-        return fact
     values = None
     for op in ops:
-        tag = op[0]
-        if tag == "site":
+        if op[0] == "site":
             continue
         if values is None:
             values = list(fact)
-        if tag == "update":
-            lane, rows = op[1], op[2]
-            kind_id, state_id = values[lane]
-            new_kind, keep, const = rows[kind_id]
-            values[lane] = (new_kind, state_id if keep else const)
-        elif tag == "bindc":
-            values[op[1]] = (op[2], op[3])
-        elif tag == "weaken":
-            lane = op[1]
-            kind_id, state_id = values[lane]
-            if ID_KIND[kind_id] in kinds.EXCLUSIVE_KINDS:
-                values[lane] = (KIND_ID[kinds.SHARE], state_id)
+        _step(values, op)
     return fact if values is None else tuple(values)
 
 
@@ -1060,18 +1063,7 @@ def collect_sites(plan, in_facts):
                 continue
             if values is None:
                 values = list(fact)
-            if tag == "update":
-                lane, rows = op[1], op[2]
-                kind_id, state_id = values[lane]
-                new_kind, keep, const = rows[kind_id]
-                values[lane] = (new_kind, state_id if keep else const)
-            elif tag == "bindc":
-                values[op[1]] = (op[2], op[3])
-            elif tag == "weaken":
-                lane = op[1]
-                kind_id, state_id = values[lane]
-                if ID_KIND[kind_id] in kinds.EXCLUSIVE_KINDS:
-                    values[lane] = (KIND_ID[kinds.SHARE], state_id)
+            _step(values, op)
     return records
 
 

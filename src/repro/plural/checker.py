@@ -25,8 +25,7 @@ from repro.analysis import ir
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import ForwardAnalysis
 from repro.permissions import kinds
-from repro.permissions.fractions import FractionalPermission
-from repro.permissions.spec import spec_of_method
+from repro.permissions.spec import SpecEnvironment
 from repro.permissions.splitting import best_retained
 from repro.permissions.states import ALIVE, state_space_of_class
 from repro.plural.context import NO_PERM, Context, Guard, Perm, StateTest
@@ -84,7 +83,9 @@ class PluralChecker:
         self.program = program
         self.default_this_kind = default_this_kind
         self._spaces = {}
-        self._spec_cache = {}
+        #: The spec governing a method, supertype inheritance included:
+        #: the same rule inference reads.
+        self.spec_of = SpecEnvironment(program).spec_of
 
     # -- lookup helpers ----------------------------------------------------------
 
@@ -97,25 +98,6 @@ class PluralChecker:
                 state_space_of_class(decl) if decl is not None else None
             )
         return self._spaces[class_name]
-
-    def spec_of(self, method_ref):
-        key = method_ref
-        if key not in self._spec_cache:
-            spec = spec_of_method(method_ref.method_decl)
-            if spec.is_empty:
-                # A supertype's spec takes precedence for overriding methods.
-                for super_decl in self.program.supertypes(method_ref.class_decl):
-                    for method in super_decl.find_method(
-                        method_ref.method_decl.name
-                    ):
-                        super_spec = spec_of_method(method)
-                        if not super_spec.is_empty:
-                            spec = super_spec
-                            break
-                    if not spec.is_empty:
-                        break
-            self._spec_cache[key] = spec
-        return self._spec_cache[key]
 
     def _is_protocol_class(self, class_name):
         if class_name is None or class_name in _VALUE_CLASSES:

@@ -17,7 +17,7 @@ usage model and proposes a typestate protocol:
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.permissions.spec import MethodSpec, PermClause
 from repro.permissions.states import StateSpace

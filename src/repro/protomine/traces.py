@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 from repro.analysis import ir
 from repro.analysis.alias import analyze_aliases
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dominance import build_dominator_tree
 
 #: Per-method path budget; keeps enumeration linear-ish in practice.
 MAX_PATHS_PER_METHOD = 64
@@ -52,23 +51,15 @@ class _PathWalker:
         self.target_classes = target_classes
         self.traces = []
         self.paths = 0
-        # Proper back edges from dominance (head dominates tail), not the
-        # RPO-order approximation; non-loop "retreating" edges on
-        # irreducible shapes are treated the same way (budgeted).
-        dominators = build_dominator_tree(cfg)
-        self._back_edges = {
-            (tail.node_id, head.node_id)
-            for tail, head in dominators.back_edges()
-        }
+        # Edges that retreat in reverse postorder carry the budget.  Every
+        # cycle has one, reducible or not, and a loop's back edge always
+        # does: its head is a DFS-tree ancestor of its tail.
         self._rpo_index = {
             node.node_id: position
             for position, node in enumerate(cfg.reverse_postorder())
         }
 
     def _is_back_edge(self, src, dst):
-        if (src.node_id, dst.node_id) in self._back_edges:
-            return True
-        # Retreating edges (rare, irreducible graphs): budget them too.
         return self._rpo_index.get(dst.node_id, 0) <= self._rpo_index.get(
             src.node_id, 0
         )

@@ -9,9 +9,10 @@ percentage — the number a practically-motivated programmer cares about.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.analysis.callgraph import build_call_graph
+from repro.permissions.spec import SpecEnvironment
 
 
 @dataclass
@@ -81,8 +82,6 @@ def coverage_report(program, warnings, protocol_methods=None):
     names (default: every program method that carries a ``requires``
     clause, directly or inherited).
     """
-    from repro.core.priors import SpecEnvironment
-
     spec_env = SpecEnvironment(program)
     graph = build_call_graph(program)
     report = CoverageReport(total_warnings=len(warnings))

@@ -13,7 +13,6 @@ Figures: 1 (iterator protocol), 4 (permission kinds), 6 (the PFG of the
 ``copy`` method), 10 (pipeline stage trace).
 """
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional

@@ -4,8 +4,11 @@ One method solve under the guard walks the policy's degradation ladder::
 
     attempt 0   configured engine, the fixed BP damping
     retry 1..N  same engine, escalating damping (oscillation killer)
-    fallback    loopy reference engine (when compiled was configured)
     floor       prior-only marginals (never fails)
+
+A compiled solve whose kernel cannot be built or raises falls back to
+the loopy engine inside :meth:`repro.core.model.MethodModel.solve`, at
+the attempt's own damping, so the ladder needs no engine rung.
 
 An attempt *fails* when it raises, exceeds the policy deadline, or
 produces non-finite (NaN/inf) or engine-flagged diverged marginals.  On
@@ -75,23 +78,21 @@ def _poison(result):
 RETRY_DAMPING = 0.5
 
 
-def _attempt_ladder(policy, engine):
-    """[(engine, damping), ...] — the full retry/fallback schedule.
+def _attempt_ladder(policy):
+    """The damping of each attempt, attempt 0 first.
 
     The first retry reruns with *identical* parameters: a transient
     failure (an injected raise, a killed sweep) then recovers with
     bit-identical marginals.  Only later retries escalate damping, for
     genuinely oscillating/diverging solves where sameness is lost anyway.
     """
-    ladder = [(engine, BP_DAMPING)]
+    ladder = [BP_DAMPING]
     if policy.solve_retries >= 1:
-        ladder.append((engine, BP_DAMPING))
+        ladder.append(BP_DAMPING)
     floor = max(RETRY_DAMPING, BP_DAMPING)
     step = (0.9 - floor) / 3.0
     for attempt in range(2, policy.solve_retries + 1):
-        ladder.append((engine, min(0.9, floor + step * (attempt - 2))))
-    if engine == "compiled":
-        ladder.append(("loopy", floor))
+        ladder.append(min(0.9, floor + step * (attempt - 2)))
     return ladder
 
 
@@ -114,8 +115,8 @@ def guarded_solve(model, policy, site_key, engine):
             False,
         )
     reasons = []
-    ladder = _attempt_ladder(policy, engine)
-    for attempt, (attempt_engine, damping) in enumerate(ladder):
+    ladder = _attempt_ladder(policy)
+    for attempt, damping in enumerate(ladder):
         start = time.perf_counter()
         try:
             action = maybe_fault("solve", site_key)
@@ -123,27 +124,25 @@ def guarded_solve(model, policy, site_key, engine):
                 max_iters=BP_ITERS,
                 damping=damping,
                 tolerance=BP_TOLERANCE,
-                engine=attempt_engine,
+                engine=engine,
             )
             if action == "nan":
                 result = _poison(result)
         except Exception as exc:
             reasons.append(
-                "%s[%s]: %s: %s"
-                % (attempt_engine, damping, type(exc).__name__, exc)
+                "%s[%s]: %s: %s" % (engine, damping, type(exc).__name__, exc)
             )
             continue
         elapsed = time.perf_counter() - start
         if policy.solve_deadline and elapsed > policy.solve_deadline:
             reasons.append(
                 "%s[%s]: deadline (%.3fs > %.3fs)"
-                % (attempt_engine, damping, elapsed, policy.solve_deadline)
+                % (engine, damping, elapsed, policy.solve_deadline)
             )
             continue
         if not result_is_finite(result):
             reasons.append(
-                "%s[%s]: diverged (non-finite marginals)"
-                % (attempt_engine, damping)
+                "%s[%s]: diverged (non-finite marginals)" % (engine, damping)
             )
             continue
         if attempt == 0:

@@ -22,7 +22,6 @@ class ResiliencePolicy:
 
         attempt 0   configured engine, the fixed BP damping
         retry 1..N  same engine, damping escalated toward 0.9
-        fallback    loopy reference engine (when compiled was configured)
         floor       prior-only marginals (never fails, fully conservative)
     """
 
@@ -34,8 +33,8 @@ class ResiliencePolicy:
     #: iterations, so a blown budget means the retry ladder shrinks the
     #: next attempt rather than an in-flight preemption.
     solve_deadline: float = 0.0
-    #: Same-engine re-solves with escalated damping before the engine
-    #: fallback step (:data:`repro.resilience.guard.RETRY_DAMPING` is the
+    #: Same-engine re-solves with escalated damping before the prior-only
+    #: floor (:data:`repro.resilience.guard.RETRY_DAMPING` is the
     #: escalation's floor).
     solve_retries: int = 2
     #: Resource budgets for every untrusted-input stage (lexer, parser,

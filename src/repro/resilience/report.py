@@ -29,8 +29,8 @@ DISPOSITIONS = (
     "unit-quarantined",
     #: A method was dropped from inference; it gets a conservative spec.
     "method-quarantined",
-    #: A retry (escalated damping / engine fallback) produced a clean
-    #: result — no observable degradation.
+    #: A retry (same or escalated damping) produced a clean result — no
+    #: observable degradation.
     "recovered",
     #: The solve fell all the way back to prior-only marginals.
     "degraded-prior-only",

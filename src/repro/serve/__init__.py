@@ -7,18 +7,12 @@ The package splits along the request's path through the daemon:
 * :mod:`repro.serve.batching` — coalescing/concurrency batch planner;
 * :mod:`repro.serve.replay` — completed work by fingerprint;
 * :mod:`repro.serve.server` — the daemon (front end, dispatcher, workers);
-* :mod:`repro.serve.client` — the synchronous client (reconnect, retry,
-  circuit breaker);
+* :mod:`repro.serve.client` — the synchronous client (reconnect, retry);
 * :mod:`repro.serve.supervisor` — the ``--supervise`` restart loop.
 """
 
 from repro.serve.batching import plan_batch, work_fingerprint
-from repro.serve.client import (
-    CircuitOpenError,
-    ServeClient,
-    ServeError,
-    wait_for_server,
-)
+from repro.serve.client import ServeClient, ServeError, wait_for_server
 from repro.serve.protocol import (
     OPS,
     RETRYABLE_STATUSES,
@@ -45,7 +39,6 @@ __all__ = [
     "STATUSES",
     "AnekServer",
     "BoundedRequestQueue",
-    "CircuitOpenError",
     "EXIT_CRASHLOOP",
     "PendingRequest",
     "ProtocolError",

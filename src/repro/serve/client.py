@@ -20,11 +20,7 @@ the client becomes self-healing:
   optional per-call overall ``call_deadline``;
 * retryable refusals (``rejected``/``overloaded`` — the daemon never
   started the work) are retried the same way; execution outcomes are
-  final and returned as-is;
-* a **circuit breaker** counts consecutive connection-level failures;
-  past ``breaker_threshold`` it opens and new calls fail fast for
-  ``breaker_cooldown`` seconds, then a half-open probe call decides
-  between closing it (success) and re-opening it (failure).
+  final and returned as-is.
 """
 
 import random
@@ -40,10 +36,6 @@ from repro.serve.protocol import (
 
 class ServeError(ConnectionError):
     """The daemon is unreachable or hung up mid-request."""
-
-
-class CircuitOpenError(ServeError):
-    """Failing fast: too many consecutive failures, cooldown pending."""
 
 
 def parse_address(address):
@@ -92,8 +84,6 @@ class ServeClient:
         backoff=0.05,
         backoff_max=2.0,
         call_deadline=0.0,
-        breaker_threshold=8,
-        breaker_cooldown=1.0,
     ):
         self.address = address
         self.timeout = timeout
@@ -101,11 +91,7 @@ class ServeClient:
         self.backoff = max(0.001, float(backoff))
         self.backoff_max = max(self.backoff, float(backoff_max))
         self.call_deadline = max(0.0, float(call_deadline))
-        self.breaker_threshold = max(1, int(breaker_threshold))
-        self.breaker_cooldown = max(0.0, float(breaker_cooldown))
         self._sock = None
-        self._consecutive_failures = 0
-        self._breaker_open_until = 0.0
         if self.retries == 0:
             # Historical behaviour: constructing a client for an absent
             # daemon raises immediately.  A retrying client connects
@@ -151,7 +137,7 @@ class ServeClient:
         """Send one request dict, block for its response.
 
         Single attempt when ``retries == 0``; otherwise the retrying
-        path (backoff, deadline, breaker)."""
+        path (backoff, deadline)."""
         if self.retries == 0 or request.get("op") not in RETRYABLE_OPS:
             return self._call_once(request)
         return self._call_retrying(request)
@@ -170,7 +156,6 @@ class ServeClient:
             )
 
     def _call_retrying(self, request):
-        self._breaker_gate()
         deadline_at = (
             time.monotonic() + self.call_deadline
             if self.call_deadline
@@ -188,9 +173,7 @@ class ServeClient:
                 response = self._call_once(request)
             except ServeError as exc:
                 last_error = exc
-                self._record_failure()
                 continue
-            self._record_success()
             if response.get("status") in RETRYABLE_STATUSES:
                 # The daemon is alive but refused admission; nothing
                 # executed, so backing off and re-asking is safe.
@@ -225,37 +208,6 @@ class ServeClient:
             delay = min(delay, max(deadline_at - time.monotonic(), 0.0))
         if delay > 0:
             time.sleep(delay)
-
-    # -- circuit breaker -------------------------------------------------------
-
-    @property
-    def breaker_open(self):
-        return (
-            self._consecutive_failures >= self.breaker_threshold
-            and time.monotonic() < self._breaker_open_until
-        )
-
-    def _breaker_gate(self):
-        """Fail fast while the breaker is open; once the cooldown has
-        passed the call proceeds as the half-open probe (success closes
-        the breaker, failure re-opens it)."""
-        if self.breaker_open:
-            raise CircuitOpenError(
-                "circuit breaker open for %s after %d consecutive "
-                "failures (retry after cooldown)"
-                % (self.address, self._consecutive_failures)
-            )
-
-    def _record_failure(self):
-        self._consecutive_failures += 1
-        if self._consecutive_failures >= self.breaker_threshold:
-            self._breaker_open_until = (
-                time.monotonic() + self.breaker_cooldown
-            )
-
-    def _record_success(self):
-        self._consecutive_failures = 0
-        self._breaker_open_until = 0.0
 
     # -- op helpers ------------------------------------------------------------
 

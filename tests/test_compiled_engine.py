@@ -20,7 +20,6 @@ from repro.core.heuristics import HeuristicConfig
 from repro.core.infer import AnekInference, InferenceSettings
 from repro.core.model import MethodModel, ModelCache
 from repro.core.pfg_builder import build_pfg
-from repro.core.priors import SpecEnvironment
 from repro.core.summaries import SummaryStore, method_input_fingerprint
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.factorgraph import FactorGraph, run_sum_product
@@ -30,6 +29,7 @@ from repro.factorgraph.exact import run_exact
 from repro.factorgraph.factors import Factor
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import resolve_program
+from repro.permissions.spec import SpecEnvironment
 
 TOLERANCE = 1e-9
 
@@ -294,8 +294,8 @@ class TestModelReuse:
         pfg = build_pfg(program, method_ref)
         store = SummaryStore()
         base = method_input_fingerprint(store, spec_env, pfg)
-        # peek never creates entries, so fingerprinting is read-only.
-        assert store.peek(method_ref) is None
+        # Fingerprinting is read-only: it creates no summary entry.
+        assert method_ref not in store._summaries
         assert base == method_input_fingerprint(store, spec_env, pfg)
         # Depositing evidence on a boundary node changes the fingerprint.
         if pfg.param_pre:
@@ -343,3 +343,35 @@ class TestModelReuse:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             InferenceSettings(engine="quantum")
+
+
+class TestLoopyFallback:
+    def test_compiled_run_failure_falls_back_to_loopy(self, monkeypatch):
+        """A kernel that raises mid-solve costs a warning, not the solve:
+        the model answers with the loopy engine's result, bit for bit."""
+        program = _quickstart_program()
+        spec_env = SpecEnvironment(program)
+        method_ref = next(
+            ref
+            for ref in program.methods_with_bodies()
+            if ref.method_decl.name == "total"
+        )
+
+        def build_model():
+            return MethodModel(
+                program,
+                build_pfg(program, method_ref),
+                HeuristicConfig(),
+                spec_env=spec_env,
+                summary_store=SummaryStore(),
+            ).build()
+
+        expected = build_model().solve(engine="loopy")
+
+        def failing_run(self, **_kwargs):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(CompiledGraph, "run", failing_run)
+        with pytest.warns(RuntimeWarning, match="compiled engine failed"):
+            result = build_model().solve(engine="compiled")
+        assert_results_match(result, expected)

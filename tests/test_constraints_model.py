@@ -14,11 +14,11 @@ from repro.core.model import MethodModel
 from repro.core.pfg_builder import build_pfg
 from repro.core.priors import (
     KIND_DOMAIN,
-    SpecEnvironment,
     absent_permission_prior,
     concentrated_prior,
 )
 from repro.permissions import kinds
+from repro.permissions.spec import SpecEnvironment
 from tests.conftest import build_program, method_ref
 
 

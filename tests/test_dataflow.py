@@ -1,10 +1,9 @@
-"""Tests for the generic dataflow framework, must-alias, and liveness."""
+"""Tests for the generic forward dataflow framework and must-alias."""
 
 from repro.analysis import ir
 from repro.analysis.alias import analyze_aliases
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import ForwardAnalysis
-from repro.analysis.liveness import analyze_liveness, live_before
 from tests.conftest import build_program, method_ref
 
 
@@ -16,13 +15,6 @@ def make_cfg(body, params="Collection<Integer> c", extra=""):
     ref = method_ref(program, "T", "m")
     cfg = build_cfg(program, ref.class_decl, ref.method_decl)
     return cfg, ref
-
-
-def node_defining(cfg, name):
-    for node in cfg.instr_nodes():
-        if node.instr.defined() == name:
-            return node
-    raise AssertionError("no definition of %s" % name)
 
 
 class ReachingConstants(ForwardAnalysis):
@@ -159,32 +151,3 @@ class TestMustAlias:
         )
         # Analysis converged (no exception) and the exit fact is defined.
         assert alias.witness_before(cfg.exit, "it") is not None
-
-
-class TestLiveness:
-    def test_used_variable_is_live_before_use(self):
-        cfg, _ = make_cfg("int x = 1; int y = x + 1;")
-        result = analyze_liveness(cfg)
-        use = [n for n in cfg.instr_nodes() if "x" in n.instr.used()][0]
-        assert "x" in live_before(result, use)
-
-    def test_dead_after_last_use(self):
-        cfg, _ = make_cfg("int x = 1; int y = x + 1; int z = 2;")
-        result = analyze_liveness(cfg)
-        def_z = node_defining(cfg, "z")
-        assert "x" not in live_before(result, def_z)
-
-    def test_branch_condition_is_live(self):
-        cfg, _ = make_cfg("boolean t = b; if (t) { int x = 1; }", params="boolean b")
-        result = analyze_liveness(cfg)
-        def_t = node_defining(cfg, "t")
-        # t is live right after its definition (used by the branch).
-        assert "t" in result.out_facts[def_t.node_id]
-
-    def test_loop_variable_live_around_loop(self):
-        cfg, _ = make_cfg(
-            "int i = 0; while (b) { i = i + 1; }", params="boolean b"
-        )
-        result = analyze_liveness(cfg)
-        def_i = node_defining(cfg, "i")
-        assert "i" in result.out_facts[def_i.node_id]

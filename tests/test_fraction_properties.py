@@ -1,72 +1,35 @@
-"""Property-based tests for fractional permissions and splitting.
+"""Property-based tests for permission splitting (paper L1, Eq. 2).
 
-Uses ``hypothesis`` when available; otherwise a tiny seeded-random
-fallback shim drives the same properties with 200 deterministic samples
-per test, so the suite runs (and stays reproducible) in minimal
-environments.
+The checker and the constraint generator carry permission kinds only,
+with no fraction, so the properties are those of the kind-level split
+rules they use.  Uses ``hypothesis`` when available; otherwise a tiny
+seeded-random fallback shim drives the same properties with 200
+deterministic samples per test, so the suite runs (and stays
+reproducible) in minimal environments.
 
-Properties locked in:
-
-* fractions are exact rationals, always in ``(0, 1]`` — never negative,
-  never overflowing 1 (constructor + merge both enforce it);
-* ``split_for_requirement`` conserves the fraction: the pieces sum to
-  exactly the held fraction, and splitting succeeds iff the held kind
-  satisfies the requirement;
-* split/merge round-trips restore the original fraction and state, and
-  repeated split chains still reassemble to the exact starting fraction;
-* ``legal_edge_pair`` is symmetric in its pieces, never admits two
-  exclusive pieces, and ``best_retained``/``legal_pairs`` agree with it.
+Properties locked in: ``legal_edge_pair`` is symmetric in its pieces,
+never admits two exclusive pieces or a unique piece beside another, and
+``best_retained`` returns the strongest legal retained kind.
 """
 
 import random
-from fractions import Fraction
-
-import pytest
 
 from repro.permissions import kinds
-from repro.permissions.fractions import (
-    FractionalPermission,
-    initial_unique,
-    merge,
-    split_for_requirement,
-)
-from repro.permissions.splitting import (
-    best_retained,
-    legal_edge_pair,
-    legal_pairs,
-    merged_kind,
-    mergeable,
-)
+from repro.permissions.splitting import best_retained, legal_edge_pair
 
 try:
     from hypothesis import given, settings, strategies as st
-
-    HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - exercised only without hypothesis
-    HAVE_HYPOTHESIS = False
 
     class _Strategy:
         def __init__(self, draw):
             self.draw = draw
-
-        def map(self, fn):
-            return _Strategy(lambda rng: fn(self.draw(rng)))
 
     class st:  # noqa: N801 - mimics the hypothesis module surface
         @staticmethod
         def sampled_from(values):
             values = list(values)
             return _Strategy(lambda rng: values[rng.randrange(len(values))])
-
-        @staticmethod
-        def integers(min_value, max_value):
-            return _Strategy(lambda rng: rng.randint(min_value, max_value))
-
-        @staticmethod
-        def tuples(*strategies):
-            return _Strategy(
-                lambda rng: tuple(s.draw(rng) for s in strategies)
-            )
 
     def given(*strategies):
         def decorate(test):
@@ -86,146 +49,7 @@ except ImportError:  # pragma: no cover - exercised only without hypothesis
         return lambda test: test
 
 
-def make_fraction(pair):
-    numerator, denominator = pair
-    if numerator > denominator:
-        numerator, denominator = denominator, numerator
-    return Fraction(max(1, numerator), denominator)
-
-
 kind_strategy = st.sampled_from(kinds.ALL_KINDS)
-state_strategy = st.sampled_from(["ALIVE", "HASNEXT", "EOF"])
-fraction_strategy = st.tuples(
-    st.integers(1, 96), st.integers(1, 96)
-).map(make_fraction)
-permission_strategy = st.tuples(
-    kind_strategy, fraction_strategy, state_strategy
-).map(lambda triple: FractionalPermission(*triple))
-
-
-class TestFractionInvariants:
-    @given(kind_strategy, fraction_strategy, state_strategy)
-    @settings(max_examples=200)
-    def test_constructor_keeps_fraction_in_unit_interval(
-        self, kind, fraction, state
-    ):
-        perm = FractionalPermission(kind, fraction, state)
-        assert 0 < perm.fraction <= 1
-        assert isinstance(perm.fraction, Fraction)
-
-    @given(kind_strategy, st.integers(-8, 0))
-    @settings(max_examples=200)
-    def test_non_positive_fractions_rejected(self, kind, numerator):
-        with pytest.raises(ValueError):
-            FractionalPermission(kind, Fraction(numerator, 8))
-
-    @given(kind_strategy, st.integers(9, 64))
-    @settings(max_examples=200)
-    def test_fractions_above_one_rejected(self, kind, numerator):
-        with pytest.raises(ValueError):
-            FractionalPermission(kind, Fraction(numerator, 8))
-
-
-class TestSplitProperties:
-    @given(permission_strategy, kind_strategy)
-    @settings(max_examples=200)
-    def test_split_succeeds_iff_kind_satisfies(self, held, required):
-        result = split_for_requirement(held, required)
-        assert (result is not None) == kinds.satisfies(held.kind, required)
-
-    @given(permission_strategy, kind_strategy)
-    @settings(max_examples=200)
-    def test_split_conserves_fraction_and_state(self, held, required):
-        result = split_for_requirement(held, required)
-        if result is None:
-            return
-        given_piece, retained = result
-        assert given_piece.kind == required
-        assert given_piece.state == held.state
-        if retained is None:
-            assert given_piece.fraction == held.fraction
-        else:
-            assert retained.state == held.state
-            assert given_piece.fraction + retained.fraction == held.fraction
-            assert given_piece.fraction > 0
-            assert retained.fraction > 0
-
-    @given(permission_strategy, kind_strategy)
-    @settings(max_examples=200)
-    def test_split_then_merge_restores_fraction(self, held, required):
-        result = split_for_requirement(held, required)
-        if result is None or result[1] is None:
-            return
-        given_piece, retained = result
-        merged = merge(given_piece, retained)
-        assert merged.fraction == held.fraction
-        assert merged.state == held.state
-
-    @given(kind_strategy, st.integers(1, 6))
-    @settings(max_examples=200)
-    def test_split_chain_reassembles_exactly(self, required, depth):
-        """Repeatedly split the retained piece, then merge every piece
-        back: the outstanding fraction total is invariant throughout."""
-        held = initial_unique()
-        if split_for_requirement(held, required) is None:
-            return
-        pieces = [held]
-        for _ in range(depth):
-            result = split_for_requirement(pieces[-1], required)
-            if result is None or result[1] is None:
-                break
-            given_piece, retained = result
-            pieces[-1:] = [given_piece, retained]
-            assert sum(p.fraction for p in pieces) == 1
-        while len(pieces) > 1:
-            merged = merge(pieces.pop(), pieces.pop())
-            pieces.append(merged)
-            assert sum(p.fraction for p in pieces) == 1
-        assert pieces[0].fraction == 1
-
-
-class TestMergeProperties:
-    @given(permission_strategy, permission_strategy)
-    @settings(max_examples=200)
-    def test_merge_is_commutative_and_bounded(self, piece_a, piece_b):
-        total = piece_a.fraction + piece_b.fraction
-        if total > 1:
-            with pytest.raises(ValueError):
-                merge(piece_a, piece_b)
-            with pytest.raises(ValueError):
-                merge(piece_b, piece_a)
-            return
-        forward = merge(piece_a, piece_b)
-        backward = merge(piece_b, piece_a)
-        assert forward == backward
-        assert forward.fraction == total
-        assert 0 < forward.fraction <= 1
-
-    @given(st.sampled_from([kinds.SHARE, kinds.IMMUTABLE, kinds.PURE]),
-           st.integers(1, 95), state_strategy)
-    @settings(max_examples=200)
-    def test_whole_symmetric_reassembly_is_unique(
-        self, kind, numerator, state
-    ):
-        piece_a = FractionalPermission(kind, Fraction(numerator, 96), state)
-        piece_b = FractionalPermission(
-            kind, Fraction(96 - numerator, 96), state
-        )
-        merged = merge(piece_a, piece_b)
-        assert merged.kind == kinds.UNIQUE
-        assert merged.fraction == 1
-        assert merged.state == state
-
-    @given(permission_strategy, permission_strategy)
-    @settings(max_examples=200)
-    def test_state_mismatch_widens_to_alive(self, piece_a, piece_b):
-        if piece_a.fraction + piece_b.fraction > 1:
-            return
-        merged = merge(piece_a, piece_b)
-        if piece_a.state == piece_b.state:
-            assert merged.state == piece_a.state
-        else:
-            assert merged.state == "ALIVE"
 
 
 class TestSplittingLegality:
@@ -265,35 +89,3 @@ class TestSplittingLegality:
         else:
             assert retained in legal
             assert retained == kinds.strongest(legal)
-
-    def test_legal_pairs_complete_and_sound(self):
-        for held in kinds.ALL_KINDS:
-            pairs = legal_pairs(held)
-            assert len(pairs) == len(set(pairs))
-            for given_k, retained_k in pairs:
-                assert legal_edge_pair(held, given_k, retained_k)
-            expected = {
-                (given_k, retained_k)
-                for given_k in kinds.ALL_KINDS
-                for retained_k in list(kinds.ALL_KINDS) + [None]
-                if legal_edge_pair(held, given_k, retained_k)
-            }
-            assert set(pairs) == expected
-
-    @given(kind_strategy, kind_strategy)
-    @settings(max_examples=200)
-    def test_merged_kind_commutative_and_weakening(self, kind_a, kind_b):
-        assert mergeable(kind_a, kind_b) == mergeable(kind_b, kind_a)
-        if not mergeable(kind_a, kind_b):
-            return
-        merged = merged_kind(kind_a, kind_b)
-        assert merged == merged_kind(kind_b, kind_a)
-        if kind_a == kind_b:
-            assert merged == kind_a
-        else:
-            # Merging never manufactures a claim stronger than the
-            # stronger input.
-            stronger = kinds.strongest([kind_a, kind_b])
-            assert kinds.strength_rank(merged) >= kinds.strength_rank(
-                stronger
-            )

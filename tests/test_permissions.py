@@ -1,16 +1,8 @@
-"""Tests for permission kinds, fractions, states, and the spec language."""
-
-from fractions import Fraction
+"""Tests for permission kinds, splitting, states, and the spec language."""
 
 import pytest
 
 from repro.permissions import kinds
-from repro.permissions.fractions import (
-    FractionalPermission,
-    initial_unique,
-    merge,
-    split_for_requirement,
-)
 from repro.permissions.spec import (
     MethodSpec,
     PermClause,
@@ -19,12 +11,7 @@ from repro.permissions.spec import (
     parse_perm_clauses,
     spec_of_method,
 )
-from repro.permissions.splitting import (
-    best_retained,
-    legal_edge_pair,
-    legal_pairs,
-    merged_kind,
-)
+from repro.permissions.splitting import best_retained, legal_edge_pair
 from repro.permissions.states import ALIVE, StateSpace, iterator_state_space
 
 
@@ -119,12 +106,11 @@ class TestSplitting:
         assert not legal_edge_pair(kinds.PURE, kinds.FULL, None)
 
     def test_pure_only_splits_to_pure(self):
-        pairs = [
-            pair for pair in legal_pairs(kinds.PURE) if pair[1] is not None
-        ]
         assert all(
             given == kinds.PURE and retained == kinds.PURE
-            for given, retained in pairs
+            for given in kinds.ALL_KINDS
+            for retained in kinds.ALL_KINDS
+            if legal_edge_pair(kinds.PURE, given, retained)
         )
 
     def test_best_retained_after_lending_pure(self):
@@ -134,69 +120,16 @@ class TestSplitting:
         retained = best_retained(kinds.UNIQUE, kinds.FULL)
         assert retained in kinds.READ_ONLY_KINDS
 
-    def test_merged_kind_full_pure(self):
-        assert merged_kind(kinds.FULL, kinds.PURE) == kinds.FULL
-
     def test_every_legal_split_is_sound(self):
         # Two writing-exclusive pieces must never coexist.
         for held in kinds.ALL_KINDS:
-            for given, retained in legal_pairs(held):
-                if retained is None:
-                    continue
-                assert not (
-                    given in kinds.EXCLUSIVE_KINDS
-                    and retained in kinds.EXCLUSIVE_KINDS
-                )
-
-
-class TestFractions:
-    def test_initial_unique(self):
-        perm = initial_unique()
-        assert perm.kind == kinds.UNIQUE
-        assert perm.fraction == 1
-
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            FractionalPermission(kinds.FULL, Fraction(0))
-        with pytest.raises(ValueError):
-            FractionalPermission(kinds.FULL, Fraction(3, 2))
-
-    def test_split_then_merge_restores_unique(self):
-        held = initial_unique()
-        given, retained = split_for_requirement(held, kinds.SHARE)
-        assert given.kind == kinds.SHARE
-        merged = merge(given, retained)
-        assert merged.kind == kinds.UNIQUE
-        assert merged.fraction == 1
-
-    def test_full_plus_pure_residue_restores(self):
-        held = initial_unique()
-        given, retained = split_for_requirement(held, kinds.FULL)
-        assert given.kind == kinds.FULL
-        assert retained.kind == kinds.PURE
-        merged = merge(given, retained)
-        assert merged.kind == kinds.UNIQUE
-
-    def test_unique_requirement_consumes_everything(self):
-        held = initial_unique()
-        given, retained = split_for_requirement(held, kinds.UNIQUE)
-        assert given.kind == kinds.UNIQUE
-        assert retained is None
-
-    def test_unsatisfiable_requirement_returns_none(self):
-        held = FractionalPermission(kinds.PURE)
-        assert split_for_requirement(held, kinds.FULL) is None
-
-    def test_merge_rejects_over_unit_fraction(self):
-        a = FractionalPermission(kinds.SHARE, Fraction(3, 4))
-        b = FractionalPermission(kinds.SHARE, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            merge(a, b)
-
-    def test_merge_keeps_common_state(self):
-        a = FractionalPermission(kinds.SHARE, Fraction(1, 4), "HASNEXT")
-        b = FractionalPermission(kinds.SHARE, Fraction(1, 4), "HASNEXT")
-        assert merge(a, b).state == "HASNEXT"
+            for given in kinds.ALL_KINDS:
+                for retained in kinds.ALL_KINDS:
+                    if legal_edge_pair(held, given, retained):
+                        assert not (
+                            given in kinds.EXCLUSIVE_KINDS
+                            and retained in kinds.EXCLUSIVE_KINDS
+                        )
 
 
 class TestStates:

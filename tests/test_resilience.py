@@ -130,15 +130,15 @@ class TestResiliencePolicy:
         from repro.core.infer import BP_DAMPING
         from repro.resilience.guard import RETRY_DAMPING, _attempt_ladder
 
-        ladder = _attempt_ladder(ResiliencePolicy(solve_retries=5), "compiled")
-        # Attempt 0 and the identical-parameter retry, four escalating
-        # retries, then the loopy fallback at the floor.
-        assert ladder[:2] == [("compiled", BP_DAMPING)] * 2
-        values = [damping for _, damping in ladder[2:-1]]
+        ladder = _attempt_ladder(ResiliencePolicy(solve_retries=5))
+        # Attempt 0 and the identical-parameter retry, then four
+        # escalating retries: one damping schedule for either engine.
+        assert ladder[:2] == [BP_DAMPING] * 2
+        values = ladder[2:]
         assert len(values) == 4
         assert values == sorted(values)
+        assert values[0] == RETRY_DAMPING
         assert all(RETRY_DAMPING <= v <= 0.9 for v in values)
-        assert ladder[-1] == ("loopy", RETRY_DAMPING)
 
     def test_settings_reject_bad_policy(self):
         from repro.core.infer import InferenceSettings

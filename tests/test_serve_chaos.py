@@ -100,7 +100,6 @@ def _retrying_client(address):
         backoff=0.05,
         backoff_max=0.5,
         call_deadline=120.0,
-        breaker_threshold=10_000,  # the soak wants persistence, not fail-fast
     )
 
 

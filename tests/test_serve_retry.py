@@ -1,4 +1,4 @@
-"""Retries, the completed-work store, overload admission, the breaker.
+"""Retries, the completed-work store, overload admission.
 
 The self-healing client/daemon contract (DESIGN §15), bottom-up:
 
@@ -6,7 +6,7 @@ The self-healing client/daemon contract (DESIGN §15), bottom-up:
   ``ok`` outcomes only), the retryable status surface;
 * **client** — connection hygiene after errors (a failed call never
   leaves a half-sent frame stream behind), backoff-bounded retries,
-  per-call deadlines, the circuit breaker's open/half-open/closed walk;
+  per-call deadlines, and ``shutdown`` never retried;
 * **daemon** — repeated work answered from the store without running
   again (asserted via the server's replay/executed counters), failed
   and expired outcomes run again, RSS overload shedding with retryable
@@ -23,7 +23,6 @@ import pytest
 
 from repro.serve import (
     AnekServer,
-    CircuitOpenError,
     ProtocolError,
     ReplayCache,
     ServeAddressInUse,
@@ -180,7 +179,7 @@ class TestIdemValidation:
 
 
 # ---------------------------------------------------------------------------
-# Client: connection hygiene, retries, breaker
+# Client: connection hygiene, retries
 # ---------------------------------------------------------------------------
 
 
@@ -279,55 +278,27 @@ class TestClientConnectionHygiene:
             retries=1000,
             backoff=0.05,
             call_deadline=0.3,
-            breaker_threshold=10_000,
         )
         started = time.monotonic()
         with pytest.raises(ServeError, match="deadline"):
             client.ping()
         assert time.monotonic() - started < 5.0
 
+    def test_shutdown_is_never_retried(self, monkeypatch):
+        from repro.serve import client as client_module
 
-class TestCircuitBreaker:
-    def _dead_client(self, **kwargs):
-        kwargs.setdefault("retries", 1)
-        kwargs.setdefault("backoff", 0.01)
-        return ServeClient("tcp:127.0.0.1:1", **kwargs)
+        real_connect = client_module.connect
+        dials = []
 
-    def test_opens_after_threshold_and_fails_fast(self):
-        client = self._dead_client(breaker_threshold=2, breaker_cooldown=60.0)
-        with pytest.raises(ServeError):
-            client.ping()  # 2 attempts = 2 consecutive failures
-        assert client.breaker_open
-        started = time.monotonic()
-        with pytest.raises(CircuitOpenError):
-            client.ping()
-        assert time.monotonic() - started < 0.1  # no dial, no backoff
+        def counting_connect(address, timeout=None):
+            dials.append(address)
+            return real_connect(address, timeout=timeout)
 
-    def test_half_open_after_cooldown_then_success_closes(self, tmp_path):
-        server = AnekServer(
-            port=0, cache_dir=str(tmp_path / "cache"), workers=1
-        )
-        # Fail against a dead port first, with a short cooldown.
-        client = self._dead_client(breaker_threshold=2, breaker_cooldown=0.1)
-        with pytest.raises(ServeError):
-            client.ping()
-        assert client.breaker_open
-        time.sleep(0.15)
-        assert not client.breaker_open  # cooled down: half-open
-        server.start()
-        try:
-            client.address = server.address  # the service "came back"
-            assert client.ping()["status"] == "ok"
-            assert client._consecutive_failures == 0  # probe closed it
-        finally:
-            server.initiate_shutdown()
-            server.wait()
-
-    def test_shutdown_is_never_retried(self):
-        client = self._dead_client(retries=5, breaker_threshold=100)
+        monkeypatch.setattr(client_module, "connect", counting_connect)
+        client = ServeClient("tcp:127.0.0.1:1", retries=5, backoff=0.01)
         with pytest.raises(ServeError):
             client.shutdown()
-        assert client._consecutive_failures == 0  # single-shot path
+        assert dials == ["tcp:127.0.0.1:1"]  # one attempt, no retry
 
 
 # ---------------------------------------------------------------------------

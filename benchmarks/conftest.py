@@ -1,8 +1,10 @@
-"""Shared benchmark configuration.
+"""Shared benchmark configuration: the one size knob.
 
-The experiment benchmarks default to a scaled-down corpus so the suite
-runs in minutes; set ``REPRO_FULL_SCALE=1`` to regenerate the paper's
-tables at full PMD scale (463 classes / 3,120 methods / 38,483 lines).
+Every benchmark defaults to quick sizes, so the suite runs in minutes.
+Set ``REPRO_FULL_SCALE=1`` for full size: the paper's tables at full
+PMD scale (463 classes / 3,120 methods / 38,483 lines), and the larger
+programs, loop counts and request counts of the bp, check, incremental,
+scale and serve benches.
 """
 
 import os

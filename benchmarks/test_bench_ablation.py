@@ -6,8 +6,6 @@
 * L2 mode           — paper's one-of vs the all-equal default
 """
 
-import pytest
-
 from repro.core import AnekInference, AnekPipeline, InferenceSettings
 from repro.core.heuristics import HeuristicConfig
 from repro.corpus.examples import figure3_sources

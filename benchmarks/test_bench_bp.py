@@ -11,15 +11,15 @@ branchy call-graph corpus):
   The compiled run must be at least 3x faster while producing the same
   number of annotations.
 
-Results are written to ``BENCH_bp.json`` at the repo root.  Set
-``REPRO_BENCH_QUICK=1`` (the CI smoke job does) for a smaller program.
+Results are written to ``BENCH_bp.json`` at the repo root.  The
+default program is small; ``REPRO_FULL_SCALE=1`` runs the larger one.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import FULL_SCALE
 from repro.core.extract import count_nonempty
 from repro.core.heuristics import HeuristicConfig
 from repro.core.infer import (
@@ -39,8 +39,7 @@ from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import resolve_program
 from repro.permissions.spec import SpecEnvironment
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-METHOD_COUNT = 8 if QUICK else 24
+METHOD_COUNT = 24 if FULL_SCALE else 8
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_bp.json"
 
 
@@ -140,7 +139,7 @@ def test_bench_bp_kernel_and_infer(benchmark):
     kernel, loopy, compiled = benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = loopy["seconds"] / max(compiled["seconds"], 1e-9)
     report = {
-        "program": {"methods": METHOD_COUNT, "quick": QUICK},
+        "program": {"methods": METHOD_COUNT, "quick": not FULL_SCALE},
         "kernel": kernel,
         "end_to_end": {
             "loopy_seconds": loopy["seconds"],

@@ -20,22 +20,26 @@ Asserted here:
   CI ``check-smoke`` job runs) uses N=256 and a floor that only guards
   against regressions to sub-tier-1 performance.
 
-Each tier runs in its own forked child so parser caches and checker
-state never contaminate the other's timing.  Results go to
-``BENCH_check.json`` at the repo root.
+Each run of a tier is its own forked child, so parser caches and
+checker state never contaminate the other's timing, and each tier's
+time is the median of :data:`SAMPLES` such children, run alternately
+with the other tier's, so one slow child does not decide the floor.
+Results go to ``BENCH_check.json`` at the repo root, before the floors
+are checked.
 """
 
 import json
 import multiprocessing
-import os
 import time
 from pathlib import Path
 
-FULL = os.environ.get("REPRO_FULL_SCALE", "") == "1"
+from benchmarks.conftest import FULL_SCALE
 
-N_LOOPS = 1024 if FULL else 256
-MIN_SPEEDUP = 10.0 if FULL else 1.3
+N_LOOPS = 1024 if FULL_SCALE else 256
+MIN_SPEEDUP = 10.0 if FULL_SCALE else 1.3
 MIN_COVERAGE = 0.9
+#: Forked children per tier; a tier's time is their median.
+SAMPLES = 3
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_check.json"
@@ -86,14 +90,24 @@ def _measure(n_loops, tier):
     return payload
 
 
+def _median(runs):
+    return sorted(runs, key=lambda run: run["wall_seconds"])[len(runs) // 2]
+
+
 def test_bench_tiered_check(benchmark):
     def run():
-        return _measure(N_LOOPS, "full"), _measure(N_LOOPS, "auto")
+        fulls, tiereds = [], []
+        for _ in range(SAMPLES):
+            fulls.append(_measure(N_LOOPS, "full"))
+            tiereds.append(_measure(N_LOOPS, "auto"))
+        return fulls, tiereds
 
-    full, tiered = benchmark.pedantic(run, rounds=1, iterations=1)
+    fulls, tiereds = benchmark.pedantic(run, rounds=1, iterations=1)
+    full, tiered = _median(fulls), _median(tiereds)
 
     # The hard bar first: the fast path changes nothing observable.
-    assert tiered["warnings"] == full["warnings"]
+    for sample in fulls + tiereds:
+        assert sample["warnings"] == full["warnings"]
 
     sites = tiered["tier1_sites"] + tiered["tier2_sites"]
     assert sites > 0
@@ -102,9 +116,11 @@ def test_bench_tiered_check(benchmark):
     per_site_tiered_us = 1e6 * tiered["wall_seconds"] / sites
     print()
     print(
-        "  %d guarded loops, %d call sites: full %6.2f s (%7.1f us/site),"
-        " tiered %6.2f s (%7.1f us/site) -> %.1fx, coverage %.3f"
+        "  median of %d, %d guarded loops, %d call sites: full %6.2f s"
+        " (%7.1f us/site), tiered %6.2f s (%7.1f us/site) -> %.1fx,"
+        " coverage %.3f"
         % (
+            SAMPLES,
             N_LOOPS,
             sites,
             full["wall_seconds"],
@@ -115,18 +131,25 @@ def test_bench_tiered_check(benchmark):
             tiered["site_coverage"],
         )
     )
-
-    assert tiered["site_coverage"] >= MIN_COVERAGE
-    assert speedup >= MIN_SPEEDUP
+    print(
+        "  samples (s): full %s, tiered %s"
+        % (
+            [round(s["wall_seconds"], 2) for s in fulls],
+            [round(s["wall_seconds"], 2) for s in tiereds],
+        )
+    )
 
     report = {
         "bench": "check",
-        "mode": "full" if FULL else "quick",
+        "mode": "full" if FULL_SCALE else "quick",
         "program": "inlined guarded-iterator (Table 3 configuration)",
         "guarded_loops": N_LOOPS,
         "call_sites": sites,
+        "samples": SAMPLES,
         "full_seconds": round(full["wall_seconds"], 3),
         "tiered_seconds": round(tiered["wall_seconds"], 3),
+        "full_samples": [round(s["wall_seconds"], 3) for s in fulls],
+        "tiered_samples": [round(s["wall_seconds"], 3) for s in tiereds],
         "tier1_seconds": round(tiered["tier1_seconds"], 3),
         "tier2_seconds": round(tiered["tier2_seconds"], 3),
         "per_callsite_full_us": round(per_site_full_us, 2),
@@ -139,4 +162,9 @@ def test_bench_tiered_check(benchmark):
         "warnings_bit_identical": True,
         "warning_count": len(full["warnings"]),
     }
+    # Written before the floors are checked, so a reading below a floor
+    # is on record too.
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+
+    assert tiered["site_coverage"] >= MIN_COVERAGE
+    assert speedup >= MIN_SPEEDUP

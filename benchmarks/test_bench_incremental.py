@@ -7,8 +7,8 @@ against the same on-disk cache directory and each checked as
 * **cold** — empty cache: every unit parses, every PFG builds, every
   model solves, every method's tier-1 plan is built, and the artifacts
   are written out;
-* **warm** — nothing changed: the final-results artifact restores the
-  converged summary store wholesale (zero solves) and every tier-1
+* **warm** — nothing changed: every visit replays its stored outcome
+  or is skipped (zero model builds, zero BP sweeps) and every tier-1
   verdict replays (zero plans);
 * **warm after edit** — one method body edited: the untouched unit and
   every untouched method's artifacts are reused, only the visits whose
@@ -16,24 +16,23 @@ against the same on-disk cache directory and each checked as
 
 The acceptance bar is warm >= 3x cold with bit-identical specs.
 Results are written to ``BENCH_incremental.json`` at the repo root.
-Set ``REPRO_BENCH_QUICK=1`` (the CI smoke job does) for a smaller
-program.
+The default program is small; ``REPRO_FULL_SCALE=1`` runs the larger
+one.
 """
 
 import json
-import os
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
+from benchmarks.conftest import FULL_SCALE
 from repro.cache import AnalysisCache
 from repro.core import AnekPipeline, InferenceSettings
 from repro.corpus.generator import generate_branchy_program
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-METHOD_COUNT = 8 if QUICK else 24
+METHOD_COUNT = 24 if FULL_SCALE else 8
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
 #: Per-lane answer fields, compared across lanes but not reported.
 ANSWER = ("specs", "warnings")
@@ -65,9 +64,10 @@ def _run(cache_dir, edited=False):
             for ref, spec in result.specs.items()
         },
         "warnings": [warning.format() for warning in result.warnings],
-        "warm_start": stats.warm_start,
         "solves": stats.solves,
         "builds": stats.builds,
+        "reuses": stats.reuses,
+        "skips": stats.skips,
         "replays": stats.replays,
         "parse_hits": moved.parse_hits,
         "parse_misses": moved.parse_misses,
@@ -75,7 +75,6 @@ def _run(cache_dir, edited=False):
         "pfg_misses": moved.pfg_misses,
         "solve_hits": moved.solve_hits,
         "solve_misses": moved.solve_misses,
-        "final_hits": moved.final_hits,
         "verdict_hits": moved.verdict_hits,
         "verdict_misses": moved.verdict_misses,
         "hit_ratio": moved.hit_ratio(),
@@ -100,7 +99,7 @@ def test_bench_incremental(benchmark):
     warm_speedup = cold["seconds"] / max(warm["seconds"], 1e-9)
     edit_speedup = cold["seconds"] / max(edited["seconds"], 1e-9)
     report = {
-        "program": {"methods": METHOD_COUNT, "quick": QUICK},
+        "program": {"methods": METHOD_COUNT, "quick": not FULL_SCALE},
         "cold": {k: v for k, v in cold.items() if k not in ANSWER},
         "warm": {k: v for k, v in warm.items() if k not in ANSWER},
         "warm_after_edit": {
@@ -116,10 +115,13 @@ def test_bench_incremental(benchmark):
         % (cold["seconds"], cold["solves"], cold["builds"])
     )
     print(
-        "  warm       %.3fs  (%.1fx, full restore; verdict %d hit/%d miss)"
+        "  warm       %.3fs  (%.1fx; %d builds, %d replays, "
+        "verdict %d hit/%d miss)"
         % (
             warm["seconds"],
             warm_speedup,
+            warm["builds"],
+            warm["replays"],
             warm["verdict_hits"],
             warm["verdict_misses"],
         )
@@ -143,8 +145,12 @@ def test_bench_incremental(benchmark):
     # The cache must be invisible in the answer.
     assert warm["specs"] == cold["specs"]
     assert warm["warnings"] == cold["warnings"]
-    assert warm["warm_start"] and warm["solves"] == 0
-    # A warm start plans no method: every verdict replays.
+    # An unchanged rerun replays: no model is built or reused, and every
+    # visit the cold run solved is one replay.
+    assert warm["builds"] == warm["reuses"] == 0
+    assert warm["replays"] + warm["skips"] == warm["solves"]
+    assert warm["replays"] == cold["solve_misses"]
+    # It plans no method: every verdict replays.
     assert warm["verdict_misses"] == 0
     assert warm["verdict_hits"] == cold["verdict_misses"]
     # One edited method: one re-parse, the rest reused.

@@ -5,7 +5,7 @@ that correct annotations were inferred, and that after inference PLURAL
 would report no warnings."
 """
 
-from repro.corpus.regression import REGRESSION_SUITE, run_suite
+from repro.corpus.regression import run_suite
 
 
 def test_bench_regression_suite(benchmark):

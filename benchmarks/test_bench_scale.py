@@ -27,14 +27,13 @@ and timings never contaminate each other.  Results go to
 import hashlib
 import json
 import multiprocessing
-import os
 import time
 from pathlib import Path
 
-FULL = os.environ.get("REPRO_FULL_SCALE", "") == "1"
+from benchmarks.conftest import FULL_SCALE
 
 SMALL_FACTOR = 1.001  # smallest factor on the scale-out path
-BIG_FACTOR = 10.0 if FULL else 2.0
+BIG_FACTOR = 10.0 if FULL_SCALE else 2.0
 MAX_LINEAR_SLOWDOWN = 1.3  # full mode: 10x methods <= 13x time
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +127,7 @@ def test_bench_scale_out(benchmark):
     )
 
     # Near-linear scaling of the scheduler.
-    if FULL:
+    if FULL_SCALE:
         assert big["methods"] >= 30000
         assert time_ratio <= MAX_LINEAR_SLOWDOWN * size_ratio
     # In every mode the growth must stay far below quadratic (the old
@@ -137,7 +136,7 @@ def test_bench_scale_out(benchmark):
 
     report = {
         "bench": "scale",
-        "mode": "full" if FULL else "quick",
+        "mode": "full" if FULL_SCALE else "quick",
         "executor": "serial",
         "engine": "compiled",
         "points": [small, big],
@@ -145,7 +144,7 @@ def test_bench_scale_out(benchmark):
         "time_ratio": round(time_ratio, 3),
         "max_time_ratio_allowed": (
             round(MAX_LINEAR_SLOWDOWN * size_ratio, 3)
-            if FULL
+            if FULL_SCALE
             else round(size_ratio ** 2, 3)
         ),
     }

@@ -6,9 +6,9 @@ Compares four ways of answering the same inference request:
   cache: interpreter start, imports, parse, solve, all per request (the
   pre-daemon workflow);
 * **warm served** — each request goes to a fresh daemon on one hot
-  cache directory, so it warm-starts from the content-addressed store
-  (a daemon answers work it finished itself from its completed-work
-  store instead);
+  cache directory, so it replays every visit from the content-addressed
+  store and builds no model (a daemon answers work it finished itself
+  from its completed-work store instead);
 * **replay hit** — the same request resubmitted to one daemon, answered
   from its completed-work store;
 * **concurrent served** — 4 client threads send each round's new
@@ -19,8 +19,9 @@ Compares four ways of answering the same inference request:
 The acceptance bar is warm served p50 latency >= 3x faster than the
 cold CLI, at >= 4 concurrent clients, with every served response
 bit-identical.  Results go to ``BENCH_serve.json`` at the repo root
-(p50/p99 latency, throughput).  Set ``REPRO_BENCH_QUICK=1`` (the CI
-smoke job does) for fewer requests; the client count never drops.
+(p50/p99 latency, throughput).  The default sends few requests over a
+small program; ``REPRO_FULL_SCALE=1`` sends more over a larger one.  The
+client count is the same in both.
 """
 
 import json
@@ -33,14 +34,14 @@ import threading
 import time
 from pathlib import Path
 
+from benchmarks.conftest import FULL_SCALE
 from repro.corpus.generator import generate_branchy_program
 from repro.serve import AnekServer, ServeClient
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-METHOD_COUNT = 8 if QUICK else 16
+METHOD_COUNT = 16 if FULL_SCALE else 8
 CLIENTS = 4
-REQUESTS_PER_CLIENT = 4 if QUICK else 12
-COLD_RUNS = 1 if QUICK else 3
+REQUESTS_PER_CLIENT = 12 if FULL_SCALE else 4
+COLD_RUNS = 3 if FULL_SCALE else 1
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_serve.json"
 
@@ -130,7 +131,8 @@ def test_bench_serve(benchmark):
                     warm_solo.append(time.perf_counter() - start)
             finally:
                 stop(server)
-            assert response["stats"]["warm_start"]
+            inference = response["stats"]["inference"]
+            assert inference["builds"] == 0 and inference["replays"] > 0
             assert same_answer(response)
 
         # Concurrent load: CLIENTS threads, one connection each, every
@@ -187,7 +189,7 @@ def test_bench_serve(benchmark):
     total = CLIENTS * REQUESTS_PER_CLIENT
     solo_p50 = _percentile(warm_solo, 0.5)
     report = {
-        "program": {"methods": METHOD_COUNT, "quick": QUICK},
+        "program": {"methods": METHOD_COUNT, "quick": not FULL_SCALE},
         "cold_cli_seconds": cold_cli,
         "warm_solo": {
             "p50_seconds": solo_p50,

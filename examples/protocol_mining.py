@@ -17,8 +17,6 @@ performs that combination end to end:
     python examples/protocol_mining.py
 """
 
-from repro.core import infer_and_check
-from repro.core.applier import apply_spec_to_method
 from repro.corpus import CorpusSpec, generate_pmd_corpus
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import resolve_program

@@ -1,8 +1,8 @@
 """Persistent, content-addressed analysis cache (cross-run reuse).
 
-See :mod:`repro.cache.manager` for the architecture: three layers
-(parsed units, per-method frontend artifacts, solver outcomes + final
-results), all addressed by canonical SHA-256 fingerprints
+See :mod:`repro.cache.manager` for the architecture: four layers
+(parsed units, per-method frontend artifacts, per-visit solve outcomes,
+tier-1 check verdicts), all addressed by canonical SHA-256 fingerprints
 (:mod:`repro.cache.fingerprints`) so invalidation is automatic — a
 changed input simply addresses a different artifact.
 """

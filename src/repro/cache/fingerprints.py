@@ -13,12 +13,12 @@ Python data.  Canonical means:
   order in a method body, the vote order of an evidence bucket feeding a
   geometric mean) must distinguish keys.
 
-On top of the encoder sit the domain fingerprints: per-source and
-per-method content digests (via the canonical pretty printer), the
-interface environment digest (everything about every class *except*
-method bodies — signatures, annotations, fields, supertypes — i.e. the
-inputs a method's analysis can observe about the rest of the program),
-and the heuristic/inference configuration digest.
+On top of the encoder sit the domain fingerprints: per-source digests
+of the raw text, per-method content digests (via the canonical pretty
+printer), the interface environment digest (everything about every
+class *except* method bodies — signatures, annotations, fields,
+supertypes — i.e. the inputs a method's analysis can observe about the
+rest of the program), and the heuristic/inference configuration digest.
 """
 
 import hashlib
@@ -30,11 +30,7 @@ from repro.core.infer import (
     BP_TOLERANCE,
     SUMMARY_CHANGE_THRESHOLD,
 )
-from repro.java.pretty import (
-    pretty_print,
-    pretty_print_field,
-    pretty_print_method,
-)
+from repro.java.pretty import pretty_print_field, pretty_print_method
 
 #: Bumped whenever the layout of any cached payload changes; combined
 #: with ``repro.__version__`` in every key, so stale artifact formats
@@ -103,23 +99,13 @@ def digest(value):
 
 
 # ---------------------------------------------------------------------------
-# Source / program fingerprints (cache layer 1)
+# Source fingerprints (cache layer 1)
 # ---------------------------------------------------------------------------
 
 
 def source_digest(source):
     """Digest of one raw compilation-unit source string."""
     return digest(("source", source))
-
-
-def unit_digest(unit):
-    """Digest of a parsed unit's canonical (pretty-printed) rendering."""
-    return digest(("unit", pretty_print(unit)))
-
-
-def program_digest(program):
-    """Digest of the whole resolved program, unit order preserved."""
-    return digest(("program", tuple(unit_digest(u) for u in program.units)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +215,8 @@ def config_digest(config, settings):
         config_items.append((f.name, getattr(config, f.name)))
     # Deliberately excluded: the executor (both schedules funnel each
     # solve through the same visit step on the same inputs, so a
-    # per-visit artifact is schedule-independent; the schedule *kind*
-    # distinguishes final-result entries separately), the engine (the
-    # two give bit-identical marginals) and the threshold (read only by
+    # per-visit artifact is schedule-independent), the engine (the two
+    # give bit-identical marginals) and the threshold (read only by
     # extraction, after the run).
     settings_items = (
         ("max_worklist_iters", settings.max_worklist_iters),

@@ -1,4 +1,4 @@
-"""The persistent analysis cache: four content-addressed layers.
+"""The persistent analysis cache: three content layers plus verdicts.
 
 Layer 1 — **parsed units**: raw source text → parsed compilation unit.
 Layer 2 — **frontend artifacts**: per-method PFGs (the input to
@@ -6,10 +6,9 @@ constraint generation, whose factor graph is a deterministic function of
 the PFG + config) plus the method's resolved call targets, keyed by the
 method's *static fingerprint* — its own pretty-printed content plus the
 interface environment digest.
-Layer 3 — **solver artifacts**: (a) per-visit solve outcomes (boundary
-marginals + evidence deposits) keyed by static fingerprint × config ×
-the canonicalized summary/evidence input token, and (b) whole-run final
-results keyed by program × config × schedule kind.
+Layer 3 — **solve outcomes**: per-visit boundary marginals + evidence
+deposits, keyed by static fingerprint × config × the canonicalized
+summary/evidence input token.
 Layer 4 — **check verdicts**: each method's tier-1 verdict (residue
 reason or none, plus its site count) keyed by static fingerprint × its
 own spec × its callees' specs, as the checker reads them after the
@@ -20,9 +19,12 @@ trajectory, so warm-starting it with converged summaries would change
 the trajectory and therefore the marginals.  Instead each worklist visit
 is treated as a pure function of its fingerprinted inputs and its
 *outcome* is replayed from the store — same trajectory, same floats, no
-BP sweep.  Invalidation is automatic and exact: any changed input
-changes the key, so a stale artifact is simply never addressed again,
-and the per-layer misses count exactly what a run did again.
+BP sweep.  A rerun of unchanged sources replays every visit this way.
+Invalidation is automatic and exact: any changed input changes the key,
+so a stale artifact is simply never addressed again, and the per-layer
+misses count exactly what a run did again.  Every layer reads through
+:meth:`AnalysisCache.read`, the one place an entry is decoded, checked
+and counted.
 """
 
 import warnings
@@ -37,15 +39,25 @@ from repro.cache.fingerprints import (
     digest,
     environment_digest,
     method_digest,
-    program_digest,
     source_digest,
     spec_token,
 )
 from repro.cache.pfgser import pfg_from_payload, pfg_to_payload
 from repro.cache.store import ArtifactStore
+from repro.java.ast import CompilationUnit
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".anek-cache"
+
+#: Each layer as ``(name, label)``: ``name`` prefixes its
+#: ``<name>_hits``/``<name>_misses`` counters and names it in a
+#: quarantine warning; ``label`` is its row in :meth:`CacheStats.describe`.
+LAYERS = (
+    ("parse", "units"),
+    ("pfg", "pfgs"),
+    ("solve", "solves"),
+    ("verdict", "verdict"),
+)
 
 
 @dataclass
@@ -59,12 +71,9 @@ class CacheStats:
     #: Layer 2: per-method PFG + call-target artifacts.
     pfg_hits: int = 0
     pfg_misses: int = 0
-    #: Layer 3a: per-visit solve outcomes replayed / solved cold.
+    #: Layer 3: per-visit solve outcomes replayed / solved cold.
     solve_hits: int = 0
     solve_misses: int = 0
-    #: Layer 3b: whole-run warm starts.
-    final_hits: int = 0
-    final_misses: int = 0
     #: Layer 4: tier-1 check verdicts replayed / planned again.
     verdict_hits: int = 0
     verdict_misses: int = 0
@@ -80,22 +89,10 @@ class CacheStats:
     uncacheable: bool = False
 
     def hits(self):
-        return (
-            self.parse_hits
-            + self.pfg_hits
-            + self.solve_hits
-            + self.final_hits
-            + self.verdict_hits
-        )
+        return sum(getattr(self, name + "_hits") for name, _ in LAYERS)
 
     def misses(self):
-        return (
-            self.parse_misses
-            + self.pfg_misses
-            + self.solve_misses
-            + self.final_misses
-            + self.verdict_misses
-        )
+        return sum(getattr(self, name + "_misses") for name, _ in LAYERS)
 
     def hit_ratio(self):
         total = self.hits() + self.misses()
@@ -123,23 +120,15 @@ class CacheStats:
 
     def describe(self):
         lines = ["analysis cache:"]
-        lines.append(
-            "  units   %5d hit %5d miss" % (self.parse_hits, self.parse_misses)
-        )
-        lines.append(
-            "  pfgs    %5d hit %5d miss" % (self.pfg_hits, self.pfg_misses)
-        )
-        lines.append(
-            "  solves  %5d hit %5d miss"
-            % (self.solve_hits, self.solve_misses)
-        )
-        lines.append(
-            "  final   %5d hit %5d miss" % (self.final_hits, self.final_misses)
-        )
-        lines.append(
-            "  verdict %5d hit %5d miss"
-            % (self.verdict_hits, self.verdict_misses)
-        )
+        for name, label in LAYERS:
+            lines.append(
+                "  %-7s %5d hit %5d miss"
+                % (
+                    label,
+                    getattr(self, name + "_hits"),
+                    getattr(self, name + "_misses"),
+                )
+            )
         lines.append(
             "  corrupt %d, schema-invalid %d, hit ratio %.1f%%"
             % (
@@ -171,11 +160,35 @@ class AnalysisCache:
         """A full store key: schema tag + repro version + layer + content."""
         return digest((self.schema_tag, repro.__version__, layer, content))
 
-    def load(self, key):
+    def read(self, layer, key, decode):
+        """The live value of ``layer``'s entry under ``key``, or None.
+
+        ``decode`` turns the stored payload into that value and raises
+        KeyError, IndexError, TypeError or ValueError on a payload of
+        the wrong shape.  Such an entry is quarantined: counted as
+        ``schema_invalid``, warned about and deleted (``save`` would
+        otherwise pin it forever), and read as a miss.  Counts the
+        layer's hit or miss."""
         before = self.store.corrupt_count
         payload = self.store.load(key)
         self.stats.corrupt_entries += self.store.corrupt_count - before
-        return payload
+        value = None
+        if payload is not None:
+            try:
+                value = decode(payload)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                self.stats.schema_invalid += 1
+                warnings.warn(
+                    "discarding schema-invalid %s cache entry (%s: %s); "
+                    "falling back to a cold build"
+                    % (layer, type(exc).__name__, exc),
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                self.store.discard(key)
+        counter = layer + ("_misses" if value is None else "_hits")
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        return value
 
     def save(self, key, payload):
         """Persist via the store, surfacing write failures as a counted
@@ -194,29 +207,12 @@ class AnalysisCache:
         the source already parsed cleanly, and governance never changes
         what a successful parse produces.
         """
-        from repro.java.ast import CompilationUnit
         from repro.java.parser import parse_compilation_unit
 
         key = self.key("unit", source_digest(source))
-        unit = self.load(key)
-        if unit is not None and not isinstance(unit, CompilationUnit):
-            # Deserialized fine but is not a compilation unit: quarantine
-            # it (delete, or ``save`` would pin it) and fall through to a
-            # cold parse.
-            self.stats.schema_invalid += 1
-            warnings.warn(
-                "discarding schema-invalid unit cache entry (expected "
-                "CompilationUnit, got %s); falling back to a cold parse"
-                % type(unit).__name__,
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.store.discard(key)
-            unit = None
+        unit = self.read("parse", key, _decode_unit)
         if unit is not None:
-            self.stats.parse_hits += 1
             return unit
-        self.stats.parse_misses += 1
         unit = parse_compilation_unit(source, limits=limits)
         self.save(key, unit)
         return unit
@@ -246,28 +242,11 @@ class BoundCache:
 
     def __init__(self, cache, program, config_fp):
         self.cache = cache
-        self.stats = cache.stats
-        self.store = cache.store
-        self.program = program
         self.config_fp = config_fp
         self.table = program.method_key_table()
         self.key_of = {ref: key for key, ref in self.table.items()}
         self.env_fp = environment_digest(program)
-        self.program_fp = program_digest(program)
         self._method_fps = {}
-
-    def _quarantine_entry(self, key, layer, exc):
-        """A payload deserialized but failed shape validation: count it,
-        delete it (``save`` would otherwise pin it forever), miss."""
-        self.stats.schema_invalid += 1
-        warnings.warn(
-            "discarding schema-invalid %s cache entry (%s: %s); "
-            "falling back to a cold build"
-            % (layer, type(exc).__name__, exc),
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self.store.discard(key)
 
     def method_fingerprint(self, method_ref):
         """The method's static fingerprint: own content × environment."""
@@ -283,27 +262,19 @@ class BoundCache:
 
     def load_frontend(self, method_ref):
         """(pfg, [(callee_ref, line), ...]) from the store, or (None, None)."""
-        key = self.cache.key("pfg", self.method_fingerprint(method_ref))
-        payload = self.cache.load(key)
-        if payload is not None:
-            try:
-                if not isinstance(payload, dict):
-                    raise TypeError(
-                        "expected dict payload, got %s" % type(payload).__name__
-                    )
-                pfg = pfg_from_payload(payload["pfg"], method_ref, self.table)
-                callees = [
-                    (self.table[callee_key], line)
+        table = self.table
+
+        def decode(payload):
+            return (
+                pfg_from_payload(payload["pfg"], method_ref, table),
+                [
+                    (table[callee_key], line)
                     for callee_key, line in payload["callees"]
-                ]
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                self._quarantine_entry(key, "pfg", exc)
-                payload = None
-            else:
-                self.stats.pfg_hits += 1
-                return pfg, callees
-        self.stats.pfg_misses += 1
-        return None, None
+                ],
+            )
+
+        key = self.cache.key("pfg", self.method_fingerprint(method_ref))
+        return self.cache.read("pfg", key, decode) or (None, None)
 
     def store_frontend(self, method_ref, pfg, callees):
         key = self.cache.key("pfg", self.method_fingerprint(method_ref))
@@ -317,7 +288,7 @@ class BoundCache:
             },
         )
 
-    # -- layer 3a: per-visit solve outcomes ------------------------------------
+    # -- layer 3: per-visit solve outcomes -------------------------------------
 
     def solve_key(self, method_ref, input_token):
         """The store key of one worklist visit's outcome."""
@@ -334,40 +305,32 @@ class BoundCache:
         """(boundary, deposits) with live refs/marginals, or None."""
         from repro.core.summaries import TargetMarginal
 
-        payload = self.cache.load(key)
-        if payload is not None:
-            try:
-                if not isinstance(payload, dict):
-                    raise TypeError(
-                        "expected dict payload, got %s" % type(payload).__name__
-                    )
-                boundary = {
-                    (slot, target): TargetMarginal.from_payload(part)
-                    for (slot, target), part in payload["boundary"]
-                }
-                deposits = [
-                    (
-                        self.table[callee_key],
-                        slot,
-                        target,
-                        (self.table[owner_key], site_index),
-                        TargetMarginal.from_payload(part),
-                    )
-                    for (
-                        callee_key,
-                        slot,
-                        target,
-                        (owner_key, site_index),
-                        part,
-                    ) in payload["deposits"]
-                ]
-            except (KeyError, IndexError, ValueError, TypeError) as exc:
-                self._quarantine_entry(key, "solve", exc)
-            else:
-                self.stats.solve_hits += 1
-                return boundary, deposits
-        self.stats.solve_misses += 1
-        return None
+        table = self.table
+
+        def decode(payload):
+            boundary = {
+                (slot, target): TargetMarginal.from_payload(part)
+                for (slot, target), part in payload["boundary"]
+            }
+            deposits = [
+                (
+                    table[callee_key],
+                    slot,
+                    target,
+                    (table[owner_key], site_index),
+                    TargetMarginal.from_payload(part),
+                )
+                for (
+                    callee_key,
+                    slot,
+                    target,
+                    (owner_key, site_index),
+                    part,
+                ) in payload["deposits"]
+            ]
+            return boundary, deposits
+
+        return self.cache.read("solve", key, decode)
 
     def store_solve(self, key, boundary, deposits):
         payload = {
@@ -387,68 +350,6 @@ class BoundCache:
             ],
         }
         return self.cache.save(key, payload)
-
-    # -- layer 3b: whole-run final results -------------------------------------
-
-    def final_key(self, schedule_kind):
-        return self.cache.key(
-            "final", (self.program_fp, self.config_fp, schedule_kind)
-        )
-
-    def load_final(self, schedule_kind):
-        """(results, callees) for a warm start, or None; ``callees`` is
-        what :meth:`store_final` was given."""
-        from repro.core.summaries import TargetMarginal
-
-        final_key = self.final_key(schedule_kind)
-        payload = self.cache.load(final_key)
-        if payload is not None:
-            try:
-                if not isinstance(payload, dict):
-                    raise TypeError(
-                        "expected dict payload, got %s" % type(payload).__name__
-                    )
-                results = {}
-                for key, boundary in payload["results"]:
-                    results[self.table[key]] = {
-                        (slot, target): TargetMarginal.from_payload(part)
-                        for (slot, target), part in boundary
-                    }
-                callees = {
-                    self.table[key]: tuple(
-                        self.table[callee] for callee in callee_keys
-                    )
-                    for key, callee_keys in payload["callees"]
-                }
-            except (KeyError, IndexError, ValueError, TypeError) as exc:
-                self._quarantine_entry(final_key, "final", exc)
-            else:
-                self.stats.final_hits += 1
-                return results, callees
-        self.stats.final_misses += 1
-        return None
-
-    def store_final(self, schedule_kind, results, callees):
-        payload = {
-            "results": [
-                (
-                    self.key_of[method_ref],
-                    [
-                        (slot_target, marginal.to_payload())
-                        for slot_target, marginal in boundary.items()
-                    ],
-                )
-                for method_ref, boundary in results.items()
-            ],
-            "callees": [
-                (
-                    self.key_of[method_ref],
-                    [self.key_of[callee] for callee in method_callees],
-                )
-                for method_ref, method_callees in callees.items()
-            ],
-        }
-        self.cache.save(self.final_key(schedule_kind), payload)
 
 
 class CheckVerdicts:
@@ -496,22 +397,24 @@ class CheckVerdicts:
 
     def load(self, key):
         """The stored ``(reason, sites)``, or None."""
-        bound = self.bound
-        payload = bound.cache.load(key)
-        if payload is not None:
-            try:
-                reason, sites = payload
-                if not (reason is None or isinstance(reason, str)) or not (
-                    isinstance(sites, int) and sites >= 0
-                ):
-                    raise ValueError("malformed verdict %r" % (payload,))
-            except (TypeError, ValueError) as exc:
-                bound._quarantine_entry(key, "verdict", exc)
-            else:
-                bound.stats.verdict_hits += 1
-                return reason, sites
-        bound.stats.verdict_misses += 1
-        return None
+        return self.bound.cache.read("verdict", key, _decode_verdict)
 
     def store(self, key, reason, sites):
         self.bound.cache.save(key, (reason, sites))
+
+
+def _decode_unit(payload):
+    if not isinstance(payload, CompilationUnit):
+        raise TypeError(
+            "expected CompilationUnit, got %s" % type(payload).__name__
+        )
+    return payload
+
+
+def _decode_verdict(payload):
+    reason, sites = payload
+    if not (reason is None or isinstance(reason, str)) or not (
+        isinstance(sites, int) and sites >= 0
+    ):
+        raise ValueError("malformed verdict %r" % (payload,))
+    return reason, sites

@@ -93,7 +93,6 @@ def _build_policy(args):
         # keep protecting the process unless --no-governance too.
         return ResiliencePolicy(enabled=False, limits=limits)
     return ResiliencePolicy(
-        solve_deadline=getattr(args, "solve_deadline", 0.0),
         solve_retries=getattr(args, "solve_retries", 2),
         limits=limits,
     )
@@ -278,12 +277,11 @@ def _print_served_infer(response, out):
             serve.get("coalesced_with", 0),
         )
     print(
-        "served: request %s, %s, %.3f s%s"
+        "served: request %s, %s, %.3f s"
         % (
             serve.get("request_id", "?"),
             where,
             stats.get("elapsed_seconds", 0.0),
-            ", warm start" if stats.get("warm_start") else "",
         ),
         file=out,
     )
@@ -756,10 +754,6 @@ def build_parser():
                        action="store_false",
                        help="disable fault tolerance: any failure aborts "
                             "the whole run (legacy behaviour)")
-    infer.add_argument("--solve-deadline", metavar="SECONDS",
-                       type=_nonnegative_seconds("--solve-deadline"),
-                       default=0.0,
-                       help="per-method solve deadline (0 = none)")
     infer.add_argument("--solve-retries", metavar="N",
                        type=_nonnegative_count("--solve-retries"), default=2,
                        help="solve retries before the prior-only floor "

@@ -203,9 +203,6 @@ class InferenceStats:
     skips: int = 0
     #: Visits replayed from the persistent cache (no build, no BP sweep).
     replays: int = 0
-    #: True when the whole run was restored from the persistent cache
-    #: (program/config unchanged — zero worklist visits).
-    warm_start: bool = False
     #: Time split: model construction + slot refresh vs BP kernel time.
     build_seconds: float = 0.0
     solve_seconds: float = 0.0
@@ -374,10 +371,6 @@ class AnekInference:
         rerunning it against the same cache replays every visit it
         finished."""
         start = time.perf_counter()
-        restored = self._restore_final()
-        if restored is not None:
-            self.stats.elapsed_seconds = time.perf_counter() - start
-            return restored
         methods = self._initialize()
         budget = self.settings.max_rss_mb
         if budget:
@@ -399,7 +392,6 @@ class AnekInference:
         # A stop requested after the loop's last check.
         self._stop_check(None, None)
         self.stats.elapsed_seconds = time.perf_counter() - start
-        self._persist_final(results)
         return results
 
     def _visit_ceiling(self):
@@ -450,8 +442,7 @@ class AnekInference:
 
     def _interrupt(self, method_ref, stage, error, why):
         """Ledger one ``run-interrupted`` record (keyed ``worklist``
-        after the loop) and raise :class:`RunInterrupted`; nothing final
-        is persisted."""
+        after the loop) and raise :class:`RunInterrupted`."""
         self.failures.interrupted = True
         self.failures.add(
             FailureRecord(
@@ -548,43 +539,6 @@ class AnekInference:
             dirty, round_changed = round_changed, set()
             if not dirty:
                 break
-
-    def _schedule_kind(self):
-        """Distinguishes final-result artifacts: the worklist and the
-        level-synchronous scheduler run legitimately different (each
-        deterministic) trajectories, so their results never alias."""
-        return (
-            "worklist" if self.settings.executor == "worklist" else "scheduled"
-        )
-
-    def _restore_final(self):
-        """Warm start: the whole run restored from the persistent cache.
-
-        Valid only when program, config, settings, and schedule kind all
-        fingerprint-match a completed earlier run — then the stored
-        results *are* what this run would compute, visit by visit."""
-        if self.cache is None:
-            return None
-        stored = self.cache.load_final(self._schedule_kind())
-        if stored is None:
-            return None
-        results, self.callees = stored
-        self.stats.methods = len(
-            list(self.program.methods_with_bodies())
-        )
-        self.stats.executor = self.settings.executor
-        self.stats.warm_start = True
-        return results
-
-    def _persist_final(self, results):
-        if self.cache is None:
-            return
-        if self.failures.has_degradation:
-            # A degraded run is not a pure function of the fingerprinted
-            # inputs (the fault may not recur), so it must never seed a
-            # warm start.
-            return
-        self.cache.store_final(self._schedule_kind(), results, self.callees)
 
     def _solve_level(self, targets, results):
         """Visit every target against the summaries as they stood when the

@@ -271,28 +271,23 @@ class AnekPipeline:
         result.boundary_marginals = marginals
         result.inference_stats = inference.stats
         stats = inference.stats
-        if stats.warm_start:
-            detail = "%d methods, warm start (full run restored from cache)" % (
-                stats.methods
-            )
-        else:
-            detail = "%d methods, %d solves, %d factors" % (
-                stats.methods,
-                stats.solves,
-                stats.factors,
-            )
-            detail += ", engine=%s (%d built, %d reused, %d skipped" % (
-                stats.engine,
-                stats.builds,
-                stats.reuses,
-                stats.skips,
-            )
-            if stats.replays:
-                detail += ", %d replayed" % stats.replays
-            detail += "; build %.3fs, kernel %.3fs)" % (
-                stats.build_seconds,
-                stats.solve_seconds,
-            )
+        detail = "%d methods, %d solves, %d factors" % (
+            stats.methods,
+            stats.solves,
+            stats.factors,
+        )
+        detail += ", engine=%s (%d built, %d reused, %d skipped" % (
+            stats.engine,
+            stats.builds,
+            stats.reuses,
+            stats.skips,
+        )
+        if stats.replays:
+            detail += ", %d replayed" % stats.replays
+        detail += "; build %.3fs, kernel %.3fs)" % (
+            stats.build_seconds,
+            stats.solve_seconds,
+        )
         if run_before is not None:
             # Run-wide: parsing moves no pfg or solve counter.
             moved = self.cache.stats.delta(run_before)
@@ -302,7 +297,7 @@ class AnekPipeline:
                 moved.solve_hits,
                 moved.solve_misses,
             )
-        if stats.executor != "worklist" and not stats.warm_start:
+        if stats.executor != "worklist":
             detail += ", executor=%s (%d levels, %d rounds)" % (
                 stats.executor,
                 stats.levels,

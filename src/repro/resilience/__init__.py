@@ -10,10 +10,9 @@ corner of the corpus instead of aborting the run:
   (:class:`FailureRecord` / :class:`FailureReport`) surfaced on
   ``PipelineResult.failure_report`` and ``--fail-report``;
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy`, the knobs
-  of the degradation ladder (deadlines, retry counts, resource budgets);
-* :mod:`repro.resilience.guard` — the per-solve guard: deadline and
-  NaN/inf detection, retry with escalating damping, then the
-  prior-only floor;
+  of the degradation ladder (retry counts, resource budgets);
+* :mod:`repro.resilience.guard` — the per-solve guard: NaN/inf
+  detection, retry with escalating damping, then the prior-only floor;
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
   harness (seeded plans that raise/delay/corrupt/kill at named stages,
   installable in-process or via the ``REPRO_FAULTS`` env hook) that

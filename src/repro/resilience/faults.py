@@ -31,7 +31,7 @@ Fault kinds:
     Return the token ``"nan"`` — the solve guard responds by poisoning
     the attempt's marginals with NaN, exercising divergence detection.
 ``delay``
-    Sleep ``seconds`` then continue (deadline paths).
+    Sleep ``seconds`` then continue (request deadlines, stop paths).
 ``killproc``
     ``SIGKILL`` the **whole current process** — fired at ``solve`` it
     simulates an OOM-kill or node preemption of a run mid-way, after

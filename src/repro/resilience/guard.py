@@ -1,4 +1,4 @@
-"""The per-solve guard: deadlines, divergence detection, retry ladder.
+"""The per-solve guard: divergence detection and the retry ladder.
 
 One method solve under the guard walks the policy's degradation ladder::
 
@@ -10,18 +10,16 @@ A compiled solve whose kernel cannot be built or raises falls back to
 the loopy engine inside :meth:`repro.core.model.MethodModel.solve`, at
 the attempt's own damping, so the ladder needs no engine rung.
 
-An attempt *fails* when it raises, exceeds the policy deadline, or
-produces non-finite (NaN/inf) or engine-flagged diverged marginals.  On
-the zero-failure path the guard adds only a finiteness scan over the
-final marginals — the solve itself runs with exactly the fixed BP
-parameters, so resilient and non-resilient runs are bit-identical.
+An attempt *fails* when it raises or produces non-finite (NaN/inf) or
+engine-flagged diverged marginals.  On the zero-failure path the guard
+adds only a finiteness scan over the final marginals — the solve itself
+runs with exactly the fixed BP parameters, so resilient and
+non-resilient runs are bit-identical.
 
 The guard emits at most one :class:`FailureRecord` per solve: either
 ``recovered`` (a retry produced clean marginals — results unchanged) or
 ``degraded-prior-only`` (the floor was reached).
 """
-
-import time
 
 import numpy as np
 
@@ -117,7 +115,6 @@ def guarded_solve(model, policy, site_key, engine):
     reasons = []
     ladder = _attempt_ladder(policy)
     for attempt, damping in enumerate(ladder):
-        start = time.perf_counter()
         try:
             action = maybe_fault("solve", site_key)
             result = model.solve(
@@ -131,13 +128,6 @@ def guarded_solve(model, policy, site_key, engine):
         except Exception as exc:
             reasons.append(
                 "%s[%s]: %s: %s" % (engine, damping, type(exc).__name__, exc)
-            )
-            continue
-        elapsed = time.perf_counter() - start
-        if policy.solve_deadline and elapsed > policy.solve_deadline:
-            reasons.append(
-                "%s[%s]: deadline (%.3fs > %.3fs)"
-                % (engine, damping, elapsed, policy.solve_deadline)
             )
             continue
         if not result_is_finite(result):

@@ -1,11 +1,10 @@
 """The resilience policy: every knob of the degradation ladder.
 
-A frozen dataclass of primitives, so it pickles inside
-:class:`repro.core.infer.InferenceSettings` and fingerprints
-deterministically.  The policy deliberately does **not**
-participate in cache config digests: with zero faults a resilient run is
-bit-identical to a non-resilient one, so artifacts are shared across
-policy settings.
+A frozen dataclass, carried by
+:class:`repro.core.infer.InferenceSettings`.  The policy deliberately
+does **not** participate in cache config digests: with zero faults a
+resilient run is bit-identical to a non-resilient one, so artifacts are
+shared across policy settings.
 """
 
 from dataclasses import dataclass, field
@@ -28,11 +27,6 @@ class ResiliencePolicy:
     #: Master switch.  Disabled = legacy behaviour: any exception aborts
     #: the whole run (kept for debugging and bisection).
     enabled: bool = True
-    #: Wall-clock budget for one solve attempt, in seconds (0 = none).
-    #: Checked *after* the sweep — BP runs a bounded number of
-    #: iterations, so a blown budget means the retry ladder shrinks the
-    #: next attempt rather than an in-flight preemption.
-    solve_deadline: float = 0.0
     #: Same-engine re-solves with escalated damping before the prior-only
     #: floor (:data:`repro.resilience.guard.RETRY_DAMPING` is the
     #: escalation's floor).
@@ -47,8 +41,6 @@ class ResiliencePolicy:
     limits: ResourceLimits = field(default_factory=ResourceLimits)
 
     def __post_init__(self):
-        if self.solve_deadline < 0:
-            raise ValueError("solve_deadline must be >= 0")
         if self.solve_retries < 0:
             raise ValueError("solve_retries must be >= 0")
 

@@ -70,7 +70,7 @@ class FailureRecord:
     #: Stable identity of the failing unit of work — a method key or a
     #: ``unit:<index>`` tag.
     key: str
-    #: Exception class name (or a symbolic reason like ``deadline``).
+    #: Exception class name (or a symbolic reason like ``diverged``).
     error: str
     #: Human-readable one-liner.
     message: str

@@ -13,7 +13,7 @@ SIGTERM/SIGINT handler that :func:`stoppable_visits` installs under
 :class:`repro.core.infer.AnekInference` after every visit and once
 after its visit loop, and :class:`RunInterrupted`, which the CLI maps
 to exit code 5.  Only the visit loop waits for a signal: before it
-(parse, set-up, a warm-start restore) and after it (extract, apply,
+(parse, set-up) and after it (extract, apply,
 check) SIGTERM and SIGINT act at once, as they do without the cache.
 """
 

@@ -33,16 +33,14 @@ from repro.serve.protocol import REQUEST_DEFAULTS
 #: Request fields that define the *work*, i.e. participate in the
 #: fingerprint that keys both coalescing and the completed-work store
 #: (:mod:`repro.serve.replay`): every field but ``include_marginals``,
-#: which only widens the response payload, so a marginal-requesting
-#: member can share a group with one that is not.  ``deadline`` *is*
-#: included even though it does not change the
-#: program under analysis: a deadline'd request maps its remaining
-#: budget into the solve deadline of the resilience policy, and letting
-#: it share a solve with a deadline-free request would let one
-#: requester's budget degrade another's result — exactly the
-#: cross-request state bleed the serving layer must not have.
+#: which only widens the response payload, and ``deadline``, which the
+#: daemon enforces in the queue and when the answer is ready without
+#: changing the work.  So a member that asks for marginals, or sets a
+#: deadline, shares a group with one that does not.
 WORK_FIELDS = tuple(
-    name for name in REQUEST_DEFAULTS if name != "include_marginals"
+    name
+    for name in REQUEST_DEFAULTS
+    if name not in ("include_marginals", "deadline")
 )
 
 

@@ -2,7 +2,7 @@
 
 One process keeps everything that makes a cold CLI run slow — the
 imported toolchain, the content-addressed :class:`AnalysisCache` on a
-shared directory, warm-started full-run restores — alive across
+shared directory, whose stored visits a request replays — alive across
 requests, and serves concurrent ``infer``/``check`` requests over a
 local socket.
 
@@ -58,7 +58,6 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import replace
 
 from repro.cache import DEFAULT_CACHE_DIR, AnalysisCache
 from repro.core import AnekPipeline, InferenceSettings
@@ -693,7 +692,7 @@ class AnekServer:
             threshold=request["threshold"],
             max_worklist_iters=request["max_iters"],
             executor=request["executor"],
-            policy=self._policy_for(live),
+            policy=self.policy,
         )
         if request["op"] == "check":
             failures = FailureReport()
@@ -740,7 +739,6 @@ class AnekServer:
                     if result.check is not None
                     else None
                 ),
-                "warm_start": bool(stats is not None and stats.warm_start),
                 "failures": result.failures.to_payload(),
             },
         }
@@ -749,25 +747,6 @@ class AnekServer:
                 include_marginals=True
             )["marginals"]
         return executed
-
-    def _policy_for(self, live):
-        """The group's policy: the server's, narrowed by the members'
-        remaining deadline budget (the tightest member governs; members
-        with different ``deadline`` knobs never share a group)."""
-        deadlines = [
-            member.deadline_at
-            for member in live
-            if member.deadline_at is not None
-        ]
-        if not deadlines:
-            return self.policy
-        remaining = max(min(deadlines) - time.perf_counter(), 0.001)
-        solve_deadline = (
-            min(self.policy.solve_deadline, remaining)
-            if self.policy.solve_deadline
-            else remaining
-        )
-        return replace(self.policy, solve_deadline=solve_deadline)
 
     def _respond_expired(self, member, group, plan, where, executed=None):
         exc = TimeoutError(

@@ -5,7 +5,8 @@ incarnation alive at a **fixed address**:
 
 * it spawns the daemon as a child process (the same ``repro serve``
   command line minus ``--supervise``), hands every incarnation the same
-  cache directory — so restarts come back *warm* — and the same socket
+  cache directory — so a restart replays the visits its predecessors
+  stored instead of solving them — and the same socket
   path, which the daemon's stale-socket probe makes safe (a dead
   incarnation's leftover socket never answers a ping and is unlinked;
   a live one refuses the start instead of being stolen from);

@@ -32,6 +32,15 @@ def build_program(*client_sources, include_api=True):
     )
 
 
+def assert_replayed(stats):
+    """An :class:`InferenceStats` of a run that replayed every visit from
+    the cache or skipped it on an unchanged input: no model was built or
+    reused, so no BP sweep ran."""
+    assert (stats.builds, stats.reuses) == (0, 0)
+    assert stats.replays + stats.skips == stats.solves
+    assert stats.replays > 0
+
+
 def method_ref(program, class_name, method_name):
     """Look up a MethodRef by names."""
     decl = program.lookup_class(class_name)

@@ -17,6 +17,7 @@ from repro.core import AnekPipeline, InferenceSettings
 from repro.corpus.examples import FIGURE3_CLIENT
 from repro.corpus.generator import generate_branchy_program
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
+from tests.conftest import assert_replayed
 
 CLIENT = """
 class Ledger {
@@ -90,10 +91,17 @@ def test_no_change_restores_everything(warmed):
     )
     moved = warm.cache_stats
     assert moved.misses() == 0
-    assert moved.final_hits == 1
+    # Every layer hits: both units, every PFG, every stored visit.
+    assert moved.parse_hits == 2
+    assert moved.pfg_hits == cold.cache_stats.pfg_misses
+    assert moved.solve_hits == cold.cache_stats.solve_misses
     assert moved.verdict_hits == cold.cache_stats.verdict_misses == 10
-    assert warm.inference_stats.solves == 0
-    assert spec_map(warm) == spec_map(cold)
+    assert_replayed(warm.inference_stats)
+    assert warm.inference_stats.solves == cold.inference_stats.solves
+    reference = run_pipeline([ITERATOR_API_SOURCE, CLIENT])
+    assert warm.canonical_json(include_marginals=True) == (
+        reference.canonical_json(include_marginals=True)
+    )
 
 
 def test_edit_method_body(warmed):
@@ -223,15 +231,17 @@ def test_change_threshold_keeps_frontend(warmed):
     )
     moved = warm.cache_stats
     # The threshold is read only by extraction, so it keys nothing:
-    # every parse hits and the final marginals restore whole, to be
-    # re-extracted at 0.75.  The specs come out the same at 0.75, so
-    # every verdict hits too.
+    # every parse and PFG hits and every visit replays, and the
+    # marginals are re-extracted at 0.75.  The specs come out the same
+    # at 0.75, so every verdict hits too.
     assert moved.misses() == 0
     assert moved.parse_hits == 2
-    assert moved.final_hits == 1
+    assert moved.solve_hits == cold.cache_stats.solve_misses
     assert moved.verdict_hits == 10
-    assert warm.inference_stats.warm_start
-    assert spec_map(warm) == spec_map(reference)
+    assert_replayed(warm.inference_stats)
+    assert warm.canonical_json(include_marginals=True) == (
+        reference.canonical_json(include_marginals=True)
+    )
 
 
 def test_change_heuristic_config_keeps_frontend(warmed):
@@ -248,7 +258,7 @@ def test_change_heuristic_config_keeps_frontend(warmed):
     moved = warm.cache_stats
     assert moved.pfg_misses == 0
     assert moved.pfg_hits == cold.cache_stats.pfg_misses
-    assert moved.solve_hits == 0 and moved.final_hits == 0
+    assert moved.solve_hits == 0
     # Every solve runs again, but the specs come out the same, and a
     # verdict is keyed by specs, not by the heuristics behind them.
     assert (moved.verdict_hits, moved.verdict_misses) == (10, 0)
@@ -291,7 +301,7 @@ def test_corrupt_entries_fall_back_to_cold(warmed):
     rewarmed = run_pipeline(
         [ITERATOR_API_SOURCE, CLIENT], cache=AnalysisCache(cache_dir)
     )
-    assert rewarmed.inference_stats.warm_start
+    assert_replayed(rewarmed.inference_stats)
     assert rewarmed.cache_stats.misses() == 0
     assert spec_map(rewarmed) == spec_map(cold)
 

@@ -1,10 +1,11 @@
 """Persistent cache end-to-end: cold, warm, and disabled runs agree.
 
 The cache must be invisible in the output: any combination of executor,
-engine, and cache temperature produces bit-identical specs.  Warm runs
-restore the converged summary store wholesale (zero solves); warm runs
-after a one-method edit reuse every untouched unit's artifacts and build
-strictly fewer models than a cold run.
+engine, and cache temperature produces bit-identical specs.  A warm run
+of unchanged sources replays every visit from the store (no model
+built, no BP sweep); warm runs after a one-method edit reuse every
+untouched unit's artifacts and build strictly fewer models than a cold
+run.
 """
 
 import io
@@ -15,6 +16,7 @@ from repro.cache import AnalysisCache
 from repro.cli import main as cli_main
 from repro.core import AnekPipeline, InferenceSettings
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
+from tests.conftest import assert_replayed
 
 CLIENT = """
 class Ledger {
@@ -73,7 +75,7 @@ def test_cold_warm_disabled_specs_identical(tmp_path, executor):
     assert disabled.cache_stats is None
     assert cold.cache_stats.hits() == 0
     assert warm.cache_stats.misses() == 0
-    assert warm.inference_stats.warm_start
+    assert_replayed(warm.inference_stats)
 
 
 @pytest.mark.parametrize(
@@ -84,31 +86,69 @@ def test_cold_warm_disabled_specs_identical(tmp_path, executor):
 def test_warm_start_across_identity_free_knobs(tmp_path, knob):
     """The engine and the threshold leave the cache identity: a run that
     differs from the warming (compiled, t = 0.5) run only in one of them
-    is restored whole, and answers exactly as a cold run with that knob."""
+    replays every visit, and answers exactly as a cold run with that
+    knob, under either schedule."""
     sources = [ITERATOR_API_SOURCE, CLIENT]
-    run_pipeline(sources, cache=AnalysisCache(tmp_path / "c"))
-    warm = run_pipeline(sources, cache=AnalysisCache(tmp_path / "c"), **knob)
-    cold = run_pipeline(sources, **knob)
-    assert warm.cache_stats.final_hits == 1
-    assert warm.inference_stats.warm_start
-    assert warm.inference_stats.solves == 0
-    assert warm.canonical_json(include_marginals=True) == cold.canonical_json(
-        include_marginals=True
-    )
+    for executor in ("worklist", "serial"):
+        cache_dir = tmp_path / executor
+        run_pipeline(sources, cache=AnalysisCache(cache_dir), executor=executor)
+        warm = run_pipeline(
+            sources, cache=AnalysisCache(cache_dir), executor=executor, **knob
+        )
+        cold = run_pipeline(sources, executor=executor, **knob)
+        assert warm.cache_stats.misses() == 0, executor
+        assert_replayed(warm.inference_stats)
+        assert warm.inference_stats.solves == cold.inference_stats.solves
+        assert warm.canonical_json(
+            include_marginals=True
+        ) == cold.canonical_json(include_marginals=True), executor
 
 
 def test_warm_run_restores_without_solving(tmp_path):
+    """An unchanged rerun replays the cold run's trajectory: every solved
+    visit is one solve hit, every skip is skipped again."""
     sources = [ITERATOR_API_SOURCE, CLIENT]
-    run_pipeline(sources, cache=AnalysisCache(tmp_path / "c"))
+    cold = run_pipeline(sources, cache=AnalysisCache(tmp_path / "c"))
     warm = run_pipeline(sources, cache=AnalysisCache(tmp_path / "c"))
     stats = warm.inference_stats
-    assert stats.warm_start
-    assert stats.solves == 0
-    assert stats.builds == 0
+    assert_replayed(stats)
+    assert stats.solves == cold.inference_stats.solves
+    assert stats.skips == cold.inference_stats.skips
     moved = warm.cache_stats
-    assert moved.final_hits == 1
+    assert moved.solve_hits == stats.replays == cold.cache_stats.solve_misses
+    assert moved.pfg_hits == stats.methods
     assert moved.parse_hits == len(sources)
     assert moved.misses() == 0
+
+
+def test_cold_run_stores_only_layer_entries(tmp_path, monkeypatch):
+    """After a cold cached run the store holds exactly the unit, PFG,
+    solve and verdict entries that run saved, one per miss."""
+    layers = {}
+    key = AnalysisCache.key
+
+    def recording(self, layer, content):
+        full = key(self, layer, content)
+        layers[full] = layer
+        return full
+
+    monkeypatch.setattr(AnalysisCache, "key", recording)
+    cache_dir = tmp_path / "c"
+    cold = AnekPipeline(cache=AnalysisCache(cache_dir)).run_on_sources(
+        [ITERATOR_API_SOURCE, CLIENT]
+    )
+    stored = [path.stem for path in (cache_dir / "objects").rglob("*.pkl")]
+    by_layer = {}
+    for entry in stored:
+        by_layer[layers[entry]] = by_layer.get(layers[entry], 0) + 1
+    moved = cold.cache_stats
+    assert by_layer == {
+        "unit": moved.parse_misses,
+        "pfg": moved.pfg_misses,
+        "solve": moved.solve_misses,
+        "verdict": moved.verdict_misses,
+    }
+    assert moved.hits() == 0
 
 
 def test_warm_after_edit_reuses_untouched_units(tmp_path):
@@ -174,9 +214,9 @@ def test_custom_heuristics_disable_cache(tmp_path):
     with pytest.warns(RuntimeWarning, match="custom heuristics"):
         pipeline.run_on_sources([ITERATOR_API_SOURCE, CLIENT])
     assert cache.stats.uncacheable
-    # No solve/pfg/final artifacts were trusted or written.
+    # No solve/pfg artifacts were trusted or written.
     assert cache.stats.pfg_hits == cache.stats.solve_hits == 0
-    assert cache.stats.final_misses == 0
+    assert cache.stats.pfg_misses == cache.stats.solve_misses == 0
 
 
 def _cli_infer(tmp_path, source_path, *extra):
@@ -200,7 +240,7 @@ def test_cli_cache_flags(tmp_path):
     cold_text = _cli_infer(tmp_path, source_path)
     warm_text = _cli_infer(tmp_path, source_path)
     assert "analysis cache:" in cold_text
-    assert "warm start" in warm_text
+    assert "(0 built, 0 reused" in warm_text and "replayed" in warm_text
     # The spec listing is identical between temperatures.
     cold_specs = cold_text.split("Inferred specifications:")[1]
     warm_specs = warm_text.split("Inferred specifications:")[1]

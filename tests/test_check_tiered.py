@@ -661,7 +661,7 @@ class TestCliTiering:
             ]
         )
         assert code == 0
-        assert "warm start" not in output  # a cold run checks every tier
+        assert "verdict     0 hit" in output  # a cold run checks every tier
         assert "check: tier=auto" in output
 
 

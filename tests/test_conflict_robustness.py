@@ -17,7 +17,6 @@ from repro.core import infer_and_check
 from repro.corpus.examples import figure3_sources
 from repro.factorgraph import FactorGraph, predicate_factor, run_sum_product
 from repro.factorgraph.exact import run_exact
-from repro.factorgraph.variables import make_prior
 
 STATES = ("ALIVE", "HASNEXT", "END")
 

@@ -1,6 +1,5 @@
 """Tests for constraint generation (L1–L3, H1–H5) and model assembly."""
 
-import numpy as np
 import pytest
 
 from repro.core.constraints import (

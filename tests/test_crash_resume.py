@@ -166,32 +166,19 @@ class TestCrashResumeMatrix:
         assert rerun.inference_stats.replays == seen["solves"]
         assert answer(rerun) == answer(clean())
 
-    def test_crash_during_final_persist(self, tmp_path, monkeypatch):
-        """A kill while the final results are written loses only the
-        warm-start entry: the rerun replays every solve."""
-        with monkeypatch.context() as patch:
-
-            def die(*args, **kwargs):
-                raise Killed()
-
-            patch.setattr(BoundCache, "store_final", die)
-            with pytest.raises(Killed):
-                run(tmp_path)
-        rerun = run(tmp_path)
-        assert not rerun.inference_stats.warm_start
-        assert rerun.inference_stats.replays == kernel_solves(
-            clean().inference_stats
-        )
-        assert kernel_solves(rerun.inference_stats) == 0
-        assert answer(rerun) == answer(clean())
-
     def test_resume_of_completed_run(self, tmp_path):
-        """Rerunning a finished run is a warm start: nothing is solved."""
-        first = run(tmp_path)
-        rerun = run(tmp_path)
-        assert rerun.inference_stats.warm_start
-        assert rerun.inference_stats.solves == 0
-        assert answer(first) == answer(rerun) == answer(clean())
+        """Rerunning a finished run is the same replay as continuing a
+        killed one, with nothing left to solve: every solved visit
+        replays, every skip repeats, no model is built."""
+        for executor in ("worklist", "serial"):
+            cache_dir = tmp_path / executor
+            first = run(cache_dir, executor)
+            rerun = run(cache_dir, executor)
+            stats = rerun.inference_stats
+            assert kernel_solves(stats) == 0
+            assert stats.replays == kernel_solves(first.inference_stats)
+            assert stats.replays + stats.skips == stats.solves
+            assert answer(first) == answer(rerun) == answer(clean(executor))
 
     def test_corrupt_newest_entry_is_a_miss(self, tmp_path, monkeypatch):
         """A torn store entry (the store's write is atomic but not

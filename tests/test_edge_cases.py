@@ -1,8 +1,6 @@
 """Edge-case robustness: tricky programs must not crash any stage."""
 
-import pytest
-
-from repro.core import AnekPipeline, infer_and_check
+from repro.core import infer_and_check
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.plural.checker import check_program
 from tests.conftest import build_program

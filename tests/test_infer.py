@@ -1,7 +1,5 @@
 """Tests for ANEK-INFER, summaries, extraction, and the applier."""
 
-import pytest
-
 from repro.core import AnekInference, InferenceSettings
 from repro.core.applier import apply_specs, render_annotated_sources
 from repro.core.extract import (
@@ -10,7 +8,6 @@ from repro.core.extract import (
     count_nonempty,
     pick_kind,
 )
-from repro.core.heuristics import HeuristicConfig
 from repro.core.summaries import (
     MethodSummary,
     SummaryStore,
@@ -18,7 +15,6 @@ from repro.core.summaries import (
     clip_marginal,
     satisfaction_evidence,
 )
-from repro.corpus.examples import FIGURE3_CLIENT
 from repro.permissions.spec import spec_of_method
 from tests.conftest import build_program, method_ref
 

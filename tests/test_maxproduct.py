@@ -1,7 +1,6 @@
 """Tests for max-product BP (MAP view of the spec space)."""
 
 import numpy as np
-import pytest
 
 from repro.factorgraph import FactorGraph, soft_equality
 from repro.factorgraph.exact import map_assignment

@@ -1,7 +1,5 @@
 """Programs mixing two protocols (Iterator + Stream) in one model."""
 
-import pytest
-
 from repro.core import infer_and_check
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.corpus.stream_api import STREAM_API_SOURCE

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import AnekPipeline, InferenceSettings, infer_and_check
-from repro.core.heuristics import HeuristicConfig
 from repro.corpus import CorpusSpec
 from repro.corpus.examples import figure3_sources
 from repro.reporting.experiments import (
@@ -14,7 +13,7 @@ from repro.reporting.experiments import (
     figure6_pfg,
     table3_experiment,
 )
-from repro.reporting.tables import Table, format_seconds, render_table
+from repro.reporting.tables import Table, format_seconds
 
 
 class TestPipeline:

@@ -1,11 +1,9 @@
 """Tests for the PLURAL modular typestate checker."""
 
-import pytest
-
-from repro.plural.checker import PluralChecker, check_program
+from repro.plural.checker import check_program
 from repro.plural.context import Context, NO_PERM, Perm, StateTest, kind_join
 from repro.plural.warnings import WarningKind, dedupe, summarize
-from tests.conftest import build_program, method_ref
+from tests.conftest import build_program
 
 
 def warnings_for(*client_sources):

@@ -11,7 +11,6 @@ import io
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -33,8 +32,6 @@ from repro.resilience.report import (
     FailureReport,
     record_from_exception,
 )
-
-from tests.conftest import build_program
 
 
 @pytest.fixture(autouse=True)
@@ -123,8 +120,6 @@ class TestResiliencePolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             ResiliencePolicy(solve_retries=-1)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(solve_deadline=-0.1)
 
     def test_retry_damping_escalates_and_caps(self):
         from repro.core.infer import BP_DAMPING
@@ -389,8 +384,8 @@ class Demo {
         self, demo_file, capsys
     ):
         """``check`` re-extracted specs at a threshold only from a run
-        directory; ``infer --threshold`` warm-starts from the cache
-        instead, so ``check --threshold`` is an unknown argument."""
+        directory; ``infer --threshold`` replays every visit from the
+        cache instead, so ``check --threshold`` is an unknown argument."""
         with pytest.raises(SystemExit) as exc:
             cli_main(
                 ["check", demo_file, "--threshold", "0.9"], io.StringIO()

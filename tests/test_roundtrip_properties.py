@@ -121,7 +121,7 @@ class TestRandomRoundTrips:
     @settings(max_examples=30, deadline=None)
     def test_lowering_never_crashes(self, source):
         from repro.analysis.cfg import build_cfg
-        from repro.java.symbols import MethodRef, resolve_program
+        from repro.java.symbols import resolve_program
 
         program = resolve_program([parse_compilation_unit(source)])
         decl = program.lookup_class("Rand")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.constraints import ConstraintGenerator
 from repro.core.heuristics import CustomHeuristic, HeuristicConfig
 from repro.core.model import MethodModel
 from repro.core.pfg_builder import build_pfg

@@ -43,9 +43,9 @@ def test_served_infer_bit_identical_to_cold(tmp_path, engine):
 
 
 def test_served_warm_cache_bit_identical_to_cold(tmp_path):
-    """The warm-start full-run restore must not change a single bit.  A
-    second daemon on the same cache reaches it: the first would answer
-    the resubmission from its completed-work store."""
+    """Replaying every visit from a warm cache must not change a single
+    bit.  A second daemon on the same cache replays: the first would
+    answer the resubmission from its completed-work store."""
     cold = cold_result([LEDGER_CLIENT])
     expected = canonical_json(cold.canonical_payload(include_marginals=True))
     responses = []
@@ -57,8 +57,9 @@ def test_served_warm_cache_bit_identical_to_cold(tmp_path):
                 )
     first, second = responses
     assert first["status"] == second["status"] == "ok"
-    assert not first["stats"]["warm_start"]
-    assert second["stats"]["warm_start"]
+    assert first["stats"]["inference"]["replays"] == 0
+    assert second["stats"]["inference"]["builds"] == 0
+    assert second["stats"]["inference"]["replays"] > 0
     assert canonical_json(first["result"]) == expected
     assert canonical_json(second["result"]) == expected
 
@@ -259,8 +260,9 @@ def test_sequential_runs_same_sources_identical_results(tmp_path):
     assert canonical_json(
         first.canonical_payload(include_marginals=True)
     ) == canonical_json(second.canonical_payload(include_marginals=True))
-    assert not first.inference_stats.warm_start
-    assert second.inference_stats.warm_start
+    assert first.inference_stats.replays == 0
+    assert second.inference_stats.builds == 0
+    assert second.inference_stats.replays > 0
     assert second.cache_stats.misses() == 0
 
 
@@ -278,8 +280,7 @@ def test_two_daemons_in_one_process_repeat_work_and_answers(tmp_path):
     assert edited != LEDGER_CLIENT
     cache_counts = (
         "parse_hits", "parse_misses", "pfg_hits", "pfg_misses",
-        "solve_hits", "solve_misses", "final_hits", "final_misses",
-        "verdict_hits", "verdict_misses",
+        "solve_hits", "solve_misses", "verdict_hits", "verdict_misses",
     )
 
     def session(name):

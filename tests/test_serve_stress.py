@@ -201,15 +201,24 @@ class TestBatchPlanner:
         one = {"op": "infer", "sources": ["class A {}"]}
         two = {"op": "infer", "sources": ["class B {}"]}
         knob = {"op": "infer", "sources": ["class A {}"], "threshold": 0.75}
-        late = {"op": "infer", "sources": ["class A {}"], "deadline": 1.0}
         # Worklist and the scheduler run different trajectories.
         sched = {"op": "infer", "sources": ["class A {}"],
                  "executor": "serial"}
         plan = plan_batch(
-            [self._pending(p) for p in (one, two, knob, late, sched)]
+            [self._pending(p) for p in (one, two, knob, sched)]
         )
-        assert len(plan.groups) == 5
+        assert len(plan.groups) == 4
         assert plan.coalesced == 0
+
+    def test_deadline_does_not_split_a_group(self):
+        """A deadline is enforced per member in the queue and when the
+        answer is ready; it does not change the work, so a request with
+        one shares a group with the same request without."""
+        base = {"op": "infer", "sources": ["class A {}"]}
+        late = dict(base, deadline=1.0)
+        plan = plan_batch([self._pending(base), self._pending(late)])
+        assert len(plan.groups) == 1
+        assert plan.coalesced == 1
 
     def test_marginals_flag_does_not_split_a_group(self):
         base = {"op": "infer", "sources": ["class A {}"]}
@@ -422,36 +431,6 @@ def test_queued_request_expires_without_costing_a_worker(tmp_path):
         f["disposition"] for f in stats["failures"]["failures"]
     ]
     assert dispositions == ["request-expired"]
-
-
-def test_request_deadline_narrows_the_solve_policy(tmp_path):
-    """The remaining budget maps into ``ResiliencePolicy.solve_deadline``
-    so an overrunning solve degrades down the existing ladder instead of
-    hanging the request."""
-    from repro.serve.server import AnekServer
-
-    server = AnekServer(port=1, cache_dir=str(tmp_path))
-    member = PendingRequest(
-        request={"deadline": 5.0},
-        connection=None,
-        request_id=1,
-        fingerprint="fp",
-        deadline_at=time.perf_counter() + 5.0,
-    )
-    policy = server._policy_for([member])
-    assert 0 < policy.solve_deadline <= 5.0
-    assert policy.enabled
-    unbounded = server._policy_for(
-        [
-            PendingRequest(
-                request={"deadline": 0.0},
-                connection=None,
-                request_id=2,
-                fingerprint="fp",
-            )
-        ]
-    )
-    assert unbounded.solve_deadline == server.policy.solve_deadline
 
 
 def test_sigterm_mid_flight_drains_and_exits_zero(tmp_path):

@@ -1,7 +1,5 @@
 """End-to-end tests on the hierarchical stream protocol."""
 
-import pytest
-
 from repro.core import infer_and_check
 from repro.corpus.stream_api import (
     STREAM_CLIENT_BAD,

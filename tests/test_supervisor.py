@@ -16,8 +16,6 @@ import sys
 import threading
 import time
 
-import pytest
-
 from repro.cli import EXIT_USAGE
 from repro.serve import (
     EXIT_CRASHLOOP,
@@ -268,7 +266,7 @@ def test_supervised_daemon_restarts_after_sigkill(tmp_path):
 
 def test_supervised_restart_stays_warm(tmp_path):
     """Each incarnation shares the cache dir, so the run after a kill
-    warm-starts instead of re-solving from scratch."""
+    replays every visit instead of re-solving from scratch."""
     from tests.serve_harness import LEDGER_CLIENT
 
     proc, socket_path, _ = _spawn_supervised(tmp_path)
@@ -281,7 +279,13 @@ def test_supervised_restart_stays_warm(tmp_path):
             os.kill(pid, signal.SIGKILL)
             warm = client.infer([LEDGER_CLIENT])  # retries span the gap
         assert warm["status"] == "ok"
-        assert warm["stats"]["warm_start"], "restart lost the warm cache"
+        inference = warm["stats"]["inference"]
+        assert inference["builds"] == inference["reuses"] == 0, (
+            "restart lost the warm cache"
+        )
+        assert inference["replays"] + inference["skips"] == (
+            inference["solves"]
+        )
         assert json.dumps(warm["result"], sort_keys=True) == json.dumps(
             cold["result"], sort_keys=True
         )

@@ -1,7 +1,5 @@
 """Tests for switch statements: parse, print, lower, check."""
 
-import pytest
-
 from repro.analysis import ir
 from repro.analysis.cfg import build_cfg
 from repro.analysis.callgraph import iter_instrs

@@ -7,7 +7,7 @@ from repro.java.errors import ResolutionError
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import resolve_program
 from repro.java.types import ExprTyper
-from tests.conftest import build_program, method_ref
+from tests.conftest import build_program
 
 
 class TestProgramResolution:

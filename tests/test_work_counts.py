@@ -9,8 +9,8 @@ A warm run against the persistent cache lowers and plans only what an
 edit can change.  A method's PFG is rebuilt only when its fingerprint
 changed, and its tier-1 plan only when its fingerprint, its own spec or
 a callee's spec changed; every other verdict is replayed.  The tier-2
-residue is re-checked on every run.  An unchanged rerun restores the
-whole run and lowers nothing.
+residue is re-checked on every run.  An unchanged rerun replays every
+visit and loads every PFG, so it lowers only the tier-2 residue.
 
 The counts are exact, so a return to re-lowering or re-planning fails
 here in one deterministic run.
@@ -26,6 +26,7 @@ from repro.corpus.generator import CorpusSpec, generate_pmd_corpus
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.symbols import method_key
 from repro.plural import bitvector
+from tests.conftest import assert_replayed
 from tests.test_parallel_differential import CORPUS
 
 INPUTS = dict(
@@ -151,7 +152,9 @@ def spec_changes(before, after):
 def test_unchanged_rerun_plans_nothing(warm_cache, counts, planned):
     cache_dir, cold = warm_cache
     warm = warm_run(cache_dir, PROJECT)
-    assert warm.inference_stats.warm_start
+    # Every visit replays or skips: no model is built, no PFG lowered.
+    assert_replayed(warm.inference_stats)
+    assert warm.cache_stats.misses() == 0
     # Only the tier-2 residue, the four methods with a warning, is
     # lowered: it is checked again on every run.
     assert warm.check.tier2_methods == 4

@@ -15,10 +15,13 @@ Python data.  Canonical means:
 
 On top of the encoder sit the domain fingerprints: per-source digests
 of the raw text, per-method content digests (via the canonical pretty
-printer), the interface environment digest (everything about every
-class *except* method bodies — signatures, annotations, fields,
+printer), per-class interface digests (everything about a class
+*except* its method bodies — signatures, annotations, fields,
 supertypes — i.e. the inputs a method's analysis can observe about the
-rest of the program), and the heuristic/inference configuration digest.
+rest of the program) and the environment digest over all of them, and
+the heuristic/inference configuration digest.  The parse layer stores
+each unit's method and class digests with the unit
+(:func:`unit_digests`), so a warm run pretty-prints nothing.
 """
 
 import hashlib
@@ -31,11 +34,12 @@ from repro.core.infer import (
     SUMMARY_CHANGE_THRESHOLD,
 )
 from repro.java.pretty import pretty_print_field, pretty_print_method
+from repro.java.symbols import MethodRef, method_key
 
 #: Bumped whenever the layout of any cached payload changes; combined
 #: with ``repro.__version__`` in every key, so stale artifact formats
 #: are never deserialized.
-SCHEMA_TAG = "anek-cache-v3"
+SCHEMA_TAG = "anek-cache-v4"
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +165,9 @@ def _class_interface(decl):
     )
 
 
-def environment_digest(program):
-    """Digest of the interface environment every method analysis sees."""
-    return digest(
-        (
-            "environment",
-            tuple(
-                _class_interface(program.classes[name])
-                for name in sorted(program.classes)
-            ),
-        )
-    )
+def class_digest(decl):
+    """Digest of one class's interface (:func:`_class_interface`)."""
+    return digest(("class", _class_interface(decl)))
 
 
 def method_digest(method_ref):
@@ -181,6 +177,47 @@ def method_digest(method_ref):
             "method",
             method_ref.class_decl.name,
             pretty_print_method(method_ref.method_decl),
+        )
+    )
+
+
+def unit_digests(unit):
+    """The digests the parse layer stores with ``unit``: each class's
+    interface digest by class name, and each concrete method's content
+    digest by method key."""
+    classes = {}
+    methods = {}
+    for decl in unit.types:
+        classes[decl.name] = class_digest(decl)
+        for method in decl.methods:
+            if method.body is not None:
+                ref = MethodRef(decl, method)
+                methods[method_key(ref)] = method_digest(ref)
+    return {"classes": classes, "methods": methods}
+
+
+def stored_digests(program, kind):
+    """The ``kind`` (``"classes"`` or ``"methods"``) digests stored with
+    the program's units; a unit parsed outside the cache adds none."""
+    stored = {}
+    for unit in program.units:
+        if unit.digests is not None:
+            stored.update(unit.digests[kind])
+    return stored
+
+
+def environment_digest(program):
+    """Digest of the interface environment every method analysis sees:
+    the class digests in class-name order, stored or taken here."""
+    stored = stored_digests(program, "classes")
+    return digest(
+        (
+            "environment",
+            tuple(
+                stored[name] if name in stored
+                else class_digest(program.classes[name])
+                for name in sorted(program.classes)
+            ),
         )
     )
 
@@ -253,43 +290,33 @@ def canonical_site_key(site_key, key_of):
     return (key_of[owner], index)
 
 
-def canonical_input_token(token, key_of):
-    """Canonicalize a :func:`method_input_fingerprint` token for hashing.
+def canonical_summary(token):
+    """Canonicalize a :meth:`SummaryStore.summary_token
+    <repro.core.summaries.SummaryStore.summary_token>` for hashing.
 
     Summary parts and their distributions are sorted — the model applies
-    them by per-target lookup, so their order is bookkeeping.  Evidence
-    *bucket* order is kept: the geometric-mean aggregation consumes votes
+    them by per-target lookup, so their order is bookkeeping.
+    """
+    return tuple(
+        sorted(
+            (slot, target, _canonical_marginal_token(part))
+            for slot, target, part in token
+        )
+    )
+
+
+def canonical_bucket(token, key_of):
+    """Canonicalize a :meth:`SummaryStore.evidence_token
+    <repro.core.summaries.SummaryStore.evidence_token>` for hashing.
+
+    Bucket order is kept: the geometric-mean aggregation consumes votes
     in deposit order, so two stores whose buckets differ only in order
     are distinct inputs and must not collide.
     """
-    sites, evidence = token
-    canonical_sites = []
-    for site in sites:
-        if site is None:
-            canonical_sites.append(None)
-        else:
-            canonical_sites.append(
-                tuple(
-                    sorted(
-                        (slot, target, _canonical_marginal_token(part))
-                        for slot, target, part in site
-                    )
-                )
-            )
-    canonical_evidence = []
-    for slot, target, bucket in evidence:
-        canonical_evidence.append(
-            (
-                slot,
-                target,
-                tuple(
-                    (
-                        canonical_site_key(site_key, key_of),
-                        _canonical_marginal_token(part),
-                    )
-                    for site_key, part in bucket
-                ),
-            )
+    return tuple(
+        (
+            canonical_site_key(site_key, key_of),
+            _canonical_marginal_token(part),
         )
-    canonical_evidence.sort(key=lambda entry: (entry[0], entry[1]))
-    return (tuple(canonical_sites), tuple(canonical_evidence))
+        for site_key, part in token
+    )

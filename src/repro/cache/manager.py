@@ -1,14 +1,18 @@
 """The persistent analysis cache: three content layers plus verdicts.
 
-Layer 1 — **parsed units**: raw source text → parsed compilation unit.
-Layer 2 — **frontend artifacts**: per-method PFGs (the input to
-constraint generation, whose factor graph is a deterministic function of
-the PFG + config) plus the method's resolved call targets, keyed by the
-method's *static fingerprint* — its own pretty-printed content plus the
+Layer 1 — **parsed units**: raw source text → parsed compilation unit,
+stored with its class and method digests.
+Layer 2 — **frontend artifacts**: per method, the PFG's interface (the
+callee of each call site, the boundary slots, the node count) and the
+method's resolved call targets, decoded on every read, beside the PFG
+itself as pickled bytes, decoded only for a visit that builds the
+method's model (the PFG is the input to constraint generation, whose
+factor graph is a deterministic function of the PFG + config).  Keyed
+by the method's *static fingerprint* — its own content digest plus the
 interface environment digest.
 Layer 3 — **solve outcomes**: per-visit boundary marginals + evidence
-deposits, keyed by static fingerprint × config × the canonicalized
-summary/evidence input token.
+deposits, keyed by static fingerprint × config × the digest of each
+summary and evidence bucket in the visit's input token.
 Layer 4 — **check verdicts**: each method's tier-1 verdict (residue
 reason or none, plus its site count) keyed by static fingerprint × its
 own spec × its callees' specs, as the checker reads them after the
@@ -24,26 +28,32 @@ Invalidation is automatic and exact: any changed input changes the key,
 so a stale artifact is simply never addressed again, and the per-layer
 misses count exactly what a run did again.  Every layer reads through
 :meth:`AnalysisCache.read`, the one place an entry is decoded, checked
-and counted.
+and counted; a stored PFG decoded later is quarantined the same way.
 """
 
+import functools
+import pickle
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import repro
 from repro.cache.fingerprints import (
     SCHEMA_TAG,
-    canonical_input_token,
+    canonical_bucket,
     canonical_site_key,
+    canonical_summary,
     config_digest,
     digest,
     environment_digest,
     method_digest,
     source_digest,
     spec_token,
+    stored_digests,
+    unit_digests,
 )
 from repro.cache.pfgser import pfg_from_payload, pfg_to_payload
 from repro.cache.store import ArtifactStore
+from repro.core.pfg import PFGInterface
 from repro.java.ast import CompilationUnit
 
 #: Default cache location, relative to the working directory.
@@ -165,10 +175,9 @@ class AnalysisCache:
 
         ``decode`` turns the stored payload into that value and raises
         KeyError, IndexError, TypeError or ValueError on a payload of
-        the wrong shape.  Such an entry is quarantined: counted as
-        ``schema_invalid``, warned about and deleted (``save`` would
-        otherwise pin it forever), and read as a miss.  Counts the
-        layer's hit or miss."""
+        the wrong shape.  Such an entry is quarantined
+        (:meth:`quarantine`) and read as a miss.  Counts the layer's hit
+        or miss."""
         before = self.store.corrupt_count
         payload = self.store.load(key)
         self.stats.corrupt_entries += self.store.corrupt_count - before
@@ -177,18 +186,24 @@ class AnalysisCache:
             try:
                 value = decode(payload)
             except (KeyError, IndexError, TypeError, ValueError) as exc:
-                self.stats.schema_invalid += 1
-                warnings.warn(
-                    "discarding schema-invalid %s cache entry (%s: %s); "
-                    "falling back to a cold build"
-                    % (layer, type(exc).__name__, exc),
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self.store.discard(key)
+                self.quarantine(layer, key, "schema_invalid", exc)
         counter = layer + ("_misses" if value is None else "_hits")
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         return value
+
+    def quarantine(self, layer, key, counter, exc):
+        """Count a bad entry under ``counter`` (``corrupt_entries`` or
+        ``schema_invalid``), warn and delete it (``save`` would
+        otherwise pin it forever)."""
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        what = "corrupt" if counter == "corrupt_entries" else "schema-invalid"
+        warnings.warn(
+            "discarding %s %s cache entry (%s: %s); falling back to a "
+            "cold build" % (what, layer, type(exc).__name__, exc),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self.store.discard(key)
 
     def save(self, key, payload):
         """Persist via the store, surfacing write failures as a counted
@@ -203,6 +218,8 @@ class AnalysisCache:
     def parse(self, source, limits=None):
         """Parse one source string, via the store when possible.
 
+        A cold parse digests the unit's classes and methods once and
+        stores the digests with it, so no later run pretty-prints it.
         ``limits`` governs only the cold-parse path: a cache hit proves
         the source already parsed cleanly, and governance never changes
         what a successful parse produces.
@@ -214,6 +231,7 @@ class AnalysisCache:
         if unit is not None:
             return unit
         unit = parse_compilation_unit(source, limits=limits)
+        unit.digests = unit_digests(unit)
         self.save(key, unit)
         return unit
 
@@ -238,7 +256,10 @@ class AnalysisCache:
 
 
 class BoundCache:
-    """Layers 2-3 for one resolved program under one fingerprinted config."""
+    """Layers 2-3 for one resolved program under one fingerprinted config.
+
+    Its memos — method fingerprints, and the digest of each summary and
+    evidence token — live as long as the run that bound it."""
 
     def __init__(self, cache, program, config_fp):
         self.cache = cache
@@ -246,60 +267,146 @@ class BoundCache:
         self.table = program.method_key_table()
         self.key_of = {ref: key for key, ref in self.table.items()}
         self.env_fp = environment_digest(program)
+        self._method_digests = stored_digests(program, "methods")
         self._method_fps = {}
+        #: {id(token): (token, digest)}: holding the token keeps its id
+        #: from being reused while the entry lives.
+        self._token_digests = {}
 
     def method_fingerprint(self, method_ref):
         """The method's static fingerprint: own content × environment."""
         fingerprint = self._method_fps.get(method_ref)
         if fingerprint is None:
-            fingerprint = digest(
-                (self.key_of[method_ref], method_digest(method_ref), self.env_fp)
-            )
+            key = self.key_of[method_ref]
+            own = self._method_digests.get(key)
+            if own is None:
+                own = method_digest(method_ref)
+            fingerprint = digest((key, own, self.env_fp))
             self._method_fps[method_ref] = fingerprint
         return fingerprint
 
-    # -- layer 2: frontend artifacts (PFG + call targets) ----------------------
+    # -- layer 2: frontend artifacts (PFG interface + call targets) -----------
 
-    def load_frontend(self, method_ref):
-        """(pfg, [(callee_ref, line), ...]) from the store, or (None, None)."""
+    def load_frontend(self, method_ref, rebuild):
+        """(interface, [(callee_ref, line), ...]) from the store, or
+        (None, None).  The interface's PFG is decoded when a visit first
+        builds; ``rebuild()`` gives a cold ``(pfg, callees)`` should
+        that decode fail."""
         table = self.table
+        key = self.cache.key("pfg", self.method_fingerprint(method_ref))
 
         def decode(payload):
-            return (
-                pfg_from_payload(payload["pfg"], method_ref, table),
-                [
-                    (table[callee_key], line)
-                    for callee_key, line in payload["callees"]
-                ],
+            blob = payload["pfg"]
+            nodes = payload["nodes"]
+            if not isinstance(blob, bytes) or not isinstance(nodes, int):
+                raise TypeError("malformed PFG entry")
+            interface = PFGInterface(
+                method_ref,
+                tuple(
+                    None if callee_key is None else table[callee_key]
+                    for callee_key in payload["sites"]
+                ),
+                tuple((slot, target) for slot, target in payload["boundary"]),
+                nodes,
+                functools.partial(
+                    self._decode_pfg, method_ref, key, blob, rebuild
+                ),
             )
+            callees = [
+                (table[callee_key], line)
+                for callee_key, line in payload["callees"]
+            ]
+            return interface, callees
 
-        key = self.cache.key("pfg", self.method_fingerprint(method_ref))
         return self.cache.read("pfg", key, decode) or (None, None)
 
+    def _decode_pfg(self, method_ref, key, blob, rebuild):
+        """The stored PFG, decoded for a visit that builds.  Bytes that
+        do not unpickle, or a payload of the wrong shape, quarantine the
+        entry as a read would; the PFG is then built cold and stored
+        again."""
+        try:
+            payload = pickle.loads(blob)
+        except Exception as exc:
+            self.cache.quarantine("pfg", key, "corrupt_entries", exc)
+        else:
+            try:
+                return pfg_from_payload(payload, method_ref, self.table)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                self.cache.quarantine("pfg", key, "schema_invalid", exc)
+        # The read counted a hit, but the run builds this PFG again.
+        self.cache.stats.pfg_hits -= 1
+        self.cache.stats.pfg_misses += 1
+        pfg, callees = rebuild()
+        self.store_frontend(method_ref, pfg, callees)
+        return pfg
+
     def store_frontend(self, method_ref, pfg, callees):
+        key_of = self.key_of
         key = self.cache.key("pfg", self.method_fingerprint(method_ref))
         self.cache.save(
             key,
             {
-                "pfg": pfg_to_payload(pfg, self.key_of),
-                "callees": [
-                    (self.key_of[callee], line) for callee, line in callees
+                "sites": [
+                    None if callee is None else key_of[callee]
+                    for callee in pfg.site_callees
                 ],
+                "boundary": pfg.boundary_slots,
+                "nodes": pfg.node_count(),
+                "callees": [
+                    (key_of[callee], line) for callee, line in callees
+                ],
+                "pfg": pickle.dumps(
+                    pfg_to_payload(pfg, key_of),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                ),
             },
         )
 
     # -- layer 3: per-visit solve outcomes -------------------------------------
 
     def solve_key(self, method_ref, input_token):
-        """The store key of one worklist visit's outcome."""
+        """The store key of one worklist visit's outcome.
+
+        Hashes the method and config fingerprints and the digest of
+        each part of the input token, in canonical order: the call-site
+        summaries in site order, then the evidence buckets sorted by
+        slot and target.  A part's digest covers its canonical form
+        (:func:`canonical_summary`, :func:`canonical_bucket`), so the
+        key changes exactly when the canonical input token does."""
+        sites, evidence = input_token
         return self.cache.key(
             "solve",
             (
                 self.method_fingerprint(method_ref),
                 self.config_fp,
-                canonical_input_token(input_token, self.key_of),
+                tuple(
+                    None if site is None
+                    else self._token_digest(site, canonical_summary)
+                    for site in sites
+                ),
+                tuple(
+                    sorted(
+                        (slot, target, self._token_digest(token, self._bucket))
+                        for slot, target, token in evidence
+                    )
+                ),
             ),
         )
+
+    def _bucket(self, token):
+        return canonical_bucket(token, self.key_of)
+
+    def _token_digest(self, token, canonical):
+        """The digest of ``canonical(token)``, taken once per token.
+        Summary and bucket tokens share the memo: the one object that
+        can be both, ``()``, has one canonical form."""
+        entry = self._token_digests.get(id(token))
+        if entry is not None and entry[0] is token:
+            return entry[1]
+        value = digest(canonical(token))
+        self._token_digests[id(token)] = (token, value)
+        return value
 
     def load_solve(self, key):
         """(boundary, deposits) with live refs/marginals, or None."""
@@ -408,6 +515,11 @@ def _decode_unit(payload):
         raise TypeError(
             "expected CompilationUnit, got %s" % type(payload).__name__
         )
+    digests = payload.digests
+    if set(digests["classes"]) != {decl.name for decl in payload.types} or (
+        not isinstance(digests["methods"], dict)
+    ):
+        raise ValueError("unit digests do not match the unit")
     return payload
 
 

@@ -48,13 +48,19 @@ def apply_spec_to_method(method_decl, spec, replace=False):
 
 
 def apply_specs(program, specs, replace=False):
-    """Apply inferred specs across the program; returns change count."""
+    """Apply inferred specs across the program; returns change count.
+
+    Edited units no longer match the content digests the analysis cache
+    stored with them, so a change drops those digests."""
     changed = 0
     for method_ref, spec in specs.items():
         if spec.is_empty:
             continue
         if apply_spec_to_method(method_ref.method_decl, spec, replace=replace):
             changed += 1
+    if changed:
+        for unit in program.units:
+            unit.digests = None
     return changed
 
 

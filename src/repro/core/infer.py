@@ -22,6 +22,7 @@ resolve across rounds, Jacobi style.  ``serial`` usually needs fewer
 solves than the worklist, but its marginals differ from it.
 """
 
+import functools
 import math
 import time
 from collections import deque
@@ -238,6 +239,16 @@ class InferenceStats:
         return payload
 
 
+def build_frontend(program, method_ref, policy, site_key):
+    """A method's (pfg, callees), built cold: one lowering feeds both
+    the PFG and the resolved call targets."""
+    if policy.enabled:
+        maybe_fault("pfg", site_key)
+    cfg = method_cfg(program, method_ref)
+    pfg = build_pfg(program, method_ref, cfg=cfg, limits=policy.limits)
+    return pfg, method_call_targets(program, cfg.lowered)
+
+
 class AnekInference:
     """The ANEK-INFER procedure over a resolved program."""
 
@@ -269,7 +280,9 @@ class AnekInference:
                 "max_rss_mb needs a bound analysis cache: a stopped run "
                 "continues only by rerunning against that cache"
             )
-        #: {method_ref: PFG} of the methods inference still covers.
+        #: {method_ref: PFG or PFGInterface} of the methods inference
+        #: still covers: a stored PFG stays undecoded until a visit
+        #: builds the method's model.
         self.pfgs = {}
         self.models = ModelCache(
             program,
@@ -298,18 +311,11 @@ class AnekInference:
         self.stats.quarantined += 1
 
     def _build_pfg_guarded(self, method_ref, policy):
-        """PFG build under isolation: a crash quarantines only this
-        method.  One lowering feeds both the PFG and the resolved call
-        targets.  Returns (pfg, callees) or (None, None)."""
+        """:func:`build_frontend` under isolation: a crash quarantines
+        only this method.  Returns (pfg, callees) or (None, None)."""
         site_key = self.models.site_key(method_ref)
         try:
-            if policy.enabled:
-                maybe_fault("pfg", site_key)
-            cfg = method_cfg(self.program, method_ref)
-            pfg = build_pfg(
-                self.program, method_ref, cfg=cfg, limits=policy.limits
-            )
-            callees = method_call_targets(self.program, cfg.lowered)
+            return build_frontend(self.program, method_ref, policy, site_key)
         except Exception as exc:
             self.quarantine_method(
                 method_ref,
@@ -318,7 +324,6 @@ class AnekInference:
                 ),
             )
             return None, None
-        return pfg, callees
 
     # -- initialization (Figure 9 lines 1-7) -------------------------------------
 
@@ -331,7 +336,18 @@ class AnekInference:
         for method_ref in methods:
             pfg = None
             if self.cache is not None:
-                pfg, callees = self.cache.load_frontend(method_ref)
+                # The rebuild holds the program, not this inference: a
+                # cycle through it would outlive the run.
+                pfg, callees = self.cache.load_frontend(
+                    method_ref,
+                    functools.partial(
+                        build_frontend,
+                        self.program,
+                        method_ref,
+                        policy,
+                        self.models.site_key(method_ref),
+                    ),
+                )
             if pfg is None:
                 pfg, callees = self._build_pfg_guarded(method_ref, policy)
                 if pfg is None:

@@ -177,23 +177,10 @@ class MethodModel:
         if spec.is_empty:
             return
         strength = self.config.spec_prior
-        for target, node in self.pfg.param_pre.items():
+        for slot, target, node in self.pfg.boundary_nodes():
             domain = self.vars.state_domain(node.class_name)
             kind_prior, state_prior = boundary_priors(
-                spec, target, True, domain, strength
-            )
-            self._set_prior(node, kind_prior, state_prior)
-        for target, node in self.pfg.param_post.items():
-            domain = self.vars.state_domain(node.class_name)
-            kind_prior, state_prior = boundary_priors(
-                spec, target, False, domain, strength
-            )
-            self._set_prior(node, kind_prior, state_prior)
-        if self.pfg.result_node is not None:
-            node = self.pfg.result_node
-            domain = self.vars.state_domain(node.class_name)
-            kind_prior, state_prior = boundary_priors(
-                spec, "result", False, domain, strength
+                spec, target, slot == "pre", domain, strength
             )
             self._set_prior(node, kind_prior, state_prior)
 
@@ -238,17 +225,6 @@ class MethodModel:
 
     # -- caller evidence ---------------------------------------------------------
 
-    def _boundary_slots(self):
-        """(slot, target, node) triples of this method's boundary nodes."""
-        slots = []
-        for target, node in self.pfg.param_pre.items():
-            slots.append(("pre", target, node))
-        for target, node in self.pfg.param_post.items():
-            slots.append(("post", target, node))
-        if self.pfg.result_node is not None:
-            slots.append(("result", "result", self.pfg.result_node))
-        return slots
-
     def _reserve_evidence_slots(self):
         """Pre-allocate one evidence factor per boundary variable.
 
@@ -257,7 +233,7 @@ class MethodModel:
         later worklist visit becomes a table rewrite instead of a graph
         change.
         """
-        for slot, target, node in self._boundary_slots():
+        for slot, target, node in self.pfg.boundary_nodes():
             kind_var = self.vars.kind(node)
             self._reserve_slot(slot, target, "kind", kind_var)
             state_var = self.vars.state(node)
@@ -278,7 +254,7 @@ class MethodModel:
         """Rewrite reserved evidence tables from the current store."""
         store = self.summary_store
         method_ref = self.pfg.method_ref
-        for slot, target, node in self._boundary_slots():
+        for slot, target, node in self.pfg.boundary_nodes():
             evidence = store.evidence_for(method_ref, slot, target)
             kind_table, state_table = self._evidence_tables(node, evidence)
             self._write_evidence(slot, target, "kind", kind_table)
@@ -396,21 +372,12 @@ class MethodModel:
         """Extract TargetMarginals for this method's boundary nodes."""
         from repro.core.summaries import marginal_from_result
 
-        marginals = {}
-        for target, node in self.pfg.param_pre.items():
-            marginals[("pre", target)] = marginal_from_result(
+        return {
+            (slot, target): marginal_from_result(
                 result, self.vars.kind(node), self.vars.state(node)
             )
-        for target, node in self.pfg.param_post.items():
-            marginals[("post", target)] = marginal_from_result(
-                result, self.vars.kind(node), self.vars.state(node)
-            )
-        if self.pfg.result_node is not None:
-            node = self.pfg.result_node
-            marginals[("result", "result")] = marginal_from_result(
-                result, self.vars.kind(node), self.vars.state(node)
-            )
-        return marginals
+            for slot, target, node in self.pfg.boundary_nodes()
+        }
 
     def callsite_marginals(self, result):
         """Marginals at call-site boundary nodes, for evidence deposits.
@@ -546,7 +513,10 @@ class ModelCache:
         return key
 
     def solve(self, method_ref, pfg, summary_store, settings):
-        """Run one worklist visit; returns a :class:`ModelVisit`."""
+        """Run one worklist visit; returns a :class:`ModelVisit`.
+
+        ``pfg`` is the method's PFG or its :class:`repro.core.pfg.
+        PFGInterface`; only a visit that builds reads the graph itself."""
         from repro.core.summaries import method_input_fingerprint
 
         fingerprint = method_input_fingerprint(
@@ -598,7 +568,7 @@ class ModelCache:
                 maybe_fault("constraints", site_key)
             model = MethodModel(
                 self.program,
-                pfg,
+                pfg.pfg,
                 self.config,
                 spec_env=self.spec_env,
                 summary_store=summary_store,

@@ -121,6 +121,39 @@ class PFG:
     def edge_count(self):
         return len(self.edges)
 
+    # -- the interface a visit reads (see PFGInterface) -----------------------
+
+    @property
+    def site_callees(self):
+        """The callee of each call site, in site order (None: unresolved)."""
+        return tuple(site["callee"] for site in self.call_sites)
+
+    def boundary_nodes(self):
+        """``(slot, target, node)`` of each boundary node, in the one
+        order every reader uses: the parameters' pre nodes, then their
+        post nodes, then the result."""
+        nodes = [
+            ("pre", target, node) for target, node in self.param_pre.items()
+        ]
+        nodes += [
+            ("post", target, node) for target, node in self.param_post.items()
+        ]
+        if self.result_node is not None:
+            nodes.append(("result", "result", self.result_node))
+        return nodes
+
+    @property
+    def boundary_slots(self):
+        """``(slot, target)`` of each of :meth:`boundary_nodes`."""
+        return tuple(
+            (slot, target) for slot, target, _ in self.boundary_nodes()
+        )
+
+    @property
+    def pfg(self):
+        """A built PFG is its own interface."""
+        return self
+
     def to_dot(self, name=None):
         """Figure 6-style DOT rendering."""
         title = name or (
@@ -167,3 +200,38 @@ class PFG:
             len(self.nodes),
             len(self.edges),
         )
+
+
+class PFGInterface:
+    """What a visit reads of a stored PFG without building a model.
+
+    A method's inputs are its unannotated callees' summaries and the
+    evidence on its own boundary (paper §3.4), so a replayed or skipped
+    visit needs only the callee of each call site and the boundary
+    slots (:func:`repro.core.summaries.method_input_fingerprint`); the
+    stats read the node count.  ``pfg`` decodes the graph itself when a
+    visit first builds the method's model.
+    """
+
+    __slots__ = ("method_ref", "site_callees", "boundary_slots", "_nodes",
+                 "_decode", "_pfg")
+
+    def __init__(self, method_ref, site_callees, boundary_slots, nodes,
+                 decode):
+        self.method_ref = method_ref
+        self.site_callees = site_callees
+        self.boundary_slots = boundary_slots
+        self._nodes = nodes
+        #: Called once, with no arguments, to get the PFG.
+        self._decode = decode
+        self._pfg = None
+
+    def node_count(self):
+        return self._nodes
+
+    @property
+    def pfg(self):
+        if self._pfg is None:
+            self._pfg = self._decode()
+            self._decode = None
+        return self._pfg

@@ -91,13 +91,19 @@ class MethodSummary:
 
 
 class SummaryStore:
-    """All summaries plus cross-method caller evidence."""
+    """All summaries plus cross-method caller evidence.
+
+    Each summary's token and each evidence bucket's token is kept until
+    the bits under it change, so an unchanged input hands every visit
+    the same token object (a persistent cache digests each once)."""
 
     def __init__(self, change_threshold=1e-3):
         self.change_threshold = change_threshold
         self._summaries = {}
         # (callee, slot, target) -> {site_key: TargetMarginal}
         self._evidence = {}
+        self._summary_tokens = {}
+        self._evidence_tokens = {}
 
     def summary_of(self, method_ref):
         if method_ref not in self._summaries:
@@ -107,14 +113,19 @@ class SummaryStore:
     def update(self, method_ref, slot, target, marginal):
         """UPDATESUMMARY: store and report whether it changed materially."""
         summary = self.summary_of(method_ref)
+        if not _same_bits(summary.get(slot, target), marginal):
+            self._summary_tokens.pop(method_ref, None)
         delta = summary.set(slot, target, marginal)
         return delta > self.change_threshold
 
     def deposit_evidence(self, callee, slot, target, site_key, marginal):
         """Record a caller's marginal for one of the callee's boundary
         nodes; returns True when it changed materially."""
-        bucket = self._evidence.setdefault((callee, slot, target), {})
+        bucket_key = (callee, slot, target)
+        bucket = self._evidence.setdefault(bucket_key, {})
         old = bucket.get(site_key)
+        if not _same_bits(old, marginal):
+            self._evidence_tokens.pop(bucket_key, None)
         delta = marginal.delta(old)
         bucket[site_key] = marginal
         return delta > self.change_threshold
@@ -132,6 +143,9 @@ class SummaryStore:
         order; an empty or missing summary tokenizes to ``()`` (creating
         an empty summary must not look like a change).
         """
+        token = self._summary_tokens.get(method_ref)
+        if token is not None:
+            return token
         summary = self._summaries.get(method_ref)
         if summary is None:
             return ()
@@ -142,19 +156,25 @@ class SummaryStore:
             parts.append(("post", target, _marginal_token(marginal)))
         if summary.result is not None:
             parts.append(("result", "result", _marginal_token(summary.result)))
-        return tuple(parts)
+        token = self._summary_tokens[method_ref] = tuple(parts)
+        return token
 
     def evidence_token(self, callee, slot, target):
         """An equality token of one boundary node's evidence bucket,
         including the per-site breakdown (vote order matters to the
         geometric-mean aggregation)."""
-        bucket = self._evidence.get((callee, slot, target))
+        bucket_key = (callee, slot, target)
+        token = self._evidence_tokens.get(bucket_key)
+        if token is not None:
+            return token
+        bucket = self._evidence.get(bucket_key)
         if not bucket:
             return ()
-        return tuple(
+        token = self._evidence_tokens[bucket_key] = tuple(
             (site_key, _marginal_token(marginal))
             for site_key, marginal in bucket.items()
         )
+        return token
 
     def evidence_count(self):
         return sum(len(bucket) for bucket in self._evidence.values())
@@ -172,6 +192,22 @@ def _marginal_token(marginal):
     return (_dist_token(marginal.kind), _dist_token(marginal.state))
 
 
+def _same_bits(old, new):
+    """Whether ``new`` holds exactly ``old``'s floats in ``old``'s order.
+    ``==`` cannot tell 0.0 from -0.0, so a zero counts as a change."""
+    if old is None:
+        return False
+    for before, after in ((old.kind, new.kind), (old.state, new.state)):
+        if before is None or after is None:
+            if before is not after:
+                return False
+        elif tuple(before.items()) != tuple(after.items()) or (
+            0.0 in after.values()
+        ):
+            return False
+    return True
+
+
 def method_input_fingerprint(store, spec_env, pfg):
     """Token of everything the store feeds into one method's model.
 
@@ -181,26 +217,22 @@ def method_input_fingerprint(store, spec_env, pfg):
     callees and the method's own spec contribute static priors and are
     deliberately excluded.  Equal fingerprints ⇒ a refresh would rewrite
     nothing ⇒ the previous solve result is still exact, so the worklist
-    visit can skip the solve entirely.
+    visit can skip the solve entirely.  ``pfg`` is a PFG or its
+    :class:`repro.core.pfg.PFGInterface`: only the call-site callees and
+    the boundary slots are read.
     """
-    sites = []
-    for site in pfg.call_sites:
-        callee = site["callee"]
-        if callee is None or spec_env.is_annotated(callee):
-            sites.append(None)
-        else:
-            sites.append(store.summary_token(callee))
-    evidence = []
+    sites = tuple(
+        None
+        if callee is None or spec_env.is_annotated(callee)
+        else store.summary_token(callee)
+        for callee in pfg.site_callees
+    )
     method_ref = pfg.method_ref
-    slots = [("pre", target) for target in pfg.param_pre]
-    slots += [("post", target) for target in pfg.param_post]
-    if pfg.result_node is not None:
-        slots.append(("result", "result"))
-    for slot, target in slots:
-        evidence.append(
-            (slot, target, store.evidence_token(method_ref, slot, target))
-        )
-    return (tuple(sites), tuple(evidence))
+    evidence = tuple(
+        (slot, target, store.evidence_token(method_ref, slot, target))
+        for slot, target in pfg.boundary_slots
+    )
+    return (sites, evidence)
 
 
 def marginal_from_result(result, kind_var, state_var):
@@ -252,15 +284,33 @@ def clip_marginal(marginal, confidence):
     """Cap a marginal's certainty (paper-style B(0.9) discipline).
 
     Prevents runaway feedback when summaries echo between caller and
-    callee models across worklist iterations.
+    callee models across worklist iterations.  The result is numpy's
+    ``clip`` then divide-by-sum, bit for bit: below 8 entries numpy sums
+    left to right from 0.0, as the loop here does (``sum`` may not:
+    Python 3.12 compensates), and from 8 entries on it sums pairwise, so
+    numpy does the work.
     """
+    low = 1.0 - confidence
 
     def clip(dist):
         if dist is None:
             return None
-        values = np.array(list(dist.values()))
-        values = np.clip(values, 1.0 - confidence, confidence)
-        values = values / values.sum()
-        return {key: float(v) for key, v in zip(dist.keys(), values)}
+        if len(dist) >= 8:
+            values = np.array(list(dist.values()))
+            values = np.clip(values, low, confidence)
+            values = values / values.sum()
+            return {key: float(v) for key, v in zip(dist.keys(), values)}
+        clipped = []
+        total = 0.0
+        for value in dist.values():
+            # np.clip's order: max with the floor, then min with the
+            # ceiling; a tie takes the bound and a NaN stays.
+            if not value > low and value == value:
+                value = low
+            if not value < confidence and value == value:
+                value = confidence
+            clipped.append(value)
+            total += value
+        return {key: value / total for key, value in zip(dist, clipped)}
 
     return TargetMarginal(kind=clip(marginal.kind), state=clip(marginal.state))

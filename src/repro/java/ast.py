@@ -86,6 +86,10 @@ class CompilationUnit(Node):
     package: Optional[str] = None
     imports: List[str] = field(default_factory=list)
     types: List["ClassDecl"] = field(default_factory=list)
+    #: The content digests the analysis cache stored with the unit when
+    #: it was parsed (:func:`repro.cache.fingerprints.unit_digests`);
+    #: None for a unit parsed outside the cache or edited in place since.
+    digests: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
 @dataclass

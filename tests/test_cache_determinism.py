@@ -5,15 +5,19 @@ maps to the same key: a fingerprint that depended on dict/set iteration
 order (which varies with ``PYTHONHASHSEED``) or on object identity would
 silently miss — or worse, collide.  These tests mirror the hash-seed
 subprocess harness from ``test_determinism.py`` at the fingerprint
-layer, plus unit tests for the canonical byte encoding itself.
+layer, plus unit tests for the canonical byte encoding itself, for the
+digests the parse layer stores, and for solve keys, which must change
+exactly when the canonical input token does.
 """
 
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from repro.cache import AnalysisCache, BoundCache
 from repro.cache.fingerprints import (
     canonical_bytes,
     config_digest,
@@ -23,9 +27,16 @@ from repro.cache.fingerprints import (
 )
 from repro.core.heuristics import HeuristicConfig
 from repro.core.infer import InferenceSettings
+from repro.core.pfg_builder import build_pfg
+from repro.core.summaries import (
+    SummaryStore,
+    TargetMarginal,
+    method_input_fingerprint,
+)
 from repro.corpus.examples import figure3_sources
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import resolve_program
+from repro.permissions.spec import SpecEnvironment
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -201,3 +212,111 @@ def test_fingerprints_stable_within_process():
         method_digest(ref) for ref in program_b.methods_with_bodies()
     )
     assert digests_a == digests_b
+
+
+def test_stored_digests_fingerprint_as_taken_on_demand(tmp_path):
+    """A unit parsed through the cache carries the digests of its cold
+    parse; a program parsed outside it (``run_on_program``, the Table 5
+    harness) digests on demand.  Every fingerprint agrees."""
+    sources = figure3_sources()
+
+    def fingerprints(program):
+        bound = BoundCache(AnalysisCache(str(tmp_path / "b")), program, "c")
+        return bound.env_fp, {
+            bound.key_of[ref]: bound.method_fingerprint(ref)
+            for ref in program.methods_with_bodies()
+        }
+
+    plain = resolve_program([parse_compilation_unit(s) for s in sources])
+    cold = resolve_program(
+        [AnalysisCache(str(tmp_path / "c")).parse(s) for s in sources]
+    )
+    warm_cache = AnalysisCache(str(tmp_path / "c"))
+    warm = resolve_program([warm_cache.parse(s) for s in sources])
+    assert warm_cache.stats.parse_hits == len(sources)
+    assert all(unit.digests is None for unit in plain.units)
+    assert all(unit.digests is not None for unit in warm.units)
+    assert environment_digest(plain) == environment_digest(warm)
+    assert fingerprints(plain) == fingerprints(cold) == fingerprints(warm)
+
+
+# ---------------------------------------------------------------------------
+# Solve keys: one per canonical input token
+# ---------------------------------------------------------------------------
+
+_BOX = (
+    "class Box { Box get(Box o) { return o; } "
+    "Box put(Box o) { return this.get(o); } }"
+)
+
+
+def _solve_keys(tmp_path, fill_stores):
+    """The solve key of ``Box.put`` over each store ``fill_stores(get,
+    put)`` returns: ``put`` calls ``get``, whose summary it reads, and
+    ``get``'s callers vote on ``put``'s boundary."""
+    program = resolve_program([parse_compilation_unit(_BOX)])
+    get, put = program.methods_with_bodies()
+    bound = AnalysisCache(str(tmp_path)).bind(
+        program, HeuristicConfig(), InferenceSettings()
+    )
+    pfg = build_pfg(program, put)
+    spec_env = SpecEnvironment(program)
+    return [
+        bound.solve_key(put, method_input_fingerprint(store, spec_env, pfg))
+        for store in fill_stores(get, put)
+    ]
+
+
+def _marginal(full, pure=None):
+    if pure is None:
+        pure = 1.0 - full
+    return TargetMarginal(kind={"full": full, "pure": pure})
+
+
+def test_solve_key_ignores_summary_insertion_order(tmp_path):
+    def stores(get, put):
+        first, second = SummaryStore(), SummaryStore()
+        first.update(get, "pre", "this", _marginal(0.6))
+        first.update(get, "pre", "o", _marginal(0.7))
+        second.update(get, "pre", "o", _marginal(0.7))
+        second.update(get, "pre", "this", _marginal(0.6))
+        assert first.summary_token(get) != second.summary_token(get)
+        return first, second
+
+    first, second = _solve_keys(tmp_path, stores)
+    assert first == second
+
+
+def test_solve_key_sees_vote_order(tmp_path):
+    def stores(get, put):
+        first, second = SummaryStore(), SummaryStore()
+        for store, sites in ((first, (0, 1)), (second, (1, 0))):
+            for index in sites:
+                store.deposit_evidence(
+                    put, "pre", "o", (get, index), _marginal(0.5 + index / 4)
+                )
+        return first, second
+
+    first, second = _solve_keys(tmp_path, stores)
+    assert first != second
+
+
+@pytest.mark.parametrize("part", ["summary", "evidence"])
+def test_solve_key_sees_one_ulp(tmp_path, part):
+    moved = math.nextafter(0.6, 1.0)
+
+    def stores(get, put):
+        made = []
+        for full in (0.6, moved):
+            store = SummaryStore()
+            if part == "summary":
+                store.update(get, "post", "o", _marginal(full, 0.4))
+            else:
+                store.deposit_evidence(
+                    put, "result", "result", (get, 0), _marginal(full, 0.4)
+                )
+            made.append(store)
+        return made
+
+    first, second = _solve_keys(tmp_path, stores)
+    assert first != second

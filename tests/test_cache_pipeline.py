@@ -151,6 +151,24 @@ def test_cold_run_stores_only_layer_entries(tmp_path, monkeypatch):
     assert moved.hits() == 0
 
 
+def test_applied_program_fingerprints_as_edited(tmp_path):
+    """The applier edits units in place, so it drops the digests the
+    parse layer stored with them: a cached run over the annotated
+    program answers as a run over its rendered sources does."""
+    cold = AnekPipeline(cache=AnalysisCache(tmp_path / "c")).run_on_sources(
+        [ITERATOR_API_SOURCE, CLIENT]
+    )
+    assert cold.inferred_annotation_count > 0
+    assert all(unit.digests is None for unit in cold.program.units)
+    again = AnekPipeline(cache=AnalysisCache(tmp_path / "c")).run_on_program(
+        cold.program
+    )
+    rendered = AnekPipeline().run_on_sources(cold.annotated_sources)
+    assert again.canonical_json(
+        include_marginals=True
+    ) == rendered.canonical_json(include_marginals=True)
+
+
 def test_warm_after_edit_reuses_untouched_units(tmp_path):
     cache_dir = tmp_path / "c"
     cold = run_pipeline(

@@ -549,6 +549,68 @@ class TestCacheSchemaValidation:
         stats, _ = checked()
         assert (stats.verdict_hits, stats.schema_invalid) == (len(verdicts), 0)
 
+    @pytest.mark.parametrize(
+        "garble, counter",
+        [
+            (b"not a pickle", "corrupt_entries"),
+            (pickle.dumps({"wrong": "shape"}), "schema_invalid"),
+        ],
+        ids=["corrupt", "schema-invalid"],
+    )
+    def test_garbled_pfg_part_is_quarantined(self, tmp_path, garble, counter):
+        """A stored PFG is decoded only for a model build, so a garbled
+        PFG part surfaces then: under another config every solve misses
+        and every model builds from its stored PFG.  It is counted,
+        warned about and discarded like a read-time failure, and that
+        PFG is built cold and stored again."""
+        from repro.cache import AnalysisCache
+        from repro.core.heuristics import HeuristicConfig
+
+        cache_dir = tmp_path / "cache"
+        sources = [ITERATOR_API_SOURCE, FIGURE3_CLIENT]
+        self._run(AnalysisCache(cache_dir=str(cache_dir)), sources)
+        garbled = None
+        for path in self._entry_paths(cache_dir):
+            with open(path, "rb") as handle:
+                payload = pickle.load(handle)
+            if isinstance(payload, dict) and "pfg" in payload:
+                payload["pfg"] = garble
+                with open(path, "wb") as handle:
+                    pickle.dump(payload, handle)
+                garbled = path
+                break
+        assert garbled is not None
+
+        config = HeuristicConfig(spec_prior=0.8)
+
+        def run(cache):
+            return AnekPipeline(
+                config=config,
+                run_checker=False,
+                apply_annotations=False,
+                cache=cache,
+            ).run_on_sources(sources)
+
+        cache = AnalysisCache(cache_dir=str(cache_dir))
+        with pytest.warns(RuntimeWarning, match="pfg cache entry"):
+            reran = run(cache)
+        stats = cache.stats
+        assert getattr(stats, counter) == 1
+        assert stats.corrupt_entries + stats.schema_invalid == 1
+        assert (stats.pfg_misses, stats.solve_hits) == (1, 0)
+        assert stats.pfg_hits == reran.inference_stats.methods - 1
+        assert reran.inference_stats.builds == reran.inference_stats.methods
+        assert reran.canonical_json(include_marginals=True) == run(
+            None
+        ).canonical_json(include_marginals=True)
+        # Stored again: the entry's PFG part decodes.
+        with open(garbled, "rb") as handle:
+            assert pickle.loads(pickle.load(handle)["pfg"])
+        again = AnalysisCache(cache_dir=str(cache_dir))
+        run(again)
+        assert again.stats.misses() == 0
+        assert again.stats.corrupt_entries + again.stats.schema_invalid == 0
+
     def test_cache_stats_describe_mentions_schema_counter(self):
         from repro.cache.manager import CacheStats
 

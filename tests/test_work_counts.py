@@ -9,8 +9,10 @@ A warm run against the persistent cache lowers and plans only what an
 edit can change.  A method's PFG is rebuilt only when its fingerprint
 changed, and its tier-1 plan only when its fingerprint, its own spec or
 a callee's spec changed; every other verdict is replayed.  The tier-2
-residue is re-checked on every run.  An unchanged rerun replays every
-visit and loads every PFG, so it lowers only the tier-2 residue.
+residue is re-checked on every run.  A stored PFG is decoded only for a
+model build, so a warm run decodes ``builds - pfg_misses`` of them (a
+rebuilt PFG is in memory already).  An unchanged rerun replays every
+visit and decodes no PFG, so it lowers only the tier-2 residue.
 
 The counts are exact, so a return to re-lowering or re-planning fails
 here in one deterministic run.
@@ -20,7 +22,7 @@ import pytest
 
 from repro.analysis.cfg import _Builder
 from repro.analysis.ir import Lowerer
-from repro.cache import AnalysisCache
+from repro.cache import AnalysisCache, manager
 from repro.core.pipeline import AnekPipeline
 from repro.corpus.generator import CorpusSpec, generate_pmd_corpus
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
@@ -122,7 +124,22 @@ def planned(monkeypatch):
 
 
 @pytest.fixture
-def warm_cache(tmp_path, counts, planned):
+def decodes(monkeypatch):
+    """Stored PFGs decoded: calls of ``pfg_from_payload`` where the
+    cache manager makes them."""
+    tally = {"pfgs": 0}
+    decode = manager.pfg_from_payload
+
+    def counted(*args):
+        tally["pfgs"] += 1
+        return decode(*args)
+
+    monkeypatch.setattr(manager, "pfg_from_payload", counted)
+    return tally
+
+
+@pytest.fixture
+def warm_cache(tmp_path, counts, planned, decodes):
     """A cache filled by a cold run over ``PROJECT``; the counters start
     at zero after it.  Returns (cache directory, the cold run)."""
     cache_dir = tmp_path / "cache"
@@ -130,9 +147,17 @@ def warm_cache(tmp_path, counts, planned):
     methods = cold.inference_stats.methods
     assert cold.cache_stats.verdict_misses == methods
     assert planned["plans"] == methods
+    assert decodes["pfgs"] == 0
     counts.update(lowerings=0, cfg_builds=0)
     planned.update(partitioned=[], plans=0)
     return cache_dir, cold
+
+
+def assert_decodes_only_built(warm, decodes):
+    """Every decoded PFG fed a model build, and every build whose PFG
+    was not rebuilt decoded one."""
+    built = warm.inference_stats.builds - warm.cache_stats.pfg_misses
+    assert decodes["pfgs"] == built
 
 
 def warm_run(cache_dir, sources):
@@ -149,12 +174,17 @@ def spec_changes(before, after):
     return {key for key in old if old[key] != new[key]}
 
 
-def test_unchanged_rerun_plans_nothing(warm_cache, counts, planned):
+def test_unchanged_rerun_plans_nothing(
+    warm_cache, counts, planned, decodes
+):
     cache_dir, cold = warm_cache
     warm = warm_run(cache_dir, PROJECT)
-    # Every visit replays or skips: no model is built, no PFG lowered.
+    # Every visit replays or skips: no model is built, no PFG lowered
+    # or decoded.
     assert_replayed(warm.inference_stats)
     assert warm.cache_stats.misses() == 0
+    assert decodes["pfgs"] == 0
+    assert_decodes_only_built(warm, decodes)
     # Only the tier-2 residue, the four methods with a warning, is
     # lowered: it is checked again on every run.
     assert warm.check.tier2_methods == 4
@@ -169,10 +199,16 @@ def test_unchanged_rerun_plans_nothing(warm_cache, counts, planned):
     )
 
 
-def test_body_edit_plans_only_the_edited_method(warm_cache, counts, planned):
+def test_body_edit_plans_only_the_edited_method(
+    warm_cache, counts, planned, decodes
+):
     cache_dir, cold = warm_cache
     warm = warm_run(cache_dir, edited(FILLER))
     assert not spec_changes(cold, warm)
+    # Only the edited method builds, on the PFG it just rebuilt.
+    assert (warm.inference_stats.builds, warm.cache_stats.pfg_misses) == (1, 1)
+    assert decodes["pfgs"] == 0
+    assert_decodes_only_built(warm, decodes)
     # The edited method's PFG and plan, then the tier-2 residue.
     per_stage = 1 + 1 + warm.check.tier2_methods
     assert counts == {"lowerings": per_stage, "cfg_builds": per_stage}
@@ -182,11 +218,13 @@ def test_body_edit_plans_only_the_edited_method(warm_cache, counts, planned):
 
 
 def test_spec_edit_plans_the_method_and_its_callers(
-    warm_cache, counts, planned
+    warm_cache, counts, planned, decodes
 ):
     cache_dir, cold = warm_cache
     warm = warm_run(cache_dir, edited(CONSUME_FIRST))
     assert spec_changes(cold, warm) == {"Helper.consumeFirst#0"}
+    assert warm.cache_stats.pfg_misses == 1
+    assert_decodes_only_built(warm, decodes)
     (keys,) = planned["partitioned"]
     assert set(keys) == {
         "Helper.consumeFirst#0",
